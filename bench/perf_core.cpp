@@ -10,14 +10,11 @@
 // pins the perf trajectory; bench/perf_compare judges a fresh run against it
 // with per-metric tolerances. Metrics:
 //   sim_events_per_sec      simulated events through the event loop / sec
-//   ns_admit_{legacy,arena,full}
-//                           wall ns per request through Application::admit
-//                           with the RuleEngine in each AllocationMode —
-//                           the ladder attributes the arena win (legacy ->
-//                           arena) and the interning win (arena -> full)
+//   ns_admit_full           wall ns per request through Application::admit
+//                           with the paper's five §V rate limits active
 //   ns_score_<family>       wall ns per session-score for each detector
 //   arena_allocs_per_admit / arena_bytes_per_admit
-//                           per-request key-arena traffic in Full mode
+//                           per-request rate-key arena traffic
 //   arena_chunk_allocs      heap chunks the key arena ever acquired (steady
 //                           state: a handful, regardless of request count)
 #include <benchmark/benchmark.h>
@@ -299,21 +296,19 @@ double measure_events_per_sec(bool smoke) {
 }
 
 // Wall ns per request through Application::admit (cheapest endpoint, so the
-// admission machinery — weblog, overload gate, policy, counters — dominates)
-// with the rule engine in the given allocation mode. The request stream
-// churns sessions and IPs deterministically so rate-limit keys exercise the
-// key store, not one hot deque. Arena stats from the measured window land in
-// *arena_out when non-null.
-double measure_ns_admit(mitigate::AllocationMode mode, std::size_t requests,
-                        util::Arena::Stats* arena_out) {
+// admission machinery — weblog, overload gate, policy, counters — dominates).
+// The request stream churns sessions and IPs deterministically so rate-limit
+// keys exercise the key store, not one hot deque. Arena stats from the
+// measured window land in arena_out.
+double measure_ns_admit(std::size_t requests, util::Arena::Stats& arena_out) {
   scenario::EnvConfig config;
   config.seed = 11;
   scenario::Env env(config);
-  mitigate::RuleEngine engine(env.sim, mode);
+  mitigate::RuleEngine engine(env.sim);
   // The paper's §V posture: global, per-IP, per-session, per-fingerprint and
   // per-booking limits all active at once. Limits are set high enough that
   // nothing denies (the denial early-out would hide the key-construction
-  // cost this ladder exists to measure).
+  // cost this metric exists to measure).
   engine.add_rate_limit({"global", std::nullopt, mitigate::RateKey::Global, 1u << 30, sim::kHour});
   engine.add_rate_limit({"ip", std::nullopt, mitigate::RateKey::ByIp, 1u << 30, sim::kHour});
   engine.add_rate_limit(
@@ -348,12 +343,9 @@ double measure_ns_admit(mitigate::AllocationMode mode, std::size_t requests,
   const auto t0 = GateClock::now();
   drive(requests);
   const auto t1 = GateClock::now();
-  if (arena_out != nullptr) {
-    util::Arena::Stats after = engine.key_arena().stats();
-    after.allocations -= before.allocations;
-    after.bytes -= before.bytes;
-    *arena_out = after;
-  }
+  arena_out = engine.key_arena().stats();
+  arena_out.allocations -= before.allocations;
+  arena_out.bytes -= before.bytes;
   return elapsed_ns(t0, t1) / static_cast<double>(requests);
 }
 
@@ -404,14 +396,10 @@ int run_gate(const bench::Options& options) {
   metrics.emplace_back("sim_events_per_sec",
                        median_of(reps, [&] { return measure_events_per_sec(smoke); }));
 
-  std::cerr << "[gate] admit ladder (legacy -> arena -> full)...\n";
+  std::cerr << "[gate] admit path...\n";
   util::Arena::Stats arena{};
-  const auto admit_mode = [&](mitigate::AllocationMode mode, util::Arena::Stats* stats) {
-    return median_of(reps, [&, mode, stats] { return measure_ns_admit(mode, admits, stats); });
-  };
-  metrics.emplace_back("ns_admit_legacy", admit_mode(mitigate::AllocationMode::Legacy, nullptr));
-  metrics.emplace_back("ns_admit_arena", admit_mode(mitigate::AllocationMode::Arena, nullptr));
-  metrics.emplace_back("ns_admit_full", admit_mode(mitigate::AllocationMode::Full, &arena));
+  metrics.emplace_back("ns_admit_full",
+                       median_of(reps, [&] { return measure_ns_admit(admits, arena); }));
   metrics.emplace_back("arena_allocs_per_admit",
                        static_cast<double>(arena.allocations) / static_cast<double>(admits));
   metrics.emplace_back("arena_bytes_per_admit",
@@ -440,9 +428,6 @@ int run_gate(const bench::Options& options) {
   for (const auto& [name, value] : metrics) {
     std::printf("  %-28s %14.2f\n", name.c_str(), value);
   }
-  // The admit ladder is the PR's headline claim: each optimisation step must
-  // not be slower than the one before it by more than noise allows. The hard
-  // gate lives in perf_compare; here we only surface the deltas.
   return 0;
 }
 

@@ -1,5 +1,8 @@
 #include "airline/boarding.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace fraudsim::airline {
 
 const char* to_string(BoardingPassService::SmsResult r) {
@@ -65,10 +68,18 @@ void BoardingPassService::checkpoint(util::ByteWriter& out) const {
   out.u64(sms_requests_);
   out.u64(sms_sent_);
   out.u64(email_sent_);
-  out.u64(sms_per_pnr_.size());
-  for (const auto& [pnr, count] : sms_per_pnr_) {
-    out.str(pnr);
-    out.u64(count);
+  // Sort before writing: sms_per_pnr_ is an unordered_map, and its
+  // iteration order would otherwise leak hash-table layout into the
+  // checkpoint bytes (and differ after a restore re-inserts).
+  std::vector<const std::pair<const std::string, std::uint64_t>*> entries;
+  entries.reserve(sms_per_pnr_.size());
+  for (const auto& entry : sms_per_pnr_) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  out.u64(entries.size());
+  for (const auto* entry : entries) {
+    out.str(entry->first);
+    out.u64(entry->second);
   }
 }
 

@@ -1,5 +1,8 @@
 #include "airline/pnr.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace fraudsim::airline {
 
 namespace {
@@ -22,8 +25,16 @@ std::string PnrGenerator::next() {
 
 void PnrGenerator::checkpoint(util::ByteWriter& out) const {
   rng_.checkpoint(out);
-  out.u64(issued_.size());
-  for (const auto& pnr : issued_) out.str(pnr);
+  // Sort before writing: issued_ is an unordered_set, and its iteration
+  // order would otherwise leak hash-table layout into the checkpoint bytes
+  // (and differ after a restore re-inserts).
+  std::vector<const std::string*> pnrs;
+  pnrs.reserve(issued_.size());
+  for (const auto& pnr : issued_) pnrs.push_back(&pnr);
+  std::sort(pnrs.begin(), pnrs.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  out.u64(pnrs.size());
+  for (const std::string* pnr : pnrs) out.str(*pnr);
 }
 
 void PnrGenerator::restore(util::ByteReader& in) {

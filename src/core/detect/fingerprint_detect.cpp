@@ -1,5 +1,8 @@
 #include "core/detect/fingerprint_detect.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace fraudsim::detect {
 
 namespace {
@@ -208,8 +211,17 @@ std::vector<double> FingerprintBlocklist::effectiveness_windows_hours() const {
 }
 
 void FingerprintBlocklist::checkpoint(util::ByteWriter& out) const {
-  out.u64(entries_.size());
-  for (const auto& [hash, e] : entries_) {
+  // Sort hashes before writing: entries_ is an unordered_map, and its
+  // iteration order would otherwise leak hash-table layout into the
+  // checkpoint bytes (and differ after a restore re-inserts).
+  std::vector<fp::FpHash> hashes;
+  hashes.reserve(entries_.size());
+  for (const auto& [hash, e] : entries_) hashes.push_back(hash);
+  std::sort(hashes.begin(), hashes.end(),
+            [](fp::FpHash a, fp::FpHash b) { return a.value() < b.value(); });
+  out.u64(hashes.size());
+  for (const fp::FpHash hash : hashes) {
+    const Entry& e = entries_.at(hash);
     out.u64(hash.value());
     out.i64(e.added);
     out.i64(e.last_hit);

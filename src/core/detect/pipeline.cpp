@@ -1,7 +1,6 @@
 #include "core/detect/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <span>
@@ -53,14 +52,6 @@ class FunctionDetector final : public Detector {
   BatchFn batch_;
 };
 
-// FRAUDSIM_DETECT_BATCH=0 flips a freshly constructed pipeline onto the
-// scalar adapter path (the byte-identity reference in CI); anything else —
-// including unset — keeps batching on.
-bool env_batch_default() {
-  const char* env = std::getenv("FRAUDSIM_DETECT_BATCH");
-  return env == nullptr || env[0] == '\0' || env[0] != '0';
-}
-
 }  // namespace
 
 const DetectorReport* PipelineResult::report_for(const std::string& detector) const {
@@ -78,7 +69,7 @@ bool PipelineResult::skipped_family(const std::string& family) const {
 }
 
 DetectionPipeline::DetectionPipeline(PipelineConfig config)
-    : config_(config), nip_(config.nip), batch_mode_(env_batch_default()) {}
+    : config_(config), nip_(config.nip) {}
 
 PipelineView DetectionPipeline::view() const {
   return PipelineView(obs_ != nullptr ? &obs_->metrics : nullptr);
@@ -485,16 +476,14 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
 
   // The "detect.batch.run" fault point demotes a run to the scalar adapter
   // path (verdicts unchanged — that IS the reference implementation). It is
-  // consulted exactly once per run in BOTH modes so injected fault schedules
-  // consume hit-state identically, and the fallback counter ticks in both
-  // modes so metric exports diff clean across FRAUDSIM_DETECT_BATCH settings.
-  const bool batch_fault =
-      fault::FaultRegistry::global().point("detect.batch.run").should_fail(to);
-  const bool use_batch = batch_mode_ && !batch_fault;
+  // consulted exactly once per run, so injected fault schedules advance
+  // deterministically, and each demoted run ticks the fallback counter.
+  const bool use_batch =
+      !fault::FaultRegistry::global().point("detect.batch.run").should_fail(to);
   const BatchHandles& batch = batch_handles();
   batch.runs.inc();
   batch.epochs.inc(views.size());
-  if (batch_fault) batch.fallbacks.inc();
+  if (!use_batch) batch.fallbacks.inc();
 
   // The interface layer: one loop applies budget accounting, fault-point
   // guarding, exception containment, per-family metrics/spans/profiling to

@@ -91,10 +91,11 @@ struct PipelineResult {
 };
 
 // Batch-accounting totals a pipeline has recorded into its bound metrics
-// registry. Mode-independent by construction: the scalar (FRAUDSIM_DETECT_BATCH=0)
-// and batched paths tick the identical values, so metric exports diff clean
-// across modes. Conservation law (checked by the "detect-batch-conservation"
-// platform invariant): sessions_in == sessions_scored + sessions_skipped.
+// registry. Path-independent by construction: a run demoted to the scalar
+// adapter by the "detect.batch.run" fault point ticks the same values as a
+// batched run (plus batch_fallbacks). Conservation law (checked by the
+// "detect-batch-conservation" platform invariant): sessions_in ==
+// sessions_scored + sessions_skipped.
 struct PipelineStats {
   std::uint64_t runs = 0;              // pipeline run() calls
   std::uint64_t epochs = 0;            // epoch views evaluated across runs
@@ -160,6 +161,12 @@ class DetectionPipeline {
   // completes with the remaining families. Never throws for a single
   // detector failure.
   //
+  // Every family scores through its score_batch entry point. A firing
+  // "detect.batch.run" fault point demotes the whole run to the base-class
+  // scalar adapter (verdicts, artifacts and metrics unchanged, plus one
+  // detect.batch.fallbacks tick) — the one way to reach the scalar
+  // reference path, which tests use as the batched path's oracle.
+  //
   // `analysis_budget` is a deadline on the modeled analysis clock (which
   // starts at `to` and advances per family by its per-session cost):
   // families that would start past the budget are skipped, so an overloaded
@@ -178,7 +185,7 @@ class DetectionPipeline {
 
   // Attach the platform's observability context (non-owning; nullptr
   // detaches). When bound, every run records per-family counters
-  // ("detect.<family>.{runs,skipped,alerts}") and the mode-independent batch
+  // ("detect.<family>.{runs,skipped,alerts}") and the path-independent batch
   // counters ("detect.batch.*") in the registry, and one "detect.pipeline"
   // trace with a child span per detector family.
   void bind_obs(obs::Observability* obs) {
@@ -186,15 +193,6 @@ class DetectionPipeline {
     family_handles_.clear();
     batch_handles_ = BatchHandles{};
   }
-
-  // Batched vs scalar execution. Batched (the default) evaluates every
-  // detector through its score_batch entry point; scalar loops the base-class
-  // adapter per epoch view — the reference path the batched one is diffed
-  // against. FRAUDSIM_DETECT_BATCH=0 in the environment flips the
-  // construction-time default. Verdicts, artifacts, and metrics are
-  // byte-identical either way.
-  void set_batch_mode(bool batched) { batch_mode_ = batched; }
-  [[nodiscard]] bool batch_mode() const { return batch_mode_; }
 
   // Typed stats access over the bound registry (unbound pipelines read zeros).
   [[nodiscard]] PipelineView view() const;
@@ -237,7 +235,6 @@ class DetectionPipeline {
   const graph::EntityGraph* graph_ = nullptr;
   const overload::BrownoutController* brownout_ = nullptr;
   obs::Observability* obs_ = nullptr;
-  bool batch_mode_ = true;  // constructor applies FRAUDSIM_DETECT_BATCH
   mutable std::map<std::string, FamilyHandles, std::less<>> family_handles_;
   mutable BatchHandles batch_handles_;
 };

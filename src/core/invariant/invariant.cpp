@@ -235,7 +235,8 @@ void register_platform_invariants(InvariantRegistry& registry, const app::Applic
   // to a detector family was either scored or recorded as skipped — the
   // batched execution path cannot silently drop (or double-count) work.
   // Vacuously true while no metrics-bound pipeline has run. The counters are
-  // mode-independent, so this holds identically under FRAUDSIM_DETECT_BATCH=0.
+  // path-independent, so this holds identically on a run the
+  // "detect.batch.run" fault point demotes to the scalar adapter.
   registry.add("detect-batch-conservation", [&app](sim::SimTime) -> std::optional<std::string> {
     const auto& metrics = app.metrics();
     const std::uint64_t in = metrics.counter_value("detect.batch.sessions_in");

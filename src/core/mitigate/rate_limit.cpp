@@ -6,9 +6,8 @@
 
 namespace fraudsim::mitigate {
 
-SlidingWindowRateLimiter::SlidingWindowRateLimiter(std::uint64_t limit, sim::SimDuration window,
-                                                   KeyStore store)
-    : limit_(limit), window_(window), store_(store) {}
+SlidingWindowRateLimiter::SlidingWindowRateLimiter(std::uint64_t limit, sim::SimDuration window)
+    : limit_(limit), window_(window) {}
 
 void SlidingWindowRateLimiter::prune(sim::SimTime now, std::deque<sim::SimTime>& q) const {
   while (!q.empty() && q.front() <= now - window_) q.pop_front();
@@ -18,37 +17,20 @@ void SlidingWindowRateLimiter::evict_stale(sim::SimTime now) {
   if (now - last_sweep_ < window_) return;
   last_sweep_ = now;
   // A key is stale when its newest event has aged out of the window.
-  if (store_ == KeyStore::Interned) {
-    for (util::InternTable::Id id = 1; id <= windows_.size(); ++id) {
-      if (!keys_.contains(id)) continue;
-      auto& q = windows_[id - 1];
-      if (q.empty() || q.back() <= now - window_) {
-        q.clear();
-        keys_.erase(id);
-      }
-    }
-  } else {
-    for (auto it = events_.begin(); it != events_.end();) {
-      if (it->second.empty() || it->second.back() <= now - window_) {
-        it = events_.erase(it);
-      } else {
-        ++it;
-      }
+  for (util::InternTable::Id id = 1; id <= windows_.size(); ++id) {
+    if (!keys_.contains(id)) continue;
+    auto& q = windows_[id - 1];
+    if (q.empty() || q.back() <= now - window_) {
+      q.clear();
+      keys_.erase(id);
     }
   }
 }
 
 std::deque<sim::SimTime>& SlidingWindowRateLimiter::window_for(std::string_view key) {
-  if (store_ == KeyStore::Interned) {
-    const util::InternTable::Id id = keys_.intern(key);
-    if (windows_.size() < id) windows_.resize(id);
-    return windows_[id - 1];
-  }
-  auto it = events_.find(key);
-  if (it == events_.end()) {
-    it = events_.emplace(std::string(key), std::deque<sim::SimTime>{}).first;
-  }
-  return it->second;
+  const util::InternTable::Id id = keys_.intern(key);
+  if (windows_.size() < id) windows_.resize(id);
+  return windows_[id - 1];
 }
 
 bool SlidingWindowRateLimiter::allow(sim::SimTime now, std::string_view key) {
@@ -72,43 +54,21 @@ bool SlidingWindowRateLimiter::allow(sim::SimTime now, std::string_view key,
   return true;
 }
 
-std::uint64_t SlidingWindowRateLimiter::current(sim::SimTime now, std::string_view key) {
-  if (store_ == KeyStore::Interned) {
-    const util::InternTable::Id id = keys_.find(key);
-    if (id == 0) return 0;
-    auto& q = windows_[id - 1];
-    prune(now, q);
-    if (q.empty()) {
-      keys_.erase(id);
-      return 0;
-    }
-    return q.size();
-  }
-  const auto it = events_.find(key);
-  if (it == events_.end()) return 0;
-  prune(now, it->second);
-  if (it->second.empty()) {
-    events_.erase(it);
-    return 0;
-  }
-  return it->second.size();
+std::uint64_t SlidingWindowRateLimiter::live_count(sim::SimTime now,
+                                                   const std::deque<sim::SimTime>& q) const {
+  return static_cast<std::uint64_t>(
+      std::count_if(q.begin(), q.end(), [&](sim::SimTime t) { return t > now - window_; }));
+}
+
+std::uint64_t SlidingWindowRateLimiter::current(sim::SimTime now, std::string_view key) const {
+  const util::InternTable::Id id = keys_.find(key);
+  return id == 0 ? 0 : live_count(now, windows_[id - 1]);
 }
 
 std::uint64_t SlidingWindowRateLimiter::max_in_window(sim::SimTime now) const {
   std::uint64_t max = 0;
-  const auto count_live = [&](const std::deque<sim::SimTime>& q) {
-    std::uint64_t live = 0;
-    for (sim::SimTime t : q) {
-      if (t > now - window_) ++live;
-    }
-    max = std::max(max, live);
-  };
-  if (store_ == KeyStore::Interned) {
-    for (util::InternTable::Id id = 1; id <= windows_.size(); ++id) {
-      if (keys_.contains(id)) count_live(windows_[id - 1]);
-    }
-  } else {
-    for (const auto& [key, q] : events_) count_live(q);
+  for (util::InternTable::Id id = 1; id <= windows_.size(); ++id) {
+    if (keys_.contains(id)) max = std::max(max, live_count(now, windows_[id - 1]));
   }
   return max;
 }
@@ -116,20 +76,14 @@ std::uint64_t SlidingWindowRateLimiter::max_in_window(sim::SimTime now) const {
 void SlidingWindowRateLimiter::checkpoint(util::ByteWriter& out) const {
   out.u64(local_denials_);
   out.i64(last_sweep_);
-  // The active store is an unordered_map: its iteration order depends on the
-  // standard library and on container history (a restore replays insertions
-  // in checkpoint order, not the original arrival order). Write keys sorted
-  // by string so checkpoint frames are byte-stable across implementations,
-  // across a restore -> re-checkpoint round trip, and across key stores.
+  // Id order is arrival order (with recycled slots), which a restore does
+  // not reproduce: it re-interns keys in checkpoint order. Write keys sorted
+  // by string so checkpoint frames are byte-stable across a restore ->
+  // re-checkpoint round trip.
   std::vector<std::pair<const std::string*, const std::deque<sim::SimTime>*>> items;
-  if (store_ == KeyStore::Interned) {
-    items.reserve(keys_.size());
-    for (util::InternTable::Id id = 1; id <= windows_.size(); ++id) {
-      if (keys_.contains(id)) items.emplace_back(&keys_.str(id), &windows_[id - 1]);
-    }
-  } else {
-    items.reserve(events_.size());
-    for (const auto& [key, q] : events_) items.emplace_back(&key, &q);
+  items.reserve(keys_.size());
+  for (util::InternTable::Id id = 1; id <= windows_.size(); ++id) {
+    if (keys_.contains(id)) items.emplace_back(&keys_.str(id), &windows_[id - 1]);
   }
   std::sort(items.begin(), items.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });

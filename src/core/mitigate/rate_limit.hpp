@@ -9,21 +9,16 @@
 // once per window) erases such keys. Long-running scenarios with rotating
 // IPs/sessions therefore hold O(active keys), not O(all keys ever seen).
 //
-// Two key stores back the window map, selectable per limiter:
-//   * Interned (default): keys are interned to dense u32 ids and windows live
-//     in an integer-keyed map — steady-state admits hash the key string once
-//     and do integer work from there. Stale-key eviction releases the intern
-//     id, so the table stays bounded by live keys.
-//   * Legacy: the original string-keyed map. Kept so the perf harness can
-//     attribute the interning win, and as the reference for equivalence tests.
-// Decisions, denial tallies and checkpoint bytes are identical in both modes.
+// Keys are interned to dense u32 ids and windows live in an id-indexed
+// vector — steady-state admits hash the key string once and do integer work
+// from there. Stale-key eviction releases the intern id, so the table stays
+// bounded by live keys.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/obs/metrics.hpp"
@@ -34,10 +29,7 @@ namespace fraudsim::mitigate {
 
 class SlidingWindowRateLimiter {
  public:
-  enum class KeyStore : std::uint8_t { Legacy, Interned };
-
-  SlidingWindowRateLimiter(std::uint64_t limit, sim::SimDuration window,
-                           KeyStore store = KeyStore::Interned);
+  SlidingWindowRateLimiter(std::uint64_t limit, sim::SimDuration window);
 
   // Records the event and returns true if it is within the limit; false if
   // the event exceeds it (denied events are not recorded, so a client cannot
@@ -49,13 +41,13 @@ class SlidingWindowRateLimiter {
   // state; the window history is shared either way).
   bool allow(sim::SimTime now, std::string_view key, std::uint64_t effective_limit);
 
-  // Count currently in the window for the key (after pruning). Does not
-  // create state for unseen keys.
-  [[nodiscard]] std::uint64_t current(sim::SimTime now, std::string_view key);
+  // Count currently in the window for the key. Read-only: creates no state
+  // for unseen keys and prunes nothing (events older than now - window are
+  // skipped, not dropped).
+  [[nodiscard]] std::uint64_t current(sim::SimTime now, std::string_view key) const;
 
   [[nodiscard]] std::uint64_t limit() const { return limit_; }
   [[nodiscard]] sim::SimDuration window() const { return window_; }
-  [[nodiscard]] KeyStore key_store() const { return store_; }
   [[nodiscard]] std::uint64_t denials() const {
     return denials_counter_.bound() ? denials_counter_.value() : local_denials_;
   }
@@ -72,9 +64,7 @@ class SlidingWindowRateLimiter {
 
   // Number of keys currently holding state (bounded by the number of keys
   // active within the last ~window, not by lifetime distinct keys).
-  [[nodiscard]] std::size_t key_count() const {
-    return store_ == KeyStore::Interned ? keys_.size() : events_.size();
-  }
+  [[nodiscard]] std::size_t key_count() const { return keys_.size(); }
 
   // Largest in-window event count across all live keys at `now`, computed
   // without mutating limiter state (events older than now - window are
@@ -84,15 +74,13 @@ class SlidingWindowRateLimiter {
   [[nodiscard]] std::uint64_t max_in_window(sim::SimTime now) const;
 
   void clear() {
-    events_.clear();
     windows_.clear();
     keys_.clear();
   }
 
   // Checkpoint support: window history per key, denial tally, sweep clock.
-  // The frame lists keys sorted by string regardless of key store, so
-  // checkpoints taken in Legacy and Interned mode are byte-identical and
-  // restore works across modes. The denial tally is always serialised as a
+  // The frame lists keys sorted by string, so its bytes do not depend on
+  // intern-id assignment or on container history. The denial tally is always serialised as a
   // plain count; restore adds it to whichever store (local or bound counter)
   // is active, assuming the bound counter cell was reset/restored alongside
   // (registry restore).
@@ -100,32 +88,18 @@ class SlidingWindowRateLimiter {
   void restore(util::ByteReader& in);
 
  private:
-  struct KeyHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const noexcept { return a == b; }
-  };
-
-  // The window deque for `key` in the active store, created if absent.
+  // The window deque for `key`, created if absent.
   [[nodiscard]] std::deque<sim::SimTime>& window_for(std::string_view key);
   void prune(sim::SimTime now, std::deque<sim::SimTime>& q) const;
+  [[nodiscard]] std::uint64_t live_count(sim::SimTime now, const std::deque<sim::SimTime>& q) const;
   // Drops every key with no event newer than now - window. Amortised: runs at
-  // most once per window span. Interned mode also releases the intern id so
-  // the id space is bounded by live keys.
+  // most once per window span, and releases the intern id so the id space is
+  // bounded by live keys.
   void evict_stale(sim::SimTime now);
 
   std::uint64_t limit_;
   sim::SimDuration window_;
-  KeyStore store_;
-  // Legacy store: string-keyed windows (heterogeneous lookup, no temporary
-  // std::string on probe).
-  std::unordered_map<std::string, std::deque<sim::SimTime>, KeyHash, KeyEq> events_;
-  // Interned store: key strings live once in keys_; windows are a dense
+  // Key strings live once in keys_; windows are a dense
   // vector indexed by id-1, so after the single intern probe every window
   // access is an array index (and sweeps walk contiguous memory). Id
   // recycling reuses slots; erase paths clear the slot's deque so a recycled

@@ -6,8 +6,7 @@
 
 namespace fraudsim::mitigate {
 
-RuleEngine::RuleEngine(const sim::Simulation& sim, AllocationMode mode)
-    : sim_(sim), mode_(mode) {}
+RuleEngine::RuleEngine(const sim::Simulation& sim) : sim_(sim) {}
 
 void RuleEngine::set_blocklist_action(app::PolicyAction action) { blocklist_action_ = action; }
 
@@ -29,12 +28,7 @@ void RuleEngine::set_challenge_mode(ChallengeMode mode) { challenge_mode_ = mode
 
 void RuleEngine::add_rate_limit(RateLimitSpec spec) {
   NamedLimiter named;
-  // Only Full mode interns limiter keys; Legacy and Arena share the
-  // string-keyed store so the perf ladder isolates each optimisation.
-  const auto store = mode_ == AllocationMode::Full
-                         ? SlidingWindowRateLimiter::KeyStore::Interned
-                         : SlidingWindowRateLimiter::KeyStore::Legacy;
-  named.limiter = std::make_unique<SlidingWindowRateLimiter>(spec.limit, spec.window, store);
+  named.limiter = std::make_unique<SlidingWindowRateLimiter>(spec.limit, spec.window);
   named.spec = std::move(spec);
   if (metrics_ != nullptr) {
     named.limiter->bind_denials(
@@ -63,24 +57,6 @@ void RuleEngine::remove_rate_limit(const std::string& name) {
   limiters_.erase(std::remove_if(limiters_.begin(), limiters_.end(),
                                  [&](const NamedLimiter& n) { return n.spec.name == name; }),
                   limiters_.end());
-}
-
-std::string RuleEngine::rate_key(const RateLimitSpec& spec, const web::HttpRequest& request) {
-  switch (spec.key) {
-    case RateKey::Global:
-      return "*";
-    case RateKey::ByIp:
-      return request.ip.str();
-    case RateKey::BySession:
-      return request.session.str();
-    case RateKey::ByFingerprint:
-      return request.fp_hash.str();
-    case RateKey::ByBookingRef:
-      // Requests without a booking reference fall back to the session key so
-      // they cannot dodge the limit by omitting the field.
-      return request.booking_ref.value_or("s:" + request.session.str());
-  }
-  return "*";
 }
 
 std::string_view RuleEngine::arena_rate_key(const RateLimitSpec& spec,
@@ -119,7 +95,7 @@ app::PolicyDecision RuleEngine::evaluate(const web::HttpRequest& request,
                                          const app::ClientContext& ctx) {
   // Per-request scope for arena-backed rate keys: every view handed out below
   // dies with this call.
-  if (mode_ != AllocationMode::Legacy) arena_.reset();
+  arena_.reset();
 
   // 1. IP blocking.
   if (ip_blocked(request.ip)) {
@@ -168,11 +144,7 @@ app::PolicyDecision RuleEngine::evaluate(const web::HttpRequest& request,
           1, static_cast<std::uint64_t>(
                  std::ceil(static_cast<double>(named.spec.limit) * limit_scale)));
     }
-    const bool allowed =
-        mode_ == AllocationMode::Legacy
-            ? named.limiter->allow(sim_.now(), rate_key(named.spec, request), effective)
-            : named.limiter->allow(sim_.now(), arena_rate_key(named.spec, request), effective);
-    if (!allowed) {
+    if (!named.limiter->allow(sim_.now(), arena_rate_key(named.spec, request), effective)) {
       return app::PolicyDecision{app::PolicyAction::RateLimited, named.spec.name,
                                  util::ErrorCode::kRateLimited};
     }

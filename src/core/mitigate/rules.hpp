@@ -31,18 +31,6 @@
 
 namespace fraudsim::mitigate {
 
-// How the admit path materialises rate-limit keys and limiter key state.
-// The three modes form a measurement ladder for the perf harness: each step
-// turns on exactly one optimisation, so BENCH_core.json can attribute the
-// arena win and the interning win separately.
-//   Legacy — heap std::string keys, string-keyed limiter windows (the
-//            pre-optimisation baseline).
-//   Arena  — keys rendered into a per-request bump arena (string_view, no
-//            heap), limiter windows still string-keyed.
-//   Full   — arena keys AND interned limiter key stores (the default).
-// Decisions, denial tallies and checkpoint bytes are identical in all modes.
-enum class AllocationMode : std::uint8_t { Legacy, Arena, Full };
-
 enum class RateKey : std::uint8_t { Global, ByIp, BySession, ByFingerprint, ByBookingRef };
 
 struct RateLimitSpec {
@@ -61,13 +49,10 @@ enum class ChallengeMode : std::uint8_t {
 
 class RuleEngine final : public app::IngressPolicy {
  public:
-  explicit RuleEngine(const sim::Simulation& sim, AllocationMode mode = AllocationMode::Full);
+  explicit RuleEngine(const sim::Simulation& sim);
 
-  // The mode is fixed per engine: it selects the key store of every limiter
-  // added afterwards, so set it at construction (before add_rate_limit).
-  [[nodiscard]] AllocationMode allocation_mode() const { return mode_; }
   // The per-request key arena — its Stats are the perf harness's allocation
-  // probe for the admit path (always zero in Legacy mode).
+  // probe for the admit path.
   [[nodiscard]] const util::Arena& key_arena() const { return arena_; }
 
   app::PolicyDecision evaluate(const web::HttpRequest& request,
@@ -127,16 +112,14 @@ class RuleEngine final : public app::IngressPolicy {
   void restore(util::ByteReader& in);
 
  private:
-  [[nodiscard]] static std::string rate_key(const RateLimitSpec& spec,
-                                            const web::HttpRequest& request);
-  // Arena-backed twin of rate_key(): renders the exact same bytes into
-  // arena_ (or views request-owned storage) instead of heap strings.
+  // Renders the spec's key for `request` into arena_ (or views request-owned
+  // storage): the canonical bytes — dotted-quad IP, decimal session or
+  // fingerprint id, booking ref or "s:<session>" — with no heap string.
   [[nodiscard]] std::string_view arena_rate_key(const RateLimitSpec& spec,
                                                 const web::HttpRequest& request);
   [[nodiscard]] bool looks_suspicious(const app::ClientContext& ctx) const;
 
   const sim::Simulation& sim_;
-  AllocationMode mode_;
   util::Arena arena_;  // reset per evaluate(); backs arena_rate_key views
   detect::FingerprintBlocklist blocklist_;
   app::PolicyAction blocklist_action_ = app::PolicyAction::Block;

@@ -12,13 +12,18 @@
 #include <string>
 #include <vector>
 
+#include "airline/boarding.hpp"
+#include "airline/inventory.hpp"
+#include "airline/pnr.hpp"
 #include "app/actors.hpp"
 #include "app/fp_store.hpp"
 #include "attack/seat_spin.hpp"
+#include "core/detect/fingerprint_detect.hpp"
 #include "core/mitigate/controller.hpp"
 #include "core/mitigate/rate_limit.hpp"
 #include "core/scenario/env.hpp"
 #include "fingerprint/population.hpp"
+#include "sms/carrier.hpp"
 #include "util/archive.hpp"
 
 namespace fraudsim {
@@ -83,6 +88,142 @@ TEST(CheckpointStability, FingerprintStoreRestoreRecheckpointRoundTrips) {
   const std::string bytes = checkpoint_bytes(store);
 
   app::FingerprintStore restored;
+  util::ByteReader in(bytes);
+  restored.restore(in);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(checkpoint_bytes(restored), bytes);
+}
+
+// --- PnrGenerator ----------------------------------------------------------
+
+// A PnrGenerator frame: RNG stream, then the issued locators in `pnrs` order.
+std::string pnr_frame(const sim::Rng& rng, const std::vector<std::string>& pnrs) {
+  util::ByteWriter out;
+  rng.checkpoint(out);
+  out.u64(pnrs.size());
+  for (const auto& pnr : pnrs) out.str(pnr);
+  return out.bytes();
+}
+
+TEST(CheckpointStability, PnrGeneratorIsInsertionOrderIndependent) {
+  // next() is the only insert path, so two insertion histories of one issued
+  // set are built by restoring the same locators in opposite orders.
+  airline::PnrGenerator source{sim::Rng(17)};
+  std::vector<std::string> pnrs;
+  for (int i = 0; i < 300; ++i) pnrs.push_back(source.next());
+  const sim::Rng rng(18);
+  airline::PnrGenerator forward{sim::Rng(1)};
+  airline::PnrGenerator backward{sim::Rng(1)};
+  const std::string forward_frame = pnr_frame(rng, pnrs);
+  const std::string backward_frame = pnr_frame(rng, {pnrs.rbegin(), pnrs.rend()});
+  util::ByteReader forward_in(forward_frame);
+  forward.restore(forward_in);
+  util::ByteReader backward_in(backward_frame);
+  backward.restore(backward_in);
+  ASSERT_TRUE(forward_in.ok());
+  ASSERT_TRUE(backward_in.ok());
+  EXPECT_EQ(checkpoint_bytes(forward), checkpoint_bytes(backward));
+}
+
+TEST(CheckpointStability, PnrGeneratorRestoreRecheckpointRoundTrips) {
+  airline::PnrGenerator generator{sim::Rng(19)};
+  for (int i = 0; i < 300; ++i) (void)generator.next();
+  const std::string bytes = checkpoint_bytes(generator);
+
+  airline::PnrGenerator restored{sim::Rng(1)};
+  util::ByteReader in(bytes);
+  restored.restore(in);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(checkpoint_bytes(restored), bytes);
+  // The restored generator continues the original locator sequence.
+  EXPECT_EQ(restored.next(), generator.next());
+}
+
+// --- BoardingPassService ---------------------------------------------------
+
+// An inventory with `bookings` ticketed one-passenger PNRs and a boarding
+// service over it. The inventory seed is fixed, so every rig issues the same
+// locators in the same order.
+struct BoardingRig {
+  explicit BoardingRig(int bookings) {
+    const auto flight = inventory.add_flight("B", 1, bookings + 1, sim::days(7));
+    for (int i = 0; i < bookings; ++i) {
+      const std::vector<airline::Passenger> party = {
+          airline::Passenger{"P" + std::to_string(i), "Test", {1990, 1, 1}, "p@x.example"}};
+      const auto outcome = inventory.hold(0, flight, party, web::ActorId{1});
+      EXPECT_TRUE(outcome.ok);
+      EXPECT_TRUE(inventory.ticket(1, outcome.pnr).is_ok());
+      pnrs.push_back(outcome.pnr);
+    }
+  }
+
+  // Sends (i % 3) + 1 boarding-pass SMS for the i-th booking.
+  void send_all(bool reversed) {
+    for (std::size_t n = 0; n < pnrs.size(); ++n) {
+      const std::size_t i = reversed ? pnrs.size() - 1 - n : n;
+      for (std::size_t k = 0; k <= i % 3; ++k) {
+        (void)boarding.request_sms(2, pnrs[i],
+                                   sms::PhoneNumber{net::CountryCode{'F', 'R'}, "123456789"},
+                                   web::ActorId{1});
+      }
+    }
+  }
+
+  sms::CarrierNetwork network{sms::TariffTable::standard(), sms::CarrierPolicy{}};
+  sms::SmsGateway gateway{network, sms::GatewayConfig{}};
+  airline::InventoryManager inventory{airline::InventoryConfig{sim::minutes(30), 9}, sim::Rng(4)};
+  airline::BoardingPassService boarding{inventory, gateway, airline::BoardingConfig{}};
+  std::vector<std::string> pnrs;
+};
+
+TEST(CheckpointStability, BoardingPassServiceIsInsertionOrderIndependent) {
+  BoardingRig forward(120);
+  BoardingRig backward(120);
+  ASSERT_EQ(forward.pnrs, backward.pnrs);
+  forward.send_all(false);
+  backward.send_all(true);
+  ASSERT_EQ(forward.boarding.sms_sent(), backward.boarding.sms_sent());
+  EXPECT_EQ(checkpoint_bytes(forward.boarding), checkpoint_bytes(backward.boarding));
+}
+
+TEST(CheckpointStability, BoardingPassServiceRestoreRecheckpointRoundTrips) {
+  BoardingRig rig(120);
+  rig.send_all(false);
+  const std::string bytes = checkpoint_bytes(rig.boarding);
+
+  BoardingRig fresh(0);
+  util::ByteReader in(bytes);
+  fresh.boarding.restore(in);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(checkpoint_bytes(fresh.boarding), bytes);
+  EXPECT_EQ(fresh.boarding.sms_count_for(rig.pnrs[2]), 3u);
+}
+
+// --- FingerprintBlocklist --------------------------------------------------
+
+TEST(CheckpointStability, FingerprintBlocklistIsInsertionOrderIndependent) {
+  std::vector<fp::FpHash> hashes;
+  for (std::uint64_t i = 0; i < 200; ++i) hashes.push_back(fp::FpHash{i * 0x9E3779B97F4A7C15ull});
+  detect::FingerprintBlocklist forward;
+  detect::FingerprintBlocklist backward;
+  for (const auto hash : hashes) forward.block(hash, 5, "rotation");
+  for (auto it = hashes.rbegin(); it != hashes.rend(); ++it) backward.block(*it, 5, "rotation");
+  forward.note_hit(hashes[3], 9);
+  backward.note_hit(hashes[3], 9);
+  EXPECT_EQ(checkpoint_bytes(forward), checkpoint_bytes(backward));
+}
+
+TEST(CheckpointStability, FingerprintBlocklistRestoreRecheckpointRoundTrips) {
+  detect::FingerprintBlocklist blocklist;
+  sim::Rng rng(23);
+  for (int i = 0; i < 200; ++i) {
+    const fp::FpHash hash{static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000'000))};
+    blocklist.block(hash, sim::minutes(i), "sweep-" + std::to_string(i % 4));
+    if (i % 5 == 0) blocklist.note_hit(hash, sim::minutes(i + 1));
+  }
+  const std::string bytes = checkpoint_bytes(blocklist);
+
+  detect::FingerprintBlocklist restored;
   util::ByteReader in(bytes);
   restored.restore(in);
   ASSERT_TRUE(in.ok());
