@@ -21,6 +21,9 @@
 // the committed baseline by bench/perf_compare):
 //   ns_graph_ingest_per_event   wall ns per admit-path tap event (touch +
 //                               edges + EWMA) on a steady-state graph
+//   ns_graph_ingest_churn_per_event
+//                               the same, on a stream whose sessions go idle
+//                               and expire: TTL eviction passes included
 //   ns_graph_score_per_session  wall ns per session to score components and
 //                               resolve membership, partition rebuilt dirty
 //   ring_catch_rate / ...       informational: the headline detection numbers
@@ -220,11 +223,24 @@ double median_of(int reps, const std::function<double()>& sample) {
   return median(std::move(runs));
 }
 
+// Churn variant of the stream below: a 2 h TTL swept every 10 minutes.
+// Sessions go idle after two events, so the graph holds ~3.6k sessions and
+// ~17k edges and every pass retires ~300 sessions — the shape of soc_day's
+// graph (~16k edges, ~230 evictions per pass).
+detect::graph::GraphConfig churn_config() {
+  detect::graph::GraphConfig config;
+  config.node_ttl = sim::hours(2);
+  config.edge_ttl = sim::hours(2);
+  config.maintenance_every = sim::minutes(10);
+  return config;
+}
+
 // Deterministic synthetic admit stream straight into the tap: 4096 sessions,
 // 256 fingerprints and 1024 exit IPs cycling at one event per simulated
 // second, an occasional payment token — every key stays inside the TTL so the
 // measurement sees the steady-state graph (hash + intern + edge upsert +
-// EWMA), with maintenance passes amortized in, exactly like production.
+// EWMA), with maintenance passes amortized in. With `churn`, sessions never
+// recur instead and expire under churn_config(), so eviction is measured too.
 struct SynthDriver {
   detect::graph::EntityGraph graph;
   detect::graph::GraphIngest ingest{graph};
@@ -232,8 +248,11 @@ struct SynthDriver {
   std::vector<fp::Fingerprint> fingerprints;
   sim::SimTime t = 0;
   std::size_t seq = 0;
+  bool churn = false;
 
-  SynthDriver() {
+  explicit SynthDriver(bool churn_sessions = false)
+      : graph(churn_sessions ? churn_config() : detect::graph::GraphConfig{}),
+        churn(churn_sessions) {
     fp::PopulationModel population;
     sim::Rng rng(9);
     fingerprints.reserve(256);
@@ -243,7 +262,7 @@ struct SynthDriver {
   void drive(std::size_t events) {
     for (std::size_t i = 0; i < events; ++i, ++seq) {
       t += sim::seconds(1);
-      ctx.session = web::SessionId{1 + (seq % 4096)};
+      ctx.session = web::SessionId{1 + (churn ? seq / 2 : seq % 4096)};
       ctx.fingerprint = fingerprints[seq % fingerprints.size()];
       ctx.ip = net::IpV4{0x20000000u + static_cast<std::uint32_t>(seq % 1024)};
       ctx.payment_token =
@@ -254,9 +273,9 @@ struct SynthDriver {
   }
 };
 
-double measure_ns_ingest(std::size_t events) {
-  SynthDriver driver;
-  driver.drive(events / 4);  // warmup: fault the node/edge stores in
+double measure_ns_ingest(std::size_t warmup, std::size_t events, bool churn) {
+  SynthDriver driver(churn);
+  driver.drive(warmup);  // fault the node/edge stores in (churn: fill the TTL window)
   const auto t0 = GateClock::now();
   driver.drive(events);
   const auto t1 = GateClock::now();
@@ -293,8 +312,15 @@ int run_gate(const bench::Options& options) {
   std::vector<std::pair<std::string, double>> metrics;
 
   std::cerr << "[gate] inline ingest cost...\n";
-  metrics.emplace_back("ns_graph_ingest_per_event",
-                       median_of(reps, [&] { return measure_ns_ingest(events); }));
+  metrics.emplace_back("ns_graph_ingest_per_event", median_of(reps, [&] {
+                         return measure_ns_ingest(events / 4, events, false);
+                       }));
+
+  std::cerr << "[gate] inline ingest cost under TTL churn...\n";
+  const std::size_t churn_events = smoke ? 10'000 : 40'000;
+  metrics.emplace_back("ns_graph_ingest_churn_per_event", median_of(reps, [&] {
+                         return measure_ns_ingest(10'000, churn_events, true);
+                       }));
 
   std::cerr << "[gate] component scoring cost...\n";
   SynthDriver scored;
@@ -323,7 +349,8 @@ int run_gate(const bench::Options& options) {
         << (i + 1 < metrics.size() ? ",\n" : "\n");
   }
   out << "  },\n  \"meta\": {\n    \"smoke\": " << (smoke ? 1 : 0) << ",\n    \"reps\": " << reps
-      << ",\n    \"ingest_events\": " << events << "\n  }\n}\n";
+      << ",\n    \"ingest_events\": " << events << ",\n    \"churn_events\": " << churn_events
+      << "\n  }\n}\n";
   out.close();
 
   std::cout << "graph perf gate written to " << path << "\n";

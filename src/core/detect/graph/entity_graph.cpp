@@ -164,25 +164,35 @@ void EntityGraph::maintain(sim::SimTime now) {
       ++it;
     }
   }
+  std::vector<NodeId> expired;
   for (NodeId id = 1; id < nodes_.size(); ++id) {
     if (nodes_[id].has_value() && nodes_[id]->last_seen + config_.node_ttl <= now) {
-      evict_node(id);
+      expired.push_back(id);
     }
   }
+  evict_nodes(expired);
 }
 
-void EntityGraph::evict_node(NodeId id) {
+void EntityGraph::evict_nodes(const std::vector<NodeId>& ids) {
+  if (ids.empty()) return;
+  // One pass over the edge map however many nodes die: O(E + N), not k x E.
+  std::vector<bool> doomed(nodes_.size(), false);
+  for (const NodeId id : ids) doomed[id] = true;
   for (auto it = edges_.begin(); it != edges_.end();) {
-    if (it->first.first == id || it->first.second == id) {
+    if (doomed[it->first.first] || doomed[it->first.second]) {
       it = edges_.erase(it);
       ++stats_.edges_evicted;
     } else {
       ++it;
     }
   }
-  intern_.erase(id);
-  nodes_[id].reset();
-  ++stats_.nodes_evicted;
+  // Ascending id order: the intern free list is rebuilt exactly as a
+  // node-at-a-time eviction loop would leave it.
+  for (const NodeId id : ids) {
+    intern_.erase(id);
+    nodes_[id].reset();
+    ++stats_.nodes_evicted;
+  }
   partition_dirty_ = true;
 }
 
@@ -195,7 +205,7 @@ void EntityGraph::evict_oldest_node() {
       victim = id;
     }
   }
-  if (victim != 0) evict_node(victim);
+  if (victim != 0) evict_nodes({victim});
 }
 
 void EntityGraph::evict_oldest_edge() {
@@ -403,7 +413,11 @@ void EntityGraph::restore(util::ByteReader& in) {
     const NodeId a = in.u32();
     const NodeId b = in.u32();
     const sim::SimTime last_seen = in.i64();
-    edges_.emplace(std::make_pair(a, b), last_seen);
+    // Hostile bytes: an edge must join two live nodes, or every pass that
+    // indexes nodes_ by endpoint would read out of bounds. Dropping it leaves
+    // edges_created - edges_evicted != edge_count, which the conservation
+    // invariant reports.
+    if (alive(a) && alive(b)) edges_.emplace(std::make_pair(a, b), last_seen);
   }
   stats_.events_seen = in.u64();
   stats_.events_dropped = in.u64();

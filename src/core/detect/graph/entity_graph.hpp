@@ -206,7 +206,8 @@ class EntityGraph {
 
  private:
   [[nodiscard]] static std::string compose_key(NodeType type, std::string_view key);
-  void evict_node(NodeId id);
+  // Evicts live `ids` (ascending) and every edge touching them in one pass.
+  void evict_nodes(const std::vector<NodeId>& ids);
   void evict_oldest_node();
   void evict_oldest_edge();
   void rebuild_partition() const;

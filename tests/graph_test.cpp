@@ -27,6 +27,8 @@
 #include "core/detect/detector.hpp"
 #include "core/detect/graph/entity_graph.hpp"
 #include "core/detect/graph/graph_detector.hpp"
+#include "core/invariant/invariant.hpp"
+#include "core/journal/journal.hpp"
 #include "core/scenario/env.hpp"
 #include "core/scenario/replay_harness.hpp"
 #include "sim/rng.hpp"
@@ -262,6 +264,139 @@ TEST(EntityGraph, MidRunRestoreContinuesIdentically) {
   EXPECT_EQ(checkpoint_bytes(resumed), checkpoint_bytes(original));
 }
 
+TEST(EntityGraph, MassTtlEvictionKeepsFreeListOrderAndLeavesNoDanglingEdges) {
+  GraphConfig config;
+  config.node_ttl = sim::hours(1);
+  config.edge_ttl = sim::hours(12);  // only node eviction may remove edges here
+  EntityGraph graph(config);
+
+  // Interleaved ids: sessions, with a shared fingerprint / IP pool created
+  // among them. Every fourth session and the whole pool stay warm; the other
+  // sessions go idle, so one pass retires hundreds of nodes whose edges end
+  // on survivors.
+  std::vector<EntityGraph::NodeId> pool;
+  for (int i = 0; i < 400; ++i) {
+    const auto s = graph.touch(0, NodeType::Session, "s-" + std::to_string(i));
+    if (i % 20 == 0) {
+      pool.push_back(graph.touch(0, NodeType::Fingerprint, "fp-" + std::to_string(i)));
+      pool.push_back(graph.touch(0, NodeType::Ip, "ip-" + std::to_string(i)));
+    }
+    graph.connect(0, s, pool[pool.size() - 2]);
+    graph.connect(0, s, pool.back());
+    if (i > 0 && i % 7 == 0) {
+      graph.connect(0, s, graph.find(NodeType::Session, "s-" + std::to_string(i - 1)));
+    }
+  }
+  const sim::SimTime warm = sim::minutes(50);
+  for (int i = 0; i < 400; i += 4) graph.touch(warm, NodeType::Session, "s-" + std::to_string(i));
+  for (int i = 0; i < 400; i += 20) {
+    graph.touch(warm, NodeType::Fingerprint, "fp-" + std::to_string(i));
+    graph.touch(warm, NodeType::Ip, "ip-" + std::to_string(i));
+  }
+
+  const sim::SimTime now = sim::minutes(61);
+  std::vector<EntityGraph::NodeId> doomed;
+  graph.for_each_node([&](EntityGraph::NodeId id, const detect::graph::GraphNode& n) {
+    if (n.last_seen + config.node_ttl <= now) doomed.push_back(id);
+  });
+  ASSERT_EQ(doomed.size(), 300u);
+  const std::size_t edges_before = graph.edge_count();
+
+  graph.maintain(now);
+
+  EXPECT_EQ(graph.node_count(), 140u);  // 100 warm sessions + 40 pool nodes
+  EXPECT_EQ(graph.stats().nodes_evicted, doomed.size());
+  EXPECT_LT(graph.edge_count(), edges_before);
+  graph.for_each_node([&](EntityGraph::NodeId, const detect::graph::GraphNode& n) {
+    EXPECT_GT(n.last_seen + config.node_ttl, now);
+  });
+  graph.for_each_edge([&](EntityGraph::NodeId a, EntityGraph::NodeId b, sim::SimTime) {
+    EXPECT_TRUE(graph.alive(a) && graph.alive(b)) << a << "-" << b;
+  });
+  const auto& stats = graph.stats();
+  EXPECT_EQ(stats.nodes_created - stats.nodes_evicted, graph.node_count());
+  EXPECT_EQ(stats.edges_created - stats.edges_evicted, graph.edge_count());
+
+  // Checkpoint after the pass; the restored copy must continue identically.
+  const std::string frame = checkpoint_bytes(graph);
+  EntityGraph restored(config);
+  util::ByteReader in(frame);
+  restored.restore(in);
+  EXPECT_EQ(checkpoint_bytes(restored), frame);
+
+  // Ids were freed in ascending order, so the LIFO free list hands them back
+  // highest-first: the k-th new key gets the k-th largest evicted id.
+  for (std::size_t k = 0; k < 50; ++k) {
+    const std::string key = "new-" + std::to_string(k);
+    const auto id = graph.touch(now, NodeType::PaymentToken, key);
+    EXPECT_EQ(id, doomed[doomed.size() - 1 - k]) << "new key " << k;
+    EXPECT_EQ(restored.touch(now, NodeType::PaymentToken, key), id);
+    graph.connect(now, id, pool[k % pool.size()]);
+    restored.connect(now, id, pool[k % pool.size()]);
+  }
+  graph.maintain(now + sim::hours(2));
+  restored.maintain(now + sim::hours(2));
+  EXPECT_EQ(graph.node_count(), 0u);
+  EXPECT_EQ(checkpoint_bytes(restored), checkpoint_bytes(graph));
+}
+
+// A frame whose edge section names an id past the node table or a dead id
+// (a spliced or bit-flipped checkpoint) must not reach the passes that index
+// nodes by edge endpoint: restore drops such edges and the conservation
+// invariant reports the frame.
+TEST(EntityGraph, RestoreDropsEdgesNamingDeadOrOutOfRangeIds) {
+  EntityGraph graph;
+  const sim::SimTime t = sim::hours(10);
+  const auto s1 = graph.touch(t, NodeType::Session, "s-1");
+  const auto fp = graph.touch(t, NodeType::Fingerprint, "fp-a");
+  const auto dead = graph.touch(0, NodeType::Ip, "ip-dead");
+  const auto s2 = graph.touch(t, NodeType::Session, "s-2");
+  const auto ip = graph.touch(t, NodeType::Ip, "ip-b");
+  graph.connect(t, s1, fp);
+  graph.connect(t, s2, ip);
+  graph.maintain(sim::hours(13));  // retires only ip-dead
+  ASSERT_FALSE(graph.alive(dead));
+  ASSERT_EQ(graph.edge_count(), 2u);
+
+  // Layout tail: edges (u32 a, u32 b, i64 last_seen) in key order, then
+  // seven u64 counters and the i64 next-maintenance time.
+  const std::string frame = checkpoint_bytes(graph);
+  const std::size_t trailer = 8 * 8;
+  const std::size_t last_edge = frame.size() - trailer - 16;
+  const auto splice_endpoint = [&](std::uint32_t id) {
+    util::ByteWriter endpoint;
+    endpoint.u32(id);
+    std::string spliced = frame;
+    spliced.replace(last_edge + 4, 4, endpoint.bytes());
+    return spliced;
+  };
+
+  for (const std::uint32_t bad : {dead, 1'000'000u}) {
+    SCOPED_TRACE("endpoint " + std::to_string(bad));
+    const std::string spliced = splice_endpoint(bad);
+    EntityGraph restored;
+    util::ByteReader in(spliced);
+    restored.restore(in);
+    ASSERT_TRUE(in.ok());
+    EXPECT_EQ(restored.edge_count(), 1u);
+    restored.for_each_edge([&](EntityGraph::NodeId a, EntityGraph::NodeId b, sim::SimTime) {
+      EXPECT_TRUE(restored.alive(a) && restored.alive(b));
+    });
+    invariant::InvariantRegistry registry;
+    invariant::register_graph_invariants(registry, restored);
+    EXPECT_EQ(registry.check_all(sim::hours(20)), 1u);
+    ASSERT_EQ(registry.violations().size(), 1u);
+    EXPECT_EQ(registry.violations()[0].invariant, "graph-conservation");
+
+    // Every endpoint-indexed pass stays in bounds on what was kept.
+    EXPECT_EQ(restored.component_of(s1), std::min(s1, fp));
+    EXPECT_GE(restored.max_component_size(), 1u);
+    restored.maintain(sim::hours(40));
+    EXPECT_EQ(restored.node_count(), 0u);
+    EXPECT_EQ(restored.edge_count(), 0u);
+  }
+}
+
 // --- GraphDetector -----------------------------------------------------------
 
 // Hand-build a ring-shaped component (many sessions on a tiny shared pool,
@@ -401,6 +536,87 @@ TEST(GraphScenario, ReplayAndCheckpointResumeAreByteIdenticalWithGraphOn) {
   EXPECT_EQ(resumed.value().metrics_csv, recorded.value().metrics_csv);
   EXPECT_EQ(resumed.value().weblog_csv, recorded.value().weblog_csv);
   EXPECT_EQ(resumed.value().soc_report, recorded.value().soc_report);
+}
+
+// The graph state rides last in every embedded checkpoint blob, and its final
+// 64 bytes are the seven lifetime counters plus the next-maintenance time.
+detect::graph::GraphStats graph_stats_of_blob(const std::string& blob) {
+  util::ByteReader in(std::string_view(blob).substr(blob.size() - 64));
+  detect::graph::GraphStats stats;
+  stats.events_seen = in.u64();
+  stats.events_dropped = in.u64();
+  stats.nodes_created = in.u64();
+  stats.nodes_evicted = in.u64();
+  stats.edges_created = in.u64();
+  stats.edges_evicted = in.u64();
+  stats.maintenance_runs = in.u64();
+  return stats;
+}
+
+std::vector<std::pair<sim::SimTime, detect::graph::GraphStats>> checkpoint_graph_stats(
+    const std::string& journal_path) {
+  journal::JournalReader reader;
+  EXPECT_TRUE(reader.open(journal_path).is_ok());
+  std::vector<std::pair<sim::SimTime, detect::graph::GraphStats>> out;
+  for (const auto& record : reader.records()) {
+    if (record.kind != journal::RecordKind::Checkpoint) continue;
+    util::ByteReader fields(record.fields);
+    out.emplace_back(record.time, graph_stats_of_blob(fields.str()));
+  }
+  return out;
+}
+
+TEST(GraphScenario, ReplayAndCheckpointResumeAreByteIdenticalAcrossTtlEvictions) {
+  // One-hour TTLs on a ten-minute maintenance cadence: idle sessions retire
+  // in bulk all day, and the single embedded checkpoint (4 h) sits between
+  // mass eviction passes.
+  auto config = graph_config(91);
+  config.graph.graph.node_ttl = sim::hours(1);
+  config.graph.graph.edge_ttl = sim::hours(1);
+  config.graph.graph.maintenance_every = sim::minutes(10);
+  config.checkpoint_every = sim::hours(4);
+  const std::string path = tmp_path("graph-ttl.journal");
+  const auto recorded = scenario::record_run(config, path);
+  ASSERT_TRUE(recorded.has_value()) << recorded.error();
+
+  const auto replayed = scenario::replay_run(config, path);
+  ASSERT_TRUE(replayed.has_value()) << replayed.error();
+  EXPECT_EQ(replayed.value().metrics_csv, recorded.value().metrics_csv);
+  EXPECT_EQ(replayed.value().weblog_csv, recorded.value().weblog_csv);
+  EXPECT_EQ(replayed.value().soc_report, recorded.value().soc_report);
+
+  scenario::ReplayOptions from_checkpoint;
+  from_checkpoint.from_last_checkpoint = true;
+  const auto resumed = scenario::replay_run(config, path, from_checkpoint);
+  ASSERT_TRUE(resumed.has_value()) << resumed.error();
+  EXPECT_EQ(resumed.value().metrics_csv, recorded.value().metrics_csv);
+  EXPECT_EQ(resumed.value().weblog_csv, recorded.value().weblog_csv);
+  EXPECT_EQ(resumed.value().soc_report, recorded.value().soc_report);
+
+  // Evidence that evictions happen on both sides of the resume point: a probe
+  // recording of the same run that also checkpoints at 2 h and 6 h
+  // (checkpoints only observe), with the graph invariants attached.
+  const auto cps = checkpoint_graph_stats(path);
+  ASSERT_EQ(cps.size(), 1u);
+  ASSERT_EQ(cps[0].first, sim::hours(4));
+  invariant::InvariantRegistry registry;
+  auto probe = config;
+  probe.checkpoint_every = sim::hours(2);
+  probe.invariants = &registry;
+  const std::string probe_path = tmp_path("graph-ttl-probe.journal");
+  const auto probed = scenario::record_run(probe, probe_path);
+  ASSERT_TRUE(probed.has_value()) << probed.error();
+  EXPECT_TRUE(probed.value().violations.empty())
+      << probed.value().violations.front().render();
+  const auto probe_cps = checkpoint_graph_stats(probe_path);
+  ASSERT_EQ(probe_cps.size(), 3u);
+  const auto& at4 = probe_cps[1].second;
+  const auto& at6 = probe_cps[2].second;
+  EXPECT_EQ(at4.nodes_evicted, cps[0].second.nodes_evicted);
+  EXPECT_EQ(at4.edges_evicted, cps[0].second.edges_evicted);
+  EXPECT_GE(at4.nodes_evicted, 100u);
+  EXPECT_GE(at6.nodes_evicted - at4.nodes_evicted, 100u);
+  EXPECT_GT(at6.edges_evicted, at4.edges_evicted);
 }
 
 TEST(GraphScenario, GraphOffKeepsHistoricalArtifactShape) {
