@@ -1,5 +1,9 @@
 #include "biometrics/detector.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace fraudsim::biometrics {
 
 BiometricDetector::BiometricDetector(BiometricThresholds thresholds)
@@ -39,8 +43,13 @@ bool BiometricDetector::observe(const TrajectoryFeatures& features, std::string*
 
 void BiometricDetector::checkpoint(util::ByteWriter& out) const {
   out.u64(replays_);
-  out.u64(digest_counts_.size());
-  for (const auto& [digest, count] : digest_counts_) {
+  // digest_counts_ is an unordered_map; write digests sorted so the frame is
+  // byte-stable across insertion histories and restore -> re-checkpoint.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ordered(digest_counts_.begin(),
+                                                               digest_counts_.end());
+  std::sort(ordered.begin(), ordered.end());
+  out.u64(ordered.size());
+  for (const auto& [digest, count] : ordered) {
     out.u64(digest);
     out.u64(count);
   }

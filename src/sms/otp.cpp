@@ -1,5 +1,8 @@
 #include "sms/otp.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace fraudsim::sms {
 
 OtpService::OtpService(SmsGateway& gateway, sim::Rng rng, sim::SimDuration validity,
@@ -49,8 +52,16 @@ bool OtpService::verify(sim::SimTime now, const std::string& account, const std:
 void OtpService::checkpoint(util::ByteWriter& out) const {
   rng_.checkpoint(out);
   out.i64(validity_);
-  out.u64(pending_.size());
-  for (const auto& [account, p] : pending_) {
+  // pending_ is an unordered_map; write accounts sorted so the frame is
+  // byte-stable across standard libraries and restore -> re-checkpoint.
+  std::vector<const std::pair<const std::string, Pending>*> ordered;
+  ordered.reserve(pending_.size());
+  for (const auto& entry : pending_) ordered.push_back(&entry);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  out.u64(ordered.size());
+  for (const auto* entry : ordered) {
+    const auto& [account, p] = *entry;
     out.str(account);
     out.str(p.code);
     out.i64(p.expires);

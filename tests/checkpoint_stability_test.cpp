@@ -18,12 +18,14 @@
 #include "app/actors.hpp"
 #include "app/fp_store.hpp"
 #include "attack/seat_spin.hpp"
+#include "biometrics/detector.hpp"
 #include "core/detect/fingerprint_detect.hpp"
 #include "core/mitigate/controller.hpp"
 #include "core/mitigate/rate_limit.hpp"
 #include "core/scenario/env.hpp"
 #include "fingerprint/population.hpp"
 #include "sms/carrier.hpp"
+#include "sms/otp.hpp"
 #include "util/archive.hpp"
 
 namespace fraudsim {
@@ -291,6 +293,105 @@ TEST(CheckpointStability, MitigationControllerRestoreRecheckpointRoundTrips) {
   fresh_config.seed = 84;
   scenario::Env fresh(fresh_config);
   mitigate::MitigationController restored(fresh.app, fresh.engine, controller_config);
+  util::ByteReader in(bytes);
+  restored.restore(in);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(checkpoint_bytes(restored), bytes);
+}
+
+// --- OtpService ------------------------------------------------------------
+
+// An OtpService frame: code stream, validity, then the pending codes in
+// `accounts` order (code and expiry derived from the account index).
+std::string otp_frame(const sim::Rng& rng, const std::vector<int>& accounts) {
+  util::ByteWriter out;
+  rng.checkpoint(out);
+  out.i64(sim::minutes(10));
+  out.u64(accounts.size());
+  for (const int i : accounts) {
+    out.str("acct-" + std::to_string(i));
+    out.str(std::to_string(100000 + i));
+    out.i64(sim::minutes(i));
+  }
+  return out.bytes();
+}
+
+struct OtpRig {
+  sms::CarrierNetwork network{sms::TariffTable::standard(), sms::CarrierPolicy{}};
+  sms::SmsGateway gateway{network, sms::GatewayConfig{}};
+  sms::OtpService otp{gateway, sim::Rng(29)};
+};
+
+TEST(CheckpointStability, OtpServiceIsInsertionOrderIndependent) {
+  // request() draws each code from the stream, so two insertion histories of
+  // one pending set are built by restoring the same codes in opposite orders.
+  std::vector<int> accounts;
+  for (int i = 0; i < 200; ++i) accounts.push_back(i);
+  const sim::Rng rng(31);
+  OtpRig forward;
+  OtpRig backward;
+  const std::string forward_frame = otp_frame(rng, accounts);
+  const std::string backward_frame = otp_frame(rng, {accounts.rbegin(), accounts.rend()});
+  util::ByteReader forward_in(forward_frame);
+  forward.otp.restore(forward_in);
+  util::ByteReader backward_in(backward_frame);
+  backward.otp.restore(backward_in);
+  ASSERT_TRUE(forward_in.ok());
+  ASSERT_TRUE(backward_in.ok());
+  EXPECT_EQ(checkpoint_bytes(forward.otp), checkpoint_bytes(backward.otp));
+}
+
+TEST(CheckpointStability, OtpServiceRestoreRecheckpointRoundTrips) {
+  OtpRig rig;
+  for (int i = 0; i < 200; ++i) {
+    (void)rig.otp.request(sim::minutes(i), "acct-" + std::to_string(i),
+                          sms::PhoneNumber{net::CountryCode{'F', 'R'}, "123456789"},
+                          web::ActorId{1});
+  }
+  const std::string bytes = checkpoint_bytes(rig.otp);
+
+  OtpRig fresh;
+  util::ByteReader in(bytes);
+  fresh.otp.restore(in);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(checkpoint_bytes(fresh.otp), bytes);
+}
+
+// --- BiometricDetector -----------------------------------------------------
+
+// Human-envelope features (never flagged as scripted) with the given digest.
+biometrics::TrajectoryFeatures human_features(std::uint64_t digest) {
+  biometrics::TrajectoryFeatures f;
+  f.path_efficiency = 0.8;
+  f.speed_cv = 0.5;
+  f.duration_ms = 600;
+  f.digest = digest;
+  return f;
+}
+
+TEST(CheckpointStability, BiometricDetectorIsInsertionOrderIndependent) {
+  std::vector<std::uint64_t> digests;
+  for (std::uint64_t i = 0; i < 200; ++i) digests.push_back(i * 0x9E3779B97F4A7C15ull);
+  biometrics::BiometricDetector forward;
+  biometrics::BiometricDetector backward;
+  for (const auto digest : digests) (void)forward.observe(human_features(digest), nullptr);
+  for (auto it = digests.rbegin(); it != digests.rend(); ++it) {
+    (void)backward.observe(human_features(*it), nullptr);
+  }
+  EXPECT_EQ(checkpoint_bytes(forward), checkpoint_bytes(backward));
+}
+
+TEST(CheckpointStability, BiometricDetectorRestoreRecheckpointRoundTrips) {
+  biometrics::BiometricDetector detector;
+  sim::Rng rng(37);
+  for (int i = 0; i < 200; ++i) {
+    const auto digest = static_cast<std::uint64_t>(rng.uniform_int(0, 150)) * 0x100000001B3ull;
+    (void)detector.observe(human_features(digest), nullptr);
+  }
+  ASSERT_GT(detector.replays_detected(), 0u);
+  const std::string bytes = checkpoint_bytes(detector);
+
+  biometrics::BiometricDetector restored;
   util::ByteReader in(bytes);
   restored.restore(in);
   ASSERT_TRUE(in.ok());
