@@ -27,7 +27,7 @@ struct BoardingConfig {
   bool sms_option_enabled = true;
 };
 
-class BoardingPassService {
+class BoardingPassService : public util::Checkpointed<BoardingPassService> {
  public:
   BoardingPassService(InventoryManager& inventory, sms::SmsGateway& gateway,
                       BoardingConfig config);
@@ -59,8 +59,11 @@ class BoardingPassService {
 
   // Checkpoint support (config knobs are runtime-mutable mitigations, so
   // they are part of the state).
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(config_.sms_per_booking_cap, config_.sms_option_enabled, sms_requests_, sms_sent_,
+       email_sent_, sms_per_pnr_);
+  }
 
  private:
   InventoryManager& inventory_;

@@ -20,6 +20,11 @@ struct Flight {
   sim::SimTime departure = 0;
 
   [[nodiscard]] std::string designator() const;  // e.g. "A1204"
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(id, airline, number, capacity, departure);
+  }
 };
 
 }  // namespace fraudsim::airline

@@ -212,80 +212,10 @@ std::string InventoryManager::debug_force_hold(sim::SimTime now, FlightId flight
   return pnr;
 }
 
-void InventoryManager::checkpoint(util::ByteWriter& out) const {
-  out.i64(config_.hold_duration);
-  out.i64(config_.max_nip);
-  pnr_gen_.checkpoint(out);
-  out.u64(flights_.size());
-  for (const auto& f : flights_) {
-    out.u64(f.id.value());
-    out.str(f.airline);
-    out.i64(f.number);
-    out.i64(f.capacity);
-    out.i64(f.departure);
-  }
-  out.u64(reservations_.size());
-  for (const auto& r : reservations_) {
-    out.str(r.pnr);
-    out.u64(r.flight.value());
-    out.u64(r.passengers.size());
-    for (const auto& p : r.passengers) save_passenger(out, p);
-    out.i64(r.created);
-    out.i64(r.hold_expiry);
-    out.u8(static_cast<std::uint8_t>(r.state));
-    out.i64(r.state_changed);
-    out.u32(r.source_ip.value());
-    out.u64(r.source_fp.value());
-    out.u64(r.actor.value());
-  }
-  out.u64(stats_.holds_created);
-  out.u64(stats_.holds_rejected);
-  out.u64(stats_.expired);
-  out.u64(stats_.ticketed);
-  out.u64(stats_.cancelled);
-}
-
-void InventoryManager::restore(util::ByteReader& in) {
-  config_.hold_duration = in.i64();
-  config_.max_nip = static_cast<int>(in.i64());
-  pnr_gen_.restore(in);
-  flights_.clear();
-  const auto flight_count = in.u64();
-  for (std::uint64_t i = 0; i < flight_count && in.ok(); ++i) {
-    Flight f;
-    f.id = FlightId{in.u64()};
-    f.airline = in.str();
-    f.number = static_cast<int>(in.i64());
-    f.capacity = static_cast<int>(in.i64());
-    f.departure = in.i64();
-    flights_.push_back(std::move(f));
-  }
-  reservations_.clear();
-  const auto res_count = in.u64();
-  reservations_.reserve(res_count);
-  for (std::uint64_t i = 0; i < res_count && in.ok(); ++i) {
-    Reservation r;
-    r.pnr = in.str();
-    r.flight = FlightId{in.u64()};
-    const auto party = in.u64();
-    for (std::uint64_t p = 0; p < party && in.ok(); ++p) r.passengers.push_back(load_passenger(in));
-    r.created = in.i64();
-    r.hold_expiry = in.i64();
-    r.state = static_cast<ReservationState>(in.u8());
-    r.state_changed = in.i64();
-    r.source_ip = net::IpV4{in.u32()};
-    r.source_fp = fp::FpHash{in.u64()};
-    r.actor = web::ActorId{in.u64()};
-    reservations_.push_back(std::move(r));
-  }
-  stats_.holds_created = in.u64();
-  stats_.holds_rejected = in.u64();
-  stats_.expired = in.u64();
-  stats_.ticketed = in.u64();
-  stats_.cancelled = in.u64();
-  // Rebuild derived indexes. The expiry heap only ever needs entries for
-  // still-Held reservations (expire_due skips entries whose reservation left
-  // the Held state), so re-seeding from Held holds is behaviour-preserving.
+void InventoryManager::rebuild_indexes() {
+  // The expiry heap only ever needs entries for still-Held reservations
+  // (expire_due skips entries whose reservation left the Held state), so
+  // re-seeding from Held holds is behaviour-preserving.
   by_pnr_.clear();
   held_.clear();
   sold_.clear();

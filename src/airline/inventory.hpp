@@ -47,6 +47,12 @@ struct Reservation {
   web::ActorId actor;  // ground truth
 
   [[nodiscard]] int nip() const { return static_cast<int>(passengers.size()); }
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(pnr, flight, passengers, created, hold_expiry, state, state_changed, source_ip, source_fp,
+       actor);
+  }
 };
 
 struct InventoryConfig {
@@ -63,7 +69,7 @@ struct HoldRejection {
   std::string message;
 };
 
-class InventoryManager {
+class InventoryManager : public util::Checkpointed<InventoryManager> {
  public:
   InventoryManager(InventoryConfig config, sim::Rng pnr_rng);
 
@@ -118,8 +124,13 @@ class InventoryManager {
   // Checkpoint support: serialises config knobs, the PNR stream, flights,
   // reservations and tallies; derived indexes (by_pnr_, expiry heap, per-
   // flight counters) are rebuilt on restore.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(config_.hold_duration, config_.max_nip, pnr_gen_, flights_, reservations_,
+       stats_.holds_created, stats_.holds_rejected, stats_.expired, stats_.ticketed,
+       stats_.cancelled);
+    if constexpr (Ar::reading) rebuild_indexes();
+  }
 
   // TESTING ONLY: creates a hold that bypasses the availability check — the
   // oversell bug the seat-conservation invariant exists to catch. Returns the
@@ -129,6 +140,9 @@ class InventoryManager {
 
  private:
   Reservation* find_mutable(const std::string& pnr);
+  // Re-derives by_pnr_, the expiry heap and the per-flight seat counters
+  // from reservations_ after a restore.
+  void rebuild_indexes();
 
   InventoryConfig config_;
   PnrGenerator pnr_gen_;

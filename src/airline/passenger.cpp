@@ -12,26 +12,6 @@ std::string Passenger::name_key() const {
 
 std::string Passenger::identity_key() const { return name_key() + "|" + birthdate.str(); }
 
-void save_passenger(util::ByteWriter& out, const Passenger& p) {
-  out.str(p.first_name);
-  out.str(p.surname);
-  out.i64(p.birthdate.year);
-  out.i64(p.birthdate.month);
-  out.i64(p.birthdate.day);
-  out.str(p.email);
-}
-
-Passenger load_passenger(util::ByteReader& in) {
-  Passenger p;
-  p.first_name = in.str();
-  p.surname = in.str();
-  p.birthdate.year = static_cast<int>(in.i64());
-  p.birthdate.month = static_cast<int>(in.i64());
-  p.birthdate.day = static_cast<int>(in.i64());
-  p.email = in.str();
-  return p;
-}
-
 std::string party_key(const std::vector<Passenger>& party) {
   std::vector<std::string> keys;
   keys.reserve(party.size());

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "airline/date.hpp"
-#include "util/archive.hpp"
 
 namespace fraudsim::airline {
 
@@ -23,15 +22,17 @@ struct Passenger {
   [[nodiscard]] std::string name_key() const;
   // Full identity key including birthdate.
   [[nodiscard]] std::string identity_key() const;
+
+  // Wire field list (journal records, state checkpoints; util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(first_name, surname, birthdate.year, birthdate.month, birthdate.day, email);
+  }
 };
 
 // Canonical multiset key for a whole party: sorted name keys joined by '+'.
 // Two bookings holding the same people in a different order share this key —
 // the signature of the manual attack in §IV-B (Airline C).
 [[nodiscard]] std::string party_key(const std::vector<Passenger>& party);
-
-// Wire serialisation (journal records, state checkpoints).
-void save_passenger(util::ByteWriter& out, const Passenger& p);
-[[nodiscard]] Passenger load_passenger(util::ByteReader& in);
 
 }  // namespace fraudsim::airline

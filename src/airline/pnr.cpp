@@ -1,8 +1,5 @@
 #include "airline/pnr.hpp"
 
-#include <algorithm>
-#include <vector>
-
 namespace fraudsim::airline {
 
 namespace {
@@ -21,27 +18,6 @@ std::string PnrGenerator::next() {
     }
     if (issued_.insert(pnr).second) return pnr;
   }
-}
-
-void PnrGenerator::checkpoint(util::ByteWriter& out) const {
-  rng_.checkpoint(out);
-  // Sort before writing: issued_ is an unordered_set, and its iteration
-  // order would otherwise leak hash-table layout into the checkpoint bytes
-  // (and differ after a restore re-inserts).
-  std::vector<const std::string*> pnrs;
-  pnrs.reserve(issued_.size());
-  for (const auto& pnr : issued_) pnrs.push_back(&pnr);
-  std::sort(pnrs.begin(), pnrs.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  out.u64(pnrs.size());
-  for (const std::string* pnr : pnrs) out.str(*pnr);
-}
-
-void PnrGenerator::restore(util::ByteReader& in) {
-  rng_.restore(in);
-  const auto n = in.u64();
-  issued_.clear();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) issued_.insert(in.str());
 }
 
 }  // namespace fraudsim::airline

@@ -10,7 +10,7 @@ namespace fraudsim::airline {
 
 // Generates unique 6-character record locators (uppercase letters and digits,
 // first character alphabetic — the GDS convention).
-class PnrGenerator {
+class PnrGenerator : public util::Checkpointed<PnrGenerator> {
  public:
   explicit PnrGenerator(sim::Rng rng);
 
@@ -19,8 +19,10 @@ class PnrGenerator {
 
   // Checkpoint support: RNG stream plus the issued set, so restored
   // generators continue the original locator sequence without collisions.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(rng_, issued_);
+  }
 
  private:
   sim::Rng rng_;

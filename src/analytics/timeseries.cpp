@@ -47,17 +47,4 @@ std::int64_t TimeSeries::first_bucket_at_least(double threshold) const {
   return -1;
 }
 
-void TimeSeries::checkpoint(util::ByteWriter& out) const {
-  out.i64(width_);
-  out.u64(values_.size());
-  for (double v : values_) out.f64(v);
-}
-
-void TimeSeries::restore(util::ByteReader& in) {
-  width_ = in.i64();
-  const auto n = in.u64();
-  values_.assign(n, 0.0);
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) values_[i] = in.f64();
-}
-
 }  // namespace fraudsim::analytics

@@ -9,7 +9,7 @@
 
 namespace fraudsim::analytics {
 
-class TimeSeries {
+class TimeSeries : public util::Checkpointed<TimeSeries> {
  public:
   // Buckets of `bucket_width` starting at time 0.
   explicit TimeSeries(sim::SimDuration bucket_width);
@@ -30,9 +30,10 @@ class TimeSeries {
 
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
-  // Checkpoint support.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(width_, values_);
+  }
 
  private:
   sim::SimDuration width_;

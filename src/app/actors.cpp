@@ -1,8 +1,5 @@
 #include "app/actors.hpp"
 
-#include <algorithm>
-#include <vector>
-
 namespace fraudsim::app {
 
 const char* to_string(ActorKind k) {
@@ -47,32 +44,6 @@ web::ActorId ActorRegistry::register_actor(ActorKind kind) {
 ActorKind ActorRegistry::kind_of(web::ActorId id) const {
   const auto it = kinds_.find(id);
   return it == kinds_.end() ? ActorKind::Human : it->second;
-}
-
-void ActorRegistry::checkpoint(util::ByteWriter& out) const {
-  out.u64(next_);
-  // kinds_ is an unordered_map; write ids sorted so the frame is byte-stable
-  // across standard libraries and restore -> re-checkpoint round trips.
-  std::vector<std::pair<std::uint64_t, ActorKind>> ordered;
-  ordered.reserve(kinds_.size());
-  for (const auto& [id, kind] : kinds_) ordered.emplace_back(id.value(), kind);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.u64(ordered.size());
-  for (const auto& [id, kind] : ordered) {
-    out.u64(id);
-    out.u8(static_cast<std::uint8_t>(kind));
-  }
-}
-
-void ActorRegistry::restore(util::ByteReader& in) {
-  next_ = in.u64();
-  const auto n = in.u64();
-  kinds_.clear();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    const web::ActorId id{in.u64()};
-    kinds_[id] = static_cast<ActorKind>(in.u8());
-  }
 }
 
 }  // namespace fraudsim::app

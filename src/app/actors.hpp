@@ -30,7 +30,7 @@ enum class ActorKind : std::uint8_t {
 // Whether the kind is automated (bot-detection ground truth).
 [[nodiscard]] bool is_automated(ActorKind k);
 
-class ActorRegistry {
+class ActorRegistry : public util::Checkpointed<ActorRegistry> {
  public:
   using Observer = std::function<void(web::ActorId, ActorKind)>;
 
@@ -43,9 +43,10 @@ class ActorRegistry {
   // Called on every registration (journal recording). Null disables.
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
-  // Checkpoint support.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(next_, kinds_);
+  }
 
  private:
   std::unordered_map<web::ActorId, ActorKind> kinds_;

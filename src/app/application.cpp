@@ -1,7 +1,5 @@
 #include "app/application.hpp"
 
-#include <algorithm>
-
 #include "app/journal.hpp"
 #include "web/endpoint.hpp"
 
@@ -624,75 +622,6 @@ CallStatus Application::request_boarding_email(const ClientContext& ctx, const s
   if (journal_ != nullptr) journal_->on_boarding_email(sim_.now(), ctx, pnr, result);
   if (tap_ != nullptr) tap_->on_boarding_email(sim_.now(), ctx, pnr, result);
   return result;
-}
-
-void Application::checkpoint(util::ByteWriter& out) const {
-  weblog_.checkpoint(out);
-  fp_store_.checkpoint(out);
-  inventory_.checkpoint(out);
-  out.boolean(decoy_ != nullptr);
-  if (decoy_ != nullptr) decoy_->checkpoint(out);
-  // decoy_pnrs_ in sorted order: the set's unordered iteration order depends
-  // on insertion history, which a restore need not reproduce.
-  std::vector<std::string> pnrs(decoy_pnrs_.begin(), decoy_pnrs_.end());
-  std::sort(pnrs.begin(), pnrs.end());
-  out.u64(pnrs.size());
-  for (const auto& pnr : pnrs) out.str(pnr);
-  gateway_.checkpoint(out);
-  otp_.checkpoint(out);
-  boarding_.checkpoint(out);
-  overload_.checkpoint(out);
-  obs_.metrics.checkpoint(out);
-  obs_.traces.checkpoint(out);
-  out.u64(biometric_log_.size());
-  for (const auto& r : biometric_log_) {
-    out.i64(r.time);
-    out.u64(r.session.value());
-    out.u64(r.fingerprint.value());
-    out.u64(r.actor.value());
-    out.f64(r.features.path_efficiency);
-    out.f64(r.features.mean_speed);
-    out.f64(r.features.speed_cv);
-    out.f64(r.features.mean_curvature);
-    out.f64(r.features.pause_fraction);
-    out.f64(r.features.point_count);
-    out.f64(r.features.duration_ms);
-    out.u64(r.features.digest);
-  }
-}
-
-void Application::restore(util::ByteReader& in) {
-  weblog_.restore(in);
-  fp_store_.restore(in);
-  inventory_.restore(in);
-  if (in.boolean()) decoy_->restore(in);
-  decoy_pnrs_.clear();
-  const auto pnr_count = in.u64();
-  for (std::uint64_t i = 0; i < pnr_count && in.ok(); ++i) decoy_pnrs_.insert(in.str());
-  gateway_.restore(in);
-  otp_.restore(in);
-  boarding_.restore(in);
-  overload_.restore(in);
-  obs_.metrics.restore(in);
-  obs_.traces.restore(in);
-  biometric_log_.clear();
-  const auto bio_count = in.u64();
-  for (std::uint64_t i = 0; i < bio_count && in.ok(); ++i) {
-    BiometricRecord r;
-    r.time = in.i64();
-    r.session = web::SessionId{in.u64()};
-    r.fingerprint = fp::FpHash{in.u64()};
-    r.actor = web::ActorId{in.u64()};
-    r.features.path_efficiency = in.f64();
-    r.features.mean_speed = in.f64();
-    r.features.speed_cv = in.f64();
-    r.features.mean_curvature = in.f64();
-    r.features.pause_fraction = in.f64();
-    r.features.point_count = in.f64();
-    r.features.duration_ms = in.f64();
-    r.features.digest = in.u64();
-    biometric_log_.push_back(r);
-  }
 }
 
 airline::FlightId Application::add_flight(std::string airline_code, int number, int capacity,

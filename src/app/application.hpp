@@ -89,7 +89,7 @@ struct BoardingSmsResult {
   airline::BoardingPassService::SmsResult detail = airline::BoardingPassService::SmsResult::Sent;
 };
 
-class Application {
+class Application : public util::Checkpointed<Application> {
  public:
   Application(sim::Simulation& sim, const sms::CarrierNetwork& carriers, ApplicationConfig config,
               sim::Rng rng);
@@ -149,8 +149,18 @@ class Application {
   // log). Restore expects an Application built from the same config + seed;
   // counter/gauge handles held by other components stay valid because the
   // registry restores in place.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    bool decoy = decoy_ != nullptr;
+    ar(weblog_, fp_store_, inventory_, decoy);
+    if constexpr (Ar::reading) {
+      // A decoy frame restores only into a platform built with the decoy.
+      if (decoy && decoy_ == nullptr) ar.fail();
+    }
+    if (decoy && decoy_ != nullptr) ar(*decoy_);
+    ar(decoy_pnrs_, gateway_, otp_, boarding_, overload_, obs_.metrics, obs_.traces,
+       biometric_log_);
+  }
 
   // --- Telemetry (what detectors and benches read) --------------------------
   [[nodiscard]] const web::WebLog& weblog() const { return weblog_; }
@@ -215,6 +225,11 @@ class Application {
     fp::FpHash fingerprint;  // the identity enforcement can act on
     web::ActorId actor;      // ground truth (scoring only)
     biometrics::TrajectoryFeatures features;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(time, session, fingerprint, actor, features);
+    }
   };
   [[nodiscard]] const std::vector<BiometricRecord>& biometric_log() const {
     return biometric_log_;

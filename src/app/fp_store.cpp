@@ -1,8 +1,5 @@
 #include "app/fp_store.hpp"
 
-#include <algorithm>
-#include <vector>
-
 namespace fraudsim::app {
 
 FingerprintStore::FingerprintStore()
@@ -33,40 +30,6 @@ const fp::Fingerprint* FingerprintStore::find(fp::FpHash hash) const {
 double FingerprintStore::frequency(fp::FpHash hash) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(observations(hash)) / static_cast<double>(total_);
-}
-
-void FingerprintStore::checkpoint(util::ByteWriter& out) const {
-  out.u64(total_);
-  out.u64(dropped_);
-  // Sort hashes before writing: entries_ is an unordered_map, and its
-  // iteration order would otherwise leak standard-library hash-table layout
-  // into the checkpoint bytes (and differ after a restore re-inserts).
-  std::vector<fp::FpHash> hashes;
-  hashes.reserve(entries_.size());
-  for (const auto& [hash, entry] : entries_) hashes.push_back(hash);
-  std::sort(hashes.begin(), hashes.end(),
-            [](fp::FpHash a, fp::FpHash b) { return a.value() < b.value(); });
-  out.u64(entries_.size());
-  for (const fp::FpHash hash : hashes) {
-    const Entry& entry = entries_.at(hash);
-    out.u64(hash.value());
-    out.u64(entry.count);
-    fp::save_fingerprint(out, entry.fingerprint);
-  }
-}
-
-void FingerprintStore::restore(util::ByteReader& in) {
-  total_ = in.u64();
-  dropped_ = in.u64();
-  const auto n = in.u64();
-  entries_.clear();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    const fp::FpHash hash{in.u64()};
-    Entry entry;
-    entry.count = in.u64();
-    entry.fingerprint = fp::load_fingerprint(in);
-    entries_.emplace(hash, std::move(entry));
-  }
 }
 
 }  // namespace fraudsim::app

@@ -22,7 +22,7 @@
 
 namespace fraudsim::app {
 
-class FingerprintStore {
+class FingerprintStore : public util::Checkpointed<FingerprintStore> {
  public:
   FingerprintStore();
 
@@ -44,14 +44,20 @@ class FingerprintStore {
     for (const auto& [hash, entry] : entries_) fn(hash, entry.fingerprint, entry.count);
   }
 
-  // Checkpoint support.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(total_, dropped_, entries_);
+  }
 
  private:
   struct Entry {
     fp::Fingerprint fingerprint;
     std::uint64_t count = 0;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(count, fingerprint);
+    }
   };
   std::unordered_map<fp::FpHash, Entry> entries_;
   std::uint64_t total_ = 0;

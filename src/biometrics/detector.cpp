@@ -1,9 +1,5 @@
 #include "biometrics/detector.hpp"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
 namespace fraudsim::biometrics {
 
 BiometricDetector::BiometricDetector(BiometricThresholds thresholds)
@@ -39,30 +35,6 @@ bool BiometricDetector::observe(const TrajectoryFeatures& features, std::string*
     return true;
   }
   return false;
-}
-
-void BiometricDetector::checkpoint(util::ByteWriter& out) const {
-  out.u64(replays_);
-  // digest_counts_ is an unordered_map; write digests sorted so the frame is
-  // byte-stable across insertion histories and restore -> re-checkpoint.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ordered(digest_counts_.begin(),
-                                                               digest_counts_.end());
-  std::sort(ordered.begin(), ordered.end());
-  out.u64(ordered.size());
-  for (const auto& [digest, count] : ordered) {
-    out.u64(digest);
-    out.u64(count);
-  }
-}
-
-void BiometricDetector::restore(util::ByteReader& in) {
-  replays_ = in.u64();
-  const auto n = in.u64();
-  digest_counts_.clear();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    const std::uint64_t digest = in.u64();
-    digest_counts_[digest] = in.u64();
-  }
 }
 
 }  // namespace fraudsim::biometrics

@@ -27,7 +27,7 @@ struct BiometricThresholds {
   std::uint64_t replay_threshold = 3;
 };
 
-class BiometricDetector {
+class BiometricDetector : public util::Checkpointed<BiometricDetector> {
  public:
   explicit BiometricDetector(BiometricThresholds thresholds = {});
 
@@ -41,8 +41,10 @@ class BiometricDetector {
   [[nodiscard]] std::uint64_t replays_detected() const { return replays_; }
 
   // Checkpoint support (replay digests accumulate across sweeps).
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(replays_, digest_counts_);
+  }
 
  private:
   BiometricThresholds thresholds_;

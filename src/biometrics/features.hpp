@@ -22,6 +22,13 @@ struct TrajectoryFeatures {
     return {path_efficiency, mean_speed, speed_cv, mean_curvature, pause_fraction,
             point_count, duration_ms};
   }
+
+  // Wire field list (journal records, state checkpoints; util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(path_efficiency, mean_speed, speed_cv, mean_curvature, pause_fraction, point_count,
+       duration_ms, digest);
+  }
 };
 
 // Extracts features; trajectories with < 2 points yield nullopt.

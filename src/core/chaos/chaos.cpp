@@ -27,24 +27,6 @@ std::string ChaosEntry::describe() const {
   return point + ": " + scenario.describe();
 }
 
-void ChaosEntry::checkpoint(util::ByteWriter& out) const {
-  out.u8(static_cast<std::uint8_t>(kind));
-  out.str(point);
-  scenario.checkpoint(out);
-  out.i64(from);
-  out.i64(to);
-  out.f64(intensity);
-}
-
-void ChaosEntry::restore(util::ByteReader& in) {
-  kind = static_cast<Kind>(in.u8());
-  point = in.str();
-  scenario.restore(in);
-  from = in.i64();
-  to = in.i64();
-  intensity = in.f64();
-}
-
 bool ChaosSchedule::arms(const std::string& target, fault::FaultKind kind) const {
   for (const auto& e : entries) {
     if (e.kind == ChaosEntry::Kind::ArmFault && e.point == target && e.scenario.fault == kind) {
@@ -61,24 +43,6 @@ std::string ChaosSchedule::describe() const {
     out << "  [" << i << "] " << entries[i].describe() << "\n";
   }
   return out.str();
-}
-
-void ChaosSchedule::checkpoint(util::ByteWriter& out) const {
-  out.u64(seed);
-  out.u64(entries.size());
-  for (const auto& e : entries) e.checkpoint(out);
-}
-
-void ChaosSchedule::restore(util::ByteReader& in) {
-  seed = in.u64();
-  const std::uint64_t n = in.u64();
-  entries.clear();
-  entries.reserve(n);
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    ChaosEntry e;
-    e.restore(in);
-    entries.push_back(std::move(e));
-  }
 }
 
 void arm_schedule(const ChaosSchedule& schedule, bool include_crash) {

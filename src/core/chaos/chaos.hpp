@@ -25,7 +25,7 @@
 namespace fraudsim::chaos {
 
 // One step of a chaos plan.
-struct ChaosEntry {
+struct ChaosEntry : util::Checkpointed<ChaosEntry> {
   enum class Kind : std::uint8_t { ArmFault = 0, FlashCrowd = 1 };
   Kind kind = Kind::ArmFault;
 
@@ -42,11 +42,13 @@ struct ChaosEntry {
   double intensity = 4.0;
 
   [[nodiscard]] std::string describe() const;
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(kind, point, scenario, from, to, intensity);
+  }
 };
 
-struct ChaosSchedule {
+struct ChaosSchedule : util::Checkpointed<ChaosSchedule> {
   std::uint64_t seed = 0;  // generator seed (provenance; not re-drawn from)
   std::vector<ChaosEntry> entries;
 
@@ -55,8 +57,10 @@ struct ChaosSchedule {
   [[nodiscard]] bool arms(const std::string& point, fault::FaultKind kind) const;
 
   [[nodiscard]] std::string describe() const;
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(seed, entries);
+  }
 };
 
 // Arms every ArmFault entry on the thread-local FaultRegistry, in schedule

@@ -1,6 +1,5 @@
 #include "core/detect/fingerprint_detect.hpp"
 
-#include <algorithm>
 #include <vector>
 
 namespace fraudsim::detect {
@@ -208,40 +207,6 @@ std::vector<double> FingerprintBlocklist::effectiveness_windows_hours() const {
     out.push_back(sim::to_hours(entry.last_hit - entry.added));
   }
   return out;
-}
-
-void FingerprintBlocklist::checkpoint(util::ByteWriter& out) const {
-  // Sort hashes before writing: entries_ is an unordered_map, and its
-  // iteration order would otherwise leak hash-table layout into the
-  // checkpoint bytes (and differ after a restore re-inserts).
-  std::vector<fp::FpHash> hashes;
-  hashes.reserve(entries_.size());
-  for (const auto& [hash, e] : entries_) hashes.push_back(hash);
-  std::sort(hashes.begin(), hashes.end(),
-            [](fp::FpHash a, fp::FpHash b) { return a.value() < b.value(); });
-  out.u64(hashes.size());
-  for (const fp::FpHash hash : hashes) {
-    const Entry& e = entries_.at(hash);
-    out.u64(hash.value());
-    out.i64(e.added);
-    out.i64(e.last_hit);
-    out.str(e.reason);
-    out.u64(e.hits);
-  }
-}
-
-void FingerprintBlocklist::restore(util::ByteReader& in) {
-  const auto n = in.u64();
-  entries_.clear();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    const fp::FpHash hash{in.u64()};
-    Entry e;
-    e.added = in.i64();
-    e.last_hit = in.i64();
-    e.reason = in.str();
-    e.hits = in.u64();
-    entries_.emplace(hash, std::move(e));
-  }
 }
 
 }  // namespace fraudsim::detect

@@ -77,7 +77,7 @@ class RarityDetector {
 // Operational blocklist. The mitigation controller adds hashes here; the
 // rule engine consults it at ingress. Tracks when each hash was added and
 // when it last matched so rotation dynamics can be measured.
-class FingerprintBlocklist {
+class FingerprintBlocklist : public util::Checkpointed<FingerprintBlocklist> {
  public:
   void block(fp::FpHash hash, sim::SimTime when, std::string reason);
   [[nodiscard]] bool contains(fp::FpHash hash) const;
@@ -88,6 +88,11 @@ class FingerprintBlocklist {
     sim::SimTime last_hit = -1;
     std::string reason;
     std::uint64_t hits = 0;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(added, last_hit, reason, hits);
+    }
   };
   [[nodiscard]] const std::unordered_map<fp::FpHash, Entry>& entries() const { return entries_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -96,9 +101,10 @@ class FingerprintBlocklist {
   // (last_hit - added), hours; the effectiveness window of each rule.
   [[nodiscard]] std::vector<double> effectiveness_windows_hours() const;
 
-  // Checkpoint support.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(entries_);
+  }
 
  private:
   std::unordered_map<fp::FpHash, Entry> entries_;

@@ -363,71 +363,40 @@ std::vector<ComponentSummary> EntityGraph::components(sim::SimTime at) const {
   return out;
 }
 
-void EntityGraph::checkpoint(util::ByteWriter& out) const {
-  intern_.checkpoint(out);
-  out.u64(intern_.size());
-  for (NodeId id = 1; id < nodes_.size(); ++id) {
-    if (!nodes_[id].has_value()) continue;
-    const GraphNode& n = *nodes_[id];
-    out.u32(id);
-    out.u8(static_cast<std::uint8_t>(n.type));
-    out.i64(n.first_seen);
-    out.i64(n.last_seen);
-    for (double s : n.signals) out.f64(s);
-    out.i64(n.signals_updated);
+template <class Ar>
+void EntityGraph::visit(Ar& ar) {
+  // Live nodes are a sparse (id, node) list in id order, not the nodes_
+  // vector itself.
+  ar(intern_);
+  std::uint64_t live = intern_.size();
+  ar(live);
+  if constexpr (Ar::reading) {
+    nodes_.clear();
+    nodes_.resize(intern_.capacity() + 1);
+    for (std::uint64_t i = 0; i < live && ar.ok(); ++i) {
+      NodeId id = 0;
+      GraphNode n;
+      ar(id, n);
+      if (id != 0 && id < nodes_.size()) nodes_[id] = n;
+    }
+  } else {
+    for (NodeId id = 1; id < nodes_.size(); ++id) {
+      if (nodes_[id].has_value()) ar(id, *nodes_[id]);
+    }
   }
-  out.u64(edges_.size());
-  for (const auto& [key, last_seen] : edges_) {
-    out.u32(key.first);
-    out.u32(key.second);
-    out.i64(last_seen);
-  }
-  out.u64(stats_.events_seen);
-  out.u64(stats_.events_dropped);
-  out.u64(stats_.nodes_created);
-  out.u64(stats_.nodes_evicted);
-  out.u64(stats_.edges_created);
-  out.u64(stats_.edges_evicted);
-  out.u64(stats_.maintenance_runs);
-  out.i64(next_maintenance_);
-}
-
-void EntityGraph::restore(util::ByteReader& in) {
-  intern_.restore(in);
-  nodes_.clear();
-  nodes_.resize(intern_.capacity() + 1);
-  const std::uint64_t node_count = in.u64();
-  for (std::uint64_t i = 0; i < node_count; ++i) {
-    const NodeId id = in.u32();
-    GraphNode n;
-    n.type = static_cast<NodeType>(in.u8());
-    n.first_seen = in.i64();
-    n.last_seen = in.i64();
-    for (double& s : n.signals) s = in.f64();
-    n.signals_updated = in.i64();
-    if (id != 0 && id < nodes_.size()) nodes_[id] = n;
-  }
-  edges_.clear();
-  const std::uint64_t edge_count = in.u64();
-  for (std::uint64_t i = 0; i < edge_count; ++i) {
-    const NodeId a = in.u32();
-    const NodeId b = in.u32();
-    const sim::SimTime last_seen = in.i64();
+  ar(edges_, stats_, next_maintenance_);
+  if constexpr (Ar::reading) {
     // Hostile bytes: an edge must join two live nodes, or every pass that
     // indexes nodes_ by endpoint would read out of bounds. Dropping it leaves
     // edges_created - edges_evicted != edge_count, which the conservation
     // invariant reports.
-    if (alive(a) && alive(b)) edges_.emplace(std::make_pair(a, b), last_seen);
+    std::erase_if(edges_, [&](const auto& edge) {
+      return !alive(edge.first.first) || !alive(edge.first.second);
+    });
+    partition_dirty_ = true;
   }
-  stats_.events_seen = in.u64();
-  stats_.events_dropped = in.u64();
-  stats_.nodes_created = in.u64();
-  stats_.nodes_evicted = in.u64();
-  stats_.edges_created = in.u64();
-  stats_.edges_evicted = in.u64();
-  stats_.maintenance_runs = in.u64();
-  next_maintenance_ = in.i64();
-  partition_dirty_ = true;
 }
+template void EntityGraph::visit(util::ByteWriter&);
+template void EntityGraph::visit(util::ByteReader&);
 
 }  // namespace fraudsim::detect::graph

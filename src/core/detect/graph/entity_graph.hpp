@@ -87,6 +87,11 @@ struct GraphNode {
   // `signals_updated`; readers decay to their own `now`.
   double signals[kSignalCount] = {0, 0, 0, 0};
   sim::SimTime signals_updated = 0;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(type, first_seen, last_seen, signals, signals_updated);
+  }
 };
 
 // Cumulative lifetime counters (serialized). The platform invariants check
@@ -99,6 +104,12 @@ struct GraphStats {
   std::uint64_t edges_created = 0;
   std::uint64_t edges_evicted = 0;
   std::uint64_t maintenance_runs = 0;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(events_seen, events_dropped, nodes_created, nodes_evicted, edges_created, edges_evicted,
+       maintenance_runs);
+  }
 };
 
 // Per-component aggregate produced for the detector: structural counts by
@@ -116,7 +127,7 @@ struct ComponentSummary {
   double signals[kSignalCount] = {0, 0, 0, 0};  // decayed to the query time
 };
 
-class EntityGraph {
+class EntityGraph : public util::Checkpointed<EntityGraph> {
  public:
   using NodeId = util::InternTable::Id;  // 0 = no node
 
@@ -201,8 +212,8 @@ class EntityGraph {
   // key order, then counters. restore() reproduces the exact state (and the
   // exact intern-id assignment), so re-checkpointing restored state is
   // byte-identical.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   [[nodiscard]] static std::string compose_key(NodeType type, std::string_view key);

@@ -70,24 +70,4 @@ void CircuitBreaker::trip(sim::SimTime now) {
   ++trips_;
 }
 
-void CircuitBreaker::checkpoint(util::ByteWriter& out) const {
-  out.u8(static_cast<std::uint8_t>(state_));
-  out.u64(consecutive_failures_);
-  out.u64(half_open_successes_);
-  out.boolean(probe_in_flight_);
-  out.i64(opened_at_);
-  out.u64(trips_);
-  out.u64(rejected_);
-}
-
-void CircuitBreaker::restore(util::ByteReader& in) {
-  state_ = static_cast<State>(in.u8());
-  consecutive_failures_ = in.u64();
-  half_open_successes_ = in.u64();
-  probe_in_flight_ = in.boolean();
-  opened_at_ = in.i64();
-  trips_ = in.u64();
-  rejected_ = in.u64();
-}
-
 }  // namespace fraudsim::fault

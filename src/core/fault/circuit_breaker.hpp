@@ -21,7 +21,7 @@ struct CircuitBreakerConfig {
   std::uint64_t half_open_successes = 2;         // probes to close again
 };
 
-class CircuitBreaker {
+class CircuitBreaker : public util::Checkpointed<CircuitBreaker> {
  public:
   enum class State : std::uint8_t { Closed, Open, HalfOpen };
 
@@ -40,9 +40,11 @@ class CircuitBreaker {
   [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
   [[nodiscard]] std::uint64_t consecutive_failures() const { return consecutive_failures_; }
 
-  // Checkpoint support.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(state_, consecutive_failures_, half_open_successes_, probe_in_flight_, opened_at_, trips_,
+       rejected_);
+  }
 
  private:
   void trip(sim::SimTime now);

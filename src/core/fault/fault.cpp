@@ -93,32 +93,6 @@ FaultScenario FaultScenario::with_latency(sim::SimDuration delay) const {
   return s;
 }
 
-void FaultScenario::checkpoint(util::ByteWriter& out) const {
-  out.u8(static_cast<std::uint8_t>(kind));
-  out.u8(static_cast<std::uint8_t>(fault));
-  out.f64(probability);
-  out.u64(seed);
-  out.u64(nth);
-  out.i64(from);
-  out.i64(to);
-  out.i64(period);
-  out.i64(duration);
-  out.i64(latency);
-}
-
-void FaultScenario::restore(util::ByteReader& in) {
-  kind = static_cast<ScenarioKind>(in.u8());
-  fault = static_cast<FaultKind>(in.u8());
-  probability = in.f64();
-  seed = in.u64();
-  nth = in.u64();
-  from = in.i64();
-  to = in.i64();
-  period = in.i64();
-  duration = in.i64();
-  latency = in.i64();
-}
-
 std::string FaultScenario::describe() const {
   char buf[128];
   // Latency spikes keep the pattern description, prefixed with the charge.
@@ -222,28 +196,6 @@ FaultAction FaultPoint::consult(sim::SimTime now) {
   return action;
 }
 
-void FaultPoint::checkpoint(util::ByteWriter& out) const {
-  scenario_.checkpoint(out);
-  out.u64(hits_);
-  out.u64(armed_hits_);
-  out.u64(injected_);
-  out.boolean(rng_.has_value());
-  if (rng_.has_value()) rng_->checkpoint(out);
-}
-
-void FaultPoint::restore(util::ByteReader& in) {
-  scenario_.restore(in);
-  hits_ = in.u64();
-  armed_hits_ = in.u64();
-  injected_ = in.u64();
-  if (in.boolean()) {
-    rng_.emplace(scenario_.seed);
-    rng_->restore(in);
-  } else {
-    rng_.reset();
-  }
-}
-
 FaultPoint& FaultRegistry::point(const std::string& name) {
   auto it = points_.find(name);
   if (it == points_.end()) {
@@ -287,39 +239,6 @@ std::uint64_t FaultRegistry::total_injected() const {
   return total;
 }
 
-void FaultRegistry::checkpoint(util::ByteWriter& out) const {
-  // Only armed, non-crash points are captured. Pristine or merely-hit points
-  // are omitted (their lifetime counters never influence future firing — the
-  // cursor that does, armed_hits_, is zeroed by arm()), so the blob and every
-  // journal checkpoint embedding it stay independent of which guarded code
-  // paths merely exist. Crash-kind scenarios are excluded on purpose: they
-  // model the external process killer, which a restarted process does not
-  // re-inherit — and a recovery re-record whose blob had to byte-match the
-  // crashed run's could otherwise never get past the kill point.
-  const auto captured = [](const FaultPoint& p) {
-    return p.armed() && p.scenario().fault != FaultKind::kCrash;
-  };
-  std::uint64_t live = 0;
-  for (const auto& [name, p] : points_) {
-    if (captured(*p)) ++live;
-  }
-  out.u64(live);
-  for (const auto& [name, p] : points_) {
-    if (!captured(*p)) continue;
-    out.str(name);
-    p->checkpoint(out);
-  }
-}
-
-void FaultRegistry::restore(util::ByteReader& in) {
-  reset();
-  const std::uint64_t live = in.u64();
-  for (std::uint64_t i = 0; i < live && in.ok(); ++i) {
-    const std::string name = in.str();
-    point(name).restore(in);
-  }
-}
-
 FaultRegistry& FaultRegistry::global() {
   thread_local FaultRegistry registry;
   return registry;
@@ -335,5 +254,38 @@ ScopedFaultReset::ScopedFaultReset() {
 }
 
 ScopedFaultReset::~ScopedFaultReset() { FaultRegistry::global().reset(); }
+
+template <class Ar>
+void FaultRegistry::visit(Ar& ar) {
+  std::uint64_t live = 0;
+  if constexpr (Ar::reading) {
+    reset();
+    ar(live);
+    for (std::uint64_t i = 0; i < live && ar.ok(); ++i) {
+      std::string name;
+      ar(name);
+      ar(point(name));
+    }
+  } else {
+    // Only armed, non-crash points are captured. Pristine or merely-hit points
+    // are omitted (their lifetime counters never influence future firing — the
+    // cursor that does, armed_hits_, is zeroed by arm()), so the blob and every
+    // journal checkpoint embedding it stay independent of which guarded code
+    // paths merely exist. Crash-kind scenarios are excluded on purpose: they
+    // model the external process killer, which a restarted process does not
+    // re-inherit — and a recovery re-record whose blob had to byte-match the
+    // crashed run's could otherwise never get past the kill point.
+    const auto captured = [](const FaultPoint& p) {
+      return p.armed() && p.scenario().fault != FaultKind::kCrash;
+    };
+    for (const auto& [name, p] : points_) live += captured(*p) ? 1 : 0;
+    ar(live);
+    for (const auto& [name, p] : points_) {
+      if (captured(*p)) ar(name, *p);
+    }
+  }
+}
+template void FaultRegistry::visit(util::ByteWriter&);
+template void FaultRegistry::visit(util::ByteReader&);
 
 }  // namespace fraudsim::fault

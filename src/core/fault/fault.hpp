@@ -52,7 +52,7 @@ enum class FaultKind : std::uint8_t { kError, kCrash, kLatency };
 
 [[nodiscard]] const char* to_string(FaultKind k);
 
-struct FaultScenario {
+struct FaultScenario : util::Checkpointed<FaultScenario> {
   ScenarioKind kind = ScenarioKind::Never;
   FaultKind fault = FaultKind::kError;
   double probability = 0.0;          // Probabilistic
@@ -84,8 +84,10 @@ struct FaultScenario {
   [[nodiscard]] std::string describe() const;
 
   // Byte-stable serialisation (chaos schedules, registry checkpoints).
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(kind, fault, probability, seed, nth, from, to, period, duration, latency);
+  }
 };
 
 // Outcome of consulting a FaultPoint once. Exactly one consult per guarded
@@ -100,7 +102,7 @@ struct FaultAction {
 
 // One named branching point. Stable in memory for the process lifetime —
 // components cache references at construction.
-class FaultPoint {
+class FaultPoint : public util::Checkpointed<FaultPoint> {
  public:
   explicit FaultPoint(std::string name);
 
@@ -131,8 +133,16 @@ class FaultPoint {
   // Byte-stable state capture: armed scenario, hit/injection counters, and
   // the probabilistic stream mid-sequence. A restored point continues the
   // exact fault sequence the checkpointed one would have produced.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    bool seeded = rng_.has_value();
+    ar(scenario_, hits_, armed_hits_, injected_, seeded);
+    if constexpr (Ar::reading) {
+      rng_.reset();
+      if (seeded) rng_.emplace(scenario_.seed);
+    }
+    if (rng_) ar(*rng_);
+  }
 
  private:
   std::string name_;
@@ -152,7 +162,7 @@ class FaultPoint {
 // runner's worker threads would both race and let one scenario's faults leak
 // into a concurrently running scenario. A worker thread that arms nothing gets
 // a pristine registry, which is exactly the serial single-thread behaviour.
-class FaultRegistry {
+class FaultRegistry : public util::Checkpointed<FaultRegistry> {
  public:
   // Get-or-create.
   [[nodiscard]] FaultPoint& point(const std::string& name);
@@ -176,8 +186,8 @@ class FaultRegistry {
   // points absent from the blob are reset, points in the blob are
   // get-or-created, so a restored run re-fires the surviving schedule exactly
   // where the checkpointed one left off.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar);
 
   template <typename Fn>
   void for_each(Fn&& fn) const {

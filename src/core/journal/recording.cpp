@@ -22,22 +22,11 @@ sms::PhoneNumber decode_phone(util::ByteReader& in) {
 void encode_context(util::ByteWriter& out, const app::ClientContext& ctx) {
   out.u32(ctx.ip.value());
   out.u64(ctx.session.value());
-  fp::save_fingerprint(out, ctx.fingerprint);
+  out(ctx.fingerprint);
   out.u64(ctx.actor.value());
   out.boolean(ctx.captcha_solved);
   out.boolean(ctx.loyalty_member);
-  out.boolean(ctx.pointer_biometrics.has_value());
-  if (ctx.pointer_biometrics) {
-    const auto& f = *ctx.pointer_biometrics;
-    out.f64(f.path_efficiency);
-    out.f64(f.mean_speed);
-    out.f64(f.speed_cv);
-    out.f64(f.mean_curvature);
-    out.f64(f.pause_fraction);
-    out.f64(f.point_count);
-    out.f64(f.duration_ms);
-    out.u64(f.digest);
-  }
+  out(ctx.pointer_biometrics);
   out.str(ctx.payment_token);
 }
 
@@ -45,22 +34,11 @@ app::ClientContext decode_context(util::ByteReader& in) {
   app::ClientContext ctx;
   ctx.ip = net::IpV4{in.u32()};
   ctx.session = web::SessionId{in.u64()};
-  ctx.fingerprint = fp::load_fingerprint(in);
+  in(ctx.fingerprint);
   ctx.actor = web::ActorId{in.u64()};
   ctx.captcha_solved = in.boolean();
   ctx.loyalty_member = in.boolean();
-  if (in.boolean()) {
-    biometrics::TrajectoryFeatures f;
-    f.path_efficiency = in.f64();
-    f.mean_speed = in.f64();
-    f.speed_cv = in.f64();
-    f.mean_curvature = in.f64();
-    f.pause_fraction = in.f64();
-    f.point_count = in.f64();
-    f.duration_ms = in.f64();
-    f.digest = in.u64();
-    ctx.pointer_biometrics = f;
-  }
+  in(ctx.pointer_biometrics);
   ctx.payment_token = in.str();
   return ctx;
 }
@@ -78,10 +56,7 @@ HoldRecord decode_hold(util::ByteReader& in) {
   HoldRecord r;
   r.ctx = decode_context(in);
   r.flight = airline::FlightId{in.u64()};
-  const auto count = in.u64();
-  for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
-    r.passengers.push_back(airline::load_passenger(in));
-  }
+  in(r.passengers);
   r.status = static_cast<app::CallStatus>(in.u8());
   r.pnr = in.str();
   r.decoy = in.boolean();
@@ -189,8 +164,7 @@ void RecordingJournal::on_hold(sim::SimTime time, const app::ClientContext& ctx,
   util::ByteWriter w;
   encode_context(w, ctx);
   w.u64(flight.value());
-  w.u64(passengers.size());
-  for (const auto& p : passengers) airline::save_passenger(w, p);
+  w(passengers);
   w.u8(static_cast<std::uint8_t>(result.status));
   w.str(result.pnr);
   w.boolean(result.decoy);

@@ -142,94 +142,21 @@ void MitigationController::sweep() {
   }
 }
 
-void MitigationController::checkpoint(util::ByteWriter& out) const {
+template <class Ar>
+void MitigationController::visit(Ar& ar) {
   // NiP baseline (refitting from reservations would scan state that may have
   // been trimmed; the histogram itself is small).
-  const auto& baseline = nip_detector_.baseline().entries();
-  out.u64(baseline.size());
-  for (const auto& [nip, count] : baseline) {
-    out.i64(nip);
-    out.u64(count);
+  std::map<int, std::uint64_t> baseline;
+  if constexpr (!Ar::reading) baseline = nip_detector_.baseline().entries();
+  ar(baseline, until_, flagged_pnrs_, biometric_detector_, biometric_cursor_, biometric_hits_,
+     actions_, nip_cap_time_, sms_disable_time_);
+  if constexpr (Ar::reading) {
+    analytics::CategoricalHistogram<int> histogram;
+    for (const auto& [nip, count] : baseline) histogram.add(nip, count);
+    nip_detector_.fit_baseline(histogram);
   }
-  out.i64(until_);
-  // flagged_pnrs_ / biometric_hits_ are unordered_maps; write hashes sorted
-  // so checkpoint frames are byte-stable across standard libraries and
-  // restore -> re-checkpoint round trips (the per-hash PNR sets are std::set,
-  // already ordered).
-  std::vector<fp::FpHash> flagged_order;
-  flagged_order.reserve(flagged_pnrs_.size());
-  for (const auto& [hash, pnrs] : flagged_pnrs_) flagged_order.push_back(hash);
-  std::sort(flagged_order.begin(), flagged_order.end(),
-            [](fp::FpHash a, fp::FpHash b) { return a.value() < b.value(); });
-  out.u64(flagged_order.size());
-  for (const fp::FpHash hash : flagged_order) {
-    const auto& pnrs = flagged_pnrs_.at(hash);
-    out.u64(hash.value());
-    out.u64(pnrs.size());
-    for (const auto& pnr : pnrs) out.str(pnr);
-  }
-  biometric_detector_.checkpoint(out);
-  out.u64(biometric_cursor_);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> hits_order;
-  hits_order.reserve(biometric_hits_.size());
-  for (const auto& [hash, hits] : biometric_hits_) hits_order.emplace_back(hash.value(), hits);
-  std::sort(hits_order.begin(), hits_order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.u64(hits_order.size());
-  for (const auto& [hash, hits] : hits_order) {
-    out.u64(hash);
-    out.u64(hits);
-  }
-  out.u64(actions_.size());
-  for (const auto& a : actions_) {
-    out.i64(a.time);
-    out.str(a.kind);
-    out.str(a.detail);
-  }
-  out.boolean(nip_cap_time_.has_value());
-  if (nip_cap_time_) out.i64(*nip_cap_time_);
-  out.boolean(sms_disable_time_.has_value());
-  if (sms_disable_time_) out.i64(*sms_disable_time_);
 }
-
-void MitigationController::restore(util::ByteReader& in) {
-  analytics::CategoricalHistogram<int> baseline;
-  const auto baseline_entries = in.u64();
-  for (std::uint64_t i = 0; i < baseline_entries && in.ok(); ++i) {
-    const int nip = static_cast<int>(in.i64());
-    baseline.add(nip, in.u64());
-  }
-  nip_detector_.fit_baseline(baseline);
-  until_ = in.i64();
-  flagged_pnrs_.clear();
-  const auto flagged = in.u64();
-  for (std::uint64_t i = 0; i < flagged && in.ok(); ++i) {
-    const fp::FpHash hash{in.u64()};
-    auto& pnrs = flagged_pnrs_[hash];
-    const auto count = in.u64();
-    for (std::uint64_t p = 0; p < count && in.ok(); ++p) pnrs.insert(in.str());
-  }
-  biometric_detector_.restore(in);
-  biometric_cursor_ = in.u64();
-  biometric_hits_.clear();
-  const auto hits = in.u64();
-  for (std::uint64_t i = 0; i < hits && in.ok(); ++i) {
-    const fp::FpHash hash{in.u64()};
-    biometric_hits_[hash] = in.u64();
-  }
-  actions_.clear();
-  const auto action_count = in.u64();
-  for (std::uint64_t i = 0; i < action_count && in.ok(); ++i) {
-    EnforcementAction a;
-    a.time = in.i64();
-    a.kind = in.str();
-    a.detail = in.str();
-    actions_.push_back(std::move(a));
-  }
-  nip_cap_time_.reset();
-  if (in.boolean()) nip_cap_time_ = in.i64();
-  sms_disable_time_.reset();
-  if (in.boolean()) sms_disable_time_ = in.i64();
-}
+template void MitigationController::visit(util::ByteWriter&);
+template void MitigationController::visit(util::ByteReader&);
 
 }  // namespace fraudsim::mitigate

@@ -54,9 +54,14 @@ struct EnforcementAction {
   sim::SimTime time = 0;
   std::string kind;    // "fp-block", "nip-cap", "sms-disable", ...
   std::string detail;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(time, kind, detail);
+  }
 };
 
-class MitigationController {
+class MitigationController : public util::Checkpointed<MitigationController> {
  public:
   MitigationController(app::Application& application, RuleEngine& engine,
                        ControllerConfig config);
@@ -89,8 +94,8 @@ class MitigationController {
   // Checkpoint support: detector baselines, cross-sweep accumulators and the
   // action ledger. The rule engine and application are checkpointed by their
   // owners; sweep-tally counters live in the metrics registry.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   void schedule_next();

@@ -73,39 +73,30 @@ std::uint64_t SlidingWindowRateLimiter::max_in_window(sim::SimTime now) const {
   return max;
 }
 
-void SlidingWindowRateLimiter::checkpoint(util::ByteWriter& out) const {
-  out.u64(local_denials_);
-  out.i64(last_sweep_);
-  // Id order is arrival order (with recycled slots), which a restore does
-  // not reproduce: it re-interns keys in checkpoint order. Write keys sorted
-  // by string so checkpoint frames are byte-stable across a restore ->
-  // re-checkpoint round trip.
-  std::vector<std::pair<const std::string*, const std::deque<sim::SimTime>*>> items;
-  items.reserve(keys_.size());
-  for (util::InternTable::Id id = 1; id <= windows_.size(); ++id) {
-    if (keys_.contains(id)) items.emplace_back(&keys_.str(id), &windows_[id - 1]);
-  }
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  out.u64(items.size());
-  for (const auto& [key, q] : items) {
-    out.str(*key);
-    out.u64(q->size());
-    for (sim::SimTime t : *q) out.i64(t);
-  }
-}
-
-void SlidingWindowRateLimiter::restore(util::ByteReader& in) {
-  local_denials_ = in.u64();
-  last_sweep_ = in.i64();
-  const auto n = in.u64();
-  clear();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    const std::string key = in.str();
-    auto& q = window_for(key);
-    const auto events = in.u64();
-    for (std::uint64_t e = 0; e < events && in.ok(); ++e) q.push_back(in.i64());
+template <class Ar>
+void SlidingWindowRateLimiter::visit(Ar& ar) {
+  ar(local_denials_, last_sweep_);
+  if constexpr (Ar::reading) {
+    std::vector<std::pair<std::string, std::deque<sim::SimTime>>> items;
+    ar(items);
+    clear();
+    for (auto& [key, q] : items) window_for(key) = std::move(q);
+  } else {
+    // Id order is arrival order (with recycled slots), which a restore does
+    // not reproduce: it re-interns keys in frame order. Write keys sorted by
+    // string so frames are byte-stable across a restore -> re-checkpoint.
+    std::vector<std::pair<const std::string*, const std::deque<sim::SimTime>*>> items;
+    items.reserve(keys_.size());
+    for (util::InternTable::Id id = 1; id <= windows_.size(); ++id) {
+      if (keys_.contains(id)) items.emplace_back(&keys_.str(id), &windows_[id - 1]);
+    }
+    std::sort(items.begin(), items.end(),
+              [](const auto& a, const auto& b) { return *a.first < *b.first; });
+    ar(std::uint64_t{items.size()});
+    for (const auto& [key, q] : items) ar(*key, *q);
   }
 }
+template void SlidingWindowRateLimiter::visit(util::ByteWriter&);
+template void SlidingWindowRateLimiter::visit(util::ByteReader&);
 
 }  // namespace fraudsim::mitigate

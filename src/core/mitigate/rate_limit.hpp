@@ -27,7 +27,7 @@
 
 namespace fraudsim::mitigate {
 
-class SlidingWindowRateLimiter {
+class SlidingWindowRateLimiter : public util::Checkpointed<SlidingWindowRateLimiter> {
  public:
   SlidingWindowRateLimiter(std::uint64_t limit, sim::SimDuration window);
 
@@ -84,8 +84,8 @@ class SlidingWindowRateLimiter {
   // plain count; restore adds it to whichever store (local or bound counter)
   // is active, assuming the bound counter cell was reset/restored alongside
   // (registry restore).
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   // The window deque for `key`, created if absent.

@@ -153,62 +153,29 @@ app::PolicyDecision RuleEngine::evaluate(const web::HttpRequest& request,
   return app::PolicyDecision{};
 }
 
-void RuleEngine::checkpoint(util::ByteWriter& out) const {
-  blocklist_.checkpoint(out);
-  out.u8(static_cast<std::uint8_t>(blocklist_action_));
-  out.u64(blocked_ips_.size());
-  for (std::uint32_t ip : blocked_ips_) out.u32(ip);
-  out.u64(blocked_cidrs_.size());
-  for (const auto& cidr : blocked_cidrs_) {
-    out.u32(cidr.base().value());
-    out.i64(cidr.prefix_len());
-  }
-  out.u64(loyalty_gated_.size());
-  for (web::Endpoint e : loyalty_gated_) out.u8(static_cast<std::uint8_t>(e));
-  out.u8(static_cast<std::uint8_t>(challenge_mode_));
-  out.u64(limiters_.size());
-  for (const auto& nl : limiters_) {
-    out.str(nl.spec.name);
-    nl.limiter->checkpoint(out);
-  }
-}
-
-void RuleEngine::restore(util::ByteReader& in) {
-  blocklist_.restore(in);
-  blocklist_action_ = static_cast<app::PolicyAction>(in.u8());
-  blocked_ips_.clear();
-  const auto ips = in.u64();
-  for (std::uint64_t i = 0; i < ips && in.ok(); ++i) blocked_ips_.insert(in.u32());
-  blocked_cidrs_.clear();
-  const auto cidrs = in.u64();
-  for (std::uint64_t i = 0; i < cidrs && in.ok(); ++i) {
-    const net::IpV4 base{in.u32()};
-    const int prefix = static_cast<int>(in.i64());
-    blocked_cidrs_.emplace_back(base, prefix);
-  }
-  loyalty_gated_.clear();
-  const auto gates = in.u64();
-  for (std::uint64_t i = 0; i < gates && in.ok(); ++i) {
-    loyalty_gated_.insert(static_cast<web::Endpoint>(in.u8()));
-  }
-  challenge_mode_ = static_cast<ChallengeMode>(in.u8());
-  // Limiter specs are scenario configuration: the restoring process must have
-  // re-added the same rate limits in the same order. Only window state is
-  // carried over; a mismatch leaves later limiters at their fresh state.
-  const auto limiter_count = in.u64();
-  for (std::uint64_t i = 0; i < limiter_count && in.ok(); ++i) {
-    const std::string name = in.str();
-    SlidingWindowRateLimiter scratch{0, 1};
-    bool matched = false;
-    for (auto& nl : limiters_) {
-      if (nl.spec.name == name) {
-        nl.limiter->restore(in);
-        matched = true;
-        break;
-      }
+template <class Ar>
+void RuleEngine::visit(Ar& ar) {
+  ar(blocklist_, blocklist_action_, blocked_ips_, blocked_cidrs_, loyalty_gated_,
+     challenge_mode_);
+  std::uint64_t limiters = limiters_.size();
+  ar(limiters);
+  if constexpr (Ar::reading) {
+    // A limiter the restoring process did not add keeps no state: its
+    // windows are read into a scratch limiter to stay aligned, and local
+    // limiters absent from the frame stay fresh.
+    for (std::uint64_t i = 0; i < limiters && ar.ok(); ++i) {
+      std::string name;
+      ar(name);
+      const auto it = std::find_if(limiters_.begin(), limiters_.end(),
+                                   [&](const NamedLimiter& nl) { return nl.spec.name == name; });
+      SlidingWindowRateLimiter scratch{0, 1};
+      ar(it != limiters_.end() ? *it->limiter : scratch);
     }
-    if (!matched) scratch.restore(in);  // consume the payload to stay aligned
+  } else {
+    for (const auto& nl : limiters_) ar(nl.spec.name, *nl.limiter);
   }
 }
+template void RuleEngine::visit(util::ByteWriter&);
+template void RuleEngine::visit(util::ByteReader&);
 
 }  // namespace fraudsim::mitigate

@@ -47,7 +47,7 @@ enum class ChallengeMode : std::uint8_t {
   AllTransactional,
 };
 
-class RuleEngine final : public app::IngressPolicy {
+class RuleEngine final : public app::IngressPolicy, public util::Checkpointed<RuleEngine> {
  public:
   explicit RuleEngine(const sim::Simulation& sim);
 
@@ -106,10 +106,11 @@ class RuleEngine final : public app::IngressPolicy {
   // --- Checkpoint support -----------------------------------------------------
   // Serialises dynamic enforcement state (blocklist, blocked IPs/CIDRs,
   // loyalty gates, challenge mode, per-limiter windows). Restore expects the
-  // same limiter specs to have been re-added in the same order before the
-  // call (specs are scenario configuration, not run state).
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  // same limiter specs to have been re-added before the call (specs are
+  // scenario configuration, not run state); windows are matched by limiter
+  // name.
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   // Renders the spec's key for `request` into arena_ (or views request-owned

@@ -217,54 +217,6 @@ std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
   return r != nullptr && r->kind == MetricKind::Counter ? r->count : 0;
 }
 
-void MetricsSnapshot::checkpoint(util::ByteWriter& out) const {
-  out.u64(rows.size());
-  for (const Row& row : rows) {
-    out.str(row.name);
-    out.u8(static_cast<std::uint8_t>(row.kind));
-    out.u64(row.count);
-    out.f64(row.value);
-    out.f64(row.p50);
-    out.f64(row.p90);
-    out.f64(row.p99);
-    out.f64(row.min);
-    out.f64(row.max);
-    out.u64(row.buckets.size());
-    for (const auto& [bound, count] : row.buckets) {
-      out.f64(bound);
-      out.u64(count);
-    }
-  }
-}
-
-void MetricsSnapshot::restore(util::ByteReader& in) {
-  rows.clear();
-  const std::uint64_t n = in.u64();
-  // Counts come from CRC-checked shards, but cap the pre-reserve anyway so a
-  // corrupt length degrades into reader !ok(), not a bad_alloc.
-  rows.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, 1 << 16)));
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    Row row;
-    row.name = in.str();
-    row.kind = static_cast<MetricKind>(in.u8());
-    row.count = in.u64();
-    row.value = in.f64();
-    row.p50 = in.f64();
-    row.p90 = in.f64();
-    row.p99 = in.f64();
-    row.min = in.f64();
-    row.max = in.f64();
-    const std::uint64_t buckets = in.u64();
-    row.buckets.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(buckets, 1 << 12)));
-    for (std::uint64_t b = 0; b < buckets && in.ok(); ++b) {
-      const double bound = in.f64();
-      const std::uint64_t count = in.u64();
-      row.buckets.emplace_back(bound, count);
-    }
-    rows.push_back(std::move(row));
-  }
-}
-
 std::string MetricsSnapshot::render_table(const std::string& title) const {
   util::AsciiTable table({title, "kind", "count", "value", "p50", "p99"});
   for (const auto& r : rows) {
@@ -365,43 +317,22 @@ void MetricsRegistry::merge(const MetricsSnapshot& shard) {
 
 void MetricsRegistry::merge(const MetricsRegistry& other) { merge(other.snapshot()); }
 
-void MetricsRegistry::checkpoint(util::ByteWriter& out) const {
-  out.u64(cells_.size());
-  for (const auto& [name, cell] : cells_) {
-    out.str(name);
-    out.u8(static_cast<std::uint8_t>(cell->kind));
-    out.u64(cell->counter);
-    out.f64(cell->gauge);
-    out.u64(cell->hist.bounds.size());
-    for (double b : cell->hist.bounds) out.f64(b);
-    out.u64(cell->hist.buckets.size());
-    for (std::uint64_t b : cell->hist.buckets) out.u64(b);
-    out.u64(cell->hist.count);
-    out.f64(cell->hist.sum);
-    out.f64(cell->hist.min);
-    out.f64(cell->hist.max);
+template <class Ar>
+void MetricsRegistry::visit(Ar& ar) {
+  if constexpr (Ar::reading) {
+    std::vector<std::pair<std::string, detail::MetricCell>> cells;
+    ar(cells);
+    for (auto& [name, read] : cells) {
+      const auto it = cells_.find(name);
+      if (it != cells_.end() && it->second->kind != read.kind) return ar.fail();
+      cell(name, read.kind) = std::move(read);
+    }
+  } else {
+    ar(std::uint64_t{cells_.size()});
+    for (const auto& [name, c] : cells_) ar(name, *c);
   }
 }
-
-void MetricsRegistry::restore(util::ByteReader& in) {
-  const auto n = in.u64();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    const std::string name = in.str();
-    const auto kind = static_cast<MetricKind>(in.u8());
-    detail::MetricCell& c = cell(name, kind);
-    c.counter = in.u64();
-    c.gauge = in.f64();
-    const auto bounds = in.u64();
-    c.hist.bounds.assign(bounds, 0.0);
-    for (std::uint64_t b = 0; b < bounds && in.ok(); ++b) c.hist.bounds[b] = in.f64();
-    const auto buckets = in.u64();
-    c.hist.buckets.assign(buckets, 0);
-    for (std::uint64_t b = 0; b < buckets && in.ok(); ++b) c.hist.buckets[b] = in.u64();
-    c.hist.count = in.u64();
-    c.hist.sum = in.f64();
-    c.hist.min = in.f64();
-    c.hist.max = in.f64();
-  }
-}
+template void MetricsRegistry::visit(util::ByteWriter&);
+template void MetricsRegistry::visit(util::ByteReader&);
 
 }  // namespace fraudsim::obs

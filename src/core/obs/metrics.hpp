@@ -45,6 +45,11 @@ struct HistogramCell {
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(bounds, buckets, count, sum, min, max);
+  }
 };
 
 struct MetricCell {
@@ -52,6 +57,11 @@ struct MetricCell {
   std::uint64_t counter = 0;
   double gauge = 0.0;
   HistogramCell hist;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(kind, counter, gauge, hist);
+  }
 };
 
 }  // namespace detail
@@ -129,7 +139,7 @@ class Histogram {
 
 // Flat, copyable view of a registry at one instant. Rows are sorted by name;
 // all renderings are byte-stable for identical registry contents.
-struct MetricsSnapshot {
+struct MetricsSnapshot : util::Checkpointed<MetricsSnapshot> {
   struct Row {
     std::string name;
     MetricKind kind = MetricKind::Counter;
@@ -145,6 +155,11 @@ struct MetricsSnapshot {
     // (upper bound, count) pairs; histograms only. The final pair's bound is
     // +inf, rendered as "inf".
     std::vector<std::pair<double, std::uint64_t>> buckets;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(name, kind, count, value, p50, p90, p99, min, max, buckets);
+    }
   };
   std::vector<Row> rows;
 
@@ -153,8 +168,10 @@ struct MetricsSnapshot {
 
   // Lossless byte round-trip so a snapshot can travel as a persisted fleet
   // result shard: restore(checkpoint(s)) merges exactly like s itself.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(rows);
+  }
 
   // ASCII table (one row per metric).
   [[nodiscard]] std::string render_table(const std::string& title = "Metrics") const;
@@ -164,7 +181,7 @@ struct MetricsSnapshot {
   void write_jsonl(std::ostream& out) const;
 };
 
-class MetricsRegistry {
+class MetricsRegistry : public util::Checkpointed<MetricsRegistry> {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -201,9 +218,10 @@ class MetricsRegistry {
 
   // Checkpoint support. Restore writes values INTO existing cells (creating
   // any the restoring process has not registered yet), so pre-resolved
-  // handles held by subsystems stay valid across a restore.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  // handles held by subsystems stay valid across a restore. A cell whose
+  // kind differs from the local registration fails the reader.
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   detail::MetricCell& cell(std::string_view name, MetricKind kind);

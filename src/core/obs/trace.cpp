@@ -140,65 +140,4 @@ void TraceRecorder::clear() {
   ring_head_ = 0;
 }
 
-namespace {
-
-void save_span(util::ByteWriter& out, const SpanRecord& s) {
-  out.u64(s.trace);
-  out.u64(s.span);
-  out.u64(s.parent);
-  out.str(s.name);
-  out.i64(s.start);
-  out.i64(s.end);
-  out.str(s.outcome);
-  out.u64(s.annotations.size());
-  for (const auto& a : s.annotations) {
-    out.str(a.key);
-    out.str(a.value);
-  }
-}
-
-SpanRecord load_span(util::ByteReader& in) {
-  SpanRecord s;
-  s.trace = in.u64();
-  s.span = in.u64();
-  s.parent = in.u64();
-  s.name = in.str();
-  s.start = in.i64();
-  s.end = in.i64();
-  s.outcome = in.str();
-  const auto n = in.u64();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    SpanAnnotation a;
-    a.key = in.str();
-    a.value = in.str();
-    s.annotations.push_back(std::move(a));
-  }
-  return s;
-}
-
-}  // namespace
-
-void TraceRecorder::checkpoint(util::ByteWriter& out) const {
-  out.u64(trace_counter_);
-  out.u64(traces_sampled_);
-  out.u64(spans_recorded_);
-  out.u64(next_span_);
-  out.u64(ring_head_);
-  out.u64(ring_.size());
-  for (const auto& s : ring_) save_span(out, s);
-}
-
-void TraceRecorder::restore(util::ByteReader& in) {
-  trace_counter_ = in.u64();
-  traces_sampled_ = in.u64();
-  spans_recorded_ = in.u64();
-  next_span_ = in.u64();
-  ring_head_ = in.u64();
-  const auto n = in.u64();
-  ring_.clear();
-  ring_.reserve(n);
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) ring_.push_back(load_span(in));
-  open_.clear();
-}
-
 }  // namespace fraudsim::obs

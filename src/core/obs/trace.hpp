@@ -34,6 +34,11 @@ using SpanId = std::uint64_t;
 struct SpanAnnotation {
   std::string key;
   std::string value;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(key, value);
+  }
 };
 
 struct SpanRecord {
@@ -45,6 +50,11 @@ struct SpanRecord {
   sim::SimTime end = -1;  // -1 while open
   std::string outcome;    // "ok", "blocked", "shed", "business-reject", ...
   std::vector<SpanAnnotation> annotations;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(trace, span, parent, name, start, end, outcome, annotations);
+  }
 };
 
 struct TraceConfig {
@@ -84,7 +94,7 @@ class TraceContext {
   SpanId span_ = 0;
 };
 
-class TraceRecorder {
+class TraceRecorder : public util::Checkpointed<TraceRecorder> {
  public:
   explicit TraceRecorder(TraceConfig config = {});
   TraceRecorder(const TraceRecorder&) = delete;
@@ -110,9 +120,16 @@ class TraceRecorder {
   void clear();
 
   // Checkpoint support. Taken between requests, so open_ is expected to be
-  // empty; counters and the completed-span ring restore exactly.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  // empty; counters and the completed-span ring restore exactly. A ring
+  // head past the restored ring fails the reader.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(trace_counter_, traces_sampled_, spans_recorded_, next_span_, ring_head_, ring_);
+    if constexpr (Ar::reading) {
+      open_.clear();
+      if (ring_head_ != 0 && ring_head_ >= ring_.size()) ar.fail();
+    }
+  }
 
  private:
   friend class TraceContext;

@@ -96,38 +96,4 @@ sim::SimDuration BrownoutController::dwell(BrownoutState s, sim::SimTime now) co
   return total;
 }
 
-void BrownoutController::checkpoint(util::ByteWriter& out) const {
-  out.u8(static_cast<std::uint8_t>(state_));
-  out.f64(wait_ewma_);
-  out.f64(latency_ewma_);
-  out.boolean(seeded_);
-  out.i64(entered_at_);
-  for (std::size_t i = 0; i < kBrownoutStates; ++i) out.i64(dwell_[i]);
-  out.u64(transitions_.size());
-  for (const auto& t : transitions_) {
-    out.i64(t.time);
-    out.u8(static_cast<std::uint8_t>(t.from));
-    out.u8(static_cast<std::uint8_t>(t.to));
-  }
-}
-
-void BrownoutController::restore(util::ByteReader& in) {
-  state_ = static_cast<BrownoutState>(in.u8());
-  wait_ewma_ = in.f64();
-  latency_ewma_ = in.f64();
-  seeded_ = in.boolean();
-  entered_at_ = in.i64();
-  for (std::size_t i = 0; i < kBrownoutStates; ++i) dwell_[i] = in.i64();
-  const auto n = in.u64();
-  transitions_.clear();
-  transitions_.reserve(n);
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    Transition t;
-    t.time = in.i64();
-    t.from = static_cast<BrownoutState>(in.u8());
-    t.to = static_cast<BrownoutState>(in.u8());
-    transitions_.push_back(t);
-  }
-}
-
 }  // namespace fraudsim::overload

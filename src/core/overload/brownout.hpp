@@ -63,7 +63,7 @@ struct BrownoutConfig {
   double hold_ttl_scale[kBrownoutStates] = {1.0, 1.0, 0.5, 0.25};
 };
 
-class BrownoutController {
+class BrownoutController : public util::Checkpointed<BrownoutController> {
  public:
   explicit BrownoutController(BrownoutConfig config);
 
@@ -93,6 +93,11 @@ class BrownoutController {
     sim::SimTime time = 0;
     BrownoutState from = BrownoutState::Normal;
     BrownoutState to = BrownoutState::Normal;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(time, from, to);
+    }
   };
   [[nodiscard]] const std::vector<Transition>& transitions() const { return transitions_; }
   // Total residency per state up to `now` (includes the open interval in the
@@ -103,8 +108,10 @@ class BrownoutController {
   [[nodiscard]] const BrownoutConfig& config() const { return config_; }
 
   // Checkpoint support (dynamic state only; config is reconstructed).
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(state_, wait_ewma_, latency_ewma_, seeded_, entered_at_, dwell_, transitions_);
+  }
 
  private:
   [[nodiscard]] std::size_t index() const { return static_cast<std::size_t>(state_); }

@@ -190,24 +190,4 @@ OverloadSnapshot OverloadManager::snapshot(sim::SimTime now) const {
   return snap;
 }
 
-void AdmissionQueue::checkpoint(util::ByteWriter& out) const {
-  out.i64(last_drain_);
-  for (std::size_t i = 0; i < kRequestClasses; ++i) out.f64(band_[i]);
-}
-
-void AdmissionQueue::restore(util::ByteReader& in) {
-  last_drain_ = in.i64();
-  for (std::size_t i = 0; i < kRequestClasses; ++i) band_[i] = in.f64();
-}
-
-void OverloadManager::checkpoint(util::ByteWriter& out) const {
-  queue_.checkpoint(out);
-  brownout_.checkpoint(out);
-}
-
-void OverloadManager::restore(util::ByteReader& in) {
-  queue_.restore(in);
-  brownout_.restore(in);
-}
-
 }  // namespace fraudsim::overload

@@ -74,7 +74,7 @@ inline constexpr std::size_t kRequestClasses = 2;
 // Fluid two-band strict-priority queue. Backlogs are tracked in milliseconds
 // of work and drain continuously at `servers` ms of work per ms of sim time,
 // priority band first. O(1) per operation, no randomness.
-class AdmissionQueue {
+class AdmissionQueue : public util::Checkpointed<AdmissionQueue> {
  public:
   AdmissionQueue(int servers, bool priority_scheduling);
 
@@ -87,9 +87,10 @@ class AdmissionQueue {
   // Total un-drained work across both bands, in ms (the queue-depth signal).
   [[nodiscard]] sim::SimDuration backlog(sim::SimTime now);
 
-  // Checkpoint support.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(last_drain_, band_);
+  }
 
  private:
   void drain(sim::SimTime now);
@@ -187,7 +188,7 @@ struct OverloadSnapshot {
 
 // --- Manager ----------------------------------------------------------------
 
-class OverloadManager {
+class OverloadManager : public util::Checkpointed<OverloadManager> {
  public:
   // `metrics` is the platform registry ("overload.*" series); when null the
   // manager owns a private registry so standalone tests see isolated counts.
@@ -211,8 +212,10 @@ class OverloadManager {
 
   // Checkpoint support: queue bands + brownout state machine. Counter cells
   // live in the metrics registry and are restored with it.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(queue_, brownout_);
+  }
 
  private:
   // Registry handles for one class's counters + latency histogram.

@@ -23,38 +23,6 @@ std::string fmt(double v) { return util::format_fixed(v, 4); }
 
 }  // namespace
 
-void FleetRunResult::checkpoint(util::ByteWriter& out) const {
-  out.u64(observations.size());
-  for (const auto& [name, value] : observations) {
-    out.str(name);
-    out.f64(value);
-  }
-  out.u64(series.size());
-  for (const auto& [name, stats] : series) {
-    out.str(name);
-    stats.checkpoint(out);
-  }
-  confusion.checkpoint(out);
-  metrics.checkpoint(out);
-}
-
-void FleetRunResult::restore(util::ByteReader& in) {
-  observations.clear();
-  series.clear();
-  const std::uint64_t n_obs = in.u64();
-  for (std::uint64_t i = 0; i < n_obs && in.ok(); ++i) {
-    std::string name = in.str();
-    observations[name] = in.f64();
-  }
-  const std::uint64_t n_series = in.u64();
-  for (std::uint64_t i = 0; i < n_series && in.ok(); ++i) {
-    std::string name = in.str();
-    series[name].restore(in);
-  }
-  confusion.restore(in);
-  metrics.restore(in);
-}
-
 double FleetVariantAggregate::Observation::p50() const { return util::percentile(samples, 0.5); }
 double FleetVariantAggregate::Observation::p95() const { return util::percentile(samples, 0.95); }
 

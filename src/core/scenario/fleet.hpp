@@ -47,7 +47,7 @@ struct FleetJob {
 
 // What one run reports back to the reduction. Everything is optional: a
 // bench that only cares about scalar outcomes leaves the rest empty.
-struct FleetRunResult {
+struct FleetRunResult : util::Checkpointed<FleetRunResult> {
   // Scalar per-run outcomes ("bot_holds", "legit_blocked", ...): each becomes
   // one sample in the variant's cross-seed distribution.
   std::map<std::string, double> observations;
@@ -61,8 +61,10 @@ struct FleetRunResult {
 
   // Lossless byte round-trip so a completed job's result can be persisted
   // (fleet crash recovery: resume re-runs only jobs without a valid shard).
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(observations, series, confusion, metrics);
+  }
 };
 
 using FleetRunFn = std::function<FleetRunResult(const FleetJob&)>;

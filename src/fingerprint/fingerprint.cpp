@@ -103,46 +103,4 @@ bool operator==(const Fingerprint& a, const Fingerprint& b) {
   return a.canonical() == b.canonical();
 }
 
-void save_fingerprint(util::ByteWriter& out, const Fingerprint& f) {
-  out.u8(static_cast<std::uint8_t>(f.browser));
-  out.i64(f.browser_version);
-  out.u8(static_cast<std::uint8_t>(f.os));
-  out.u8(static_cast<std::uint8_t>(f.device));
-  out.i64(f.screen_width);
-  out.i64(f.screen_height);
-  out.i64(f.timezone_offset_minutes);
-  out.str(f.language);
-  out.i64(f.cpu_cores);
-  out.i64(f.memory_gb);
-  out.boolean(f.touch_support);
-  out.i64(f.plugin_count);
-  out.u64(f.canvas_hash);
-  out.u64(f.webgl_hash);
-  out.u64(f.fonts_hash);
-  out.boolean(f.webdriver_flag);
-  out.boolean(f.headless_hint);
-}
-
-Fingerprint load_fingerprint(util::ByteReader& in) {
-  Fingerprint f;
-  f.browser = static_cast<Browser>(in.u8());
-  f.browser_version = static_cast<int>(in.i64());
-  f.os = static_cast<Os>(in.u8());
-  f.device = static_cast<DeviceClass>(in.u8());
-  f.screen_width = static_cast<int>(in.i64());
-  f.screen_height = static_cast<int>(in.i64());
-  f.timezone_offset_minutes = static_cast<int>(in.i64());
-  f.language = in.str();
-  f.cpu_cores = static_cast<int>(in.i64());
-  f.memory_gb = static_cast<int>(in.i64());
-  f.touch_support = in.boolean();
-  f.plugin_count = static_cast<int>(in.i64());
-  f.canvas_hash = in.u64();
-  f.webgl_hash = in.u64();
-  f.fonts_hash = in.u64();
-  f.webdriver_flag = in.boolean();
-  f.headless_hint = in.boolean();
-  return f;
-}
-
 }  // namespace fraudsim::fp

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 
-#include "util/archive.hpp"
 #include "util/ids.hpp"
 
 namespace fraudsim::fp {
@@ -54,13 +53,16 @@ struct Fingerprint {
   [[nodiscard]] FpHash hash() const;
   // Synthesised user-agent string consistent with browser/os/version.
   [[nodiscard]] std::string user_agent() const;
+
+  // Wire field list (journal records, state checkpoints; util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(browser, browser_version, os, device, screen_width, screen_height,
+       timezone_offset_minutes, language, cpu_cores, memory_gb, touch_support, plugin_count,
+       canvas_hash, webgl_hash, fonts_hash, webdriver_flag, headless_hint);
+  }
 };
 
 [[nodiscard]] bool operator==(const Fingerprint& a, const Fingerprint& b);
-
-// Wire serialisation (journal records, state checkpoints). Field-by-field and
-// little-endian so journal files are portable across builds.
-void save_fingerprint(util::ByteWriter& out, const Fingerprint& f);
-[[nodiscard]] Fingerprint load_fingerprint(util::ByteReader& in);
 
 }  // namespace fraudsim::fp

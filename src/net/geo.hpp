@@ -36,6 +36,12 @@ class CountryCode {
   friend constexpr bool operator!=(CountryCode a, CountryCode b) { return a.packed_ != b.packed_; }
   friend constexpr bool operator<(CountryCode a, CountryCode b) { return a.packed_ < b.packed_; }
 
+  // Archived as the u16 packed() value (util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(packed_);
+  }
+
  private:
   std::uint16_t packed_ = 0;
 };

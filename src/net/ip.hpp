@@ -22,6 +22,12 @@ class IpV4 {
   friend constexpr bool operator!=(IpV4 a, IpV4 b) { return a.value_ != b.value_; }
   friend constexpr bool operator<(IpV4 a, IpV4 b) { return a.value_ < b.value_; }
 
+  // Archived as its u32 value (util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(value_);
+  }
+
  private:
   std::uint32_t value_ = 0;
 };
@@ -41,6 +47,20 @@ class Cidr {
   // The i-th address in the block (i < size()).
   [[nodiscard]] IpV4 at(std::uint32_t i) const;
   [[nodiscard]] std::string str() const;
+
+  // Archived as base + prefix length; a restore re-derives the mask and
+  // rejects a prefix length outside [0, 32].
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(base_, prefix_len_);
+    if constexpr (Ar::reading) {
+      if (prefix_len_ < 0 || prefix_len_ > 32) {
+        ar.fail();
+        prefix_len_ = 32;
+      }
+      *this = Cidr(base_, prefix_len_);
+    }
+  }
 
  private:
   IpV4 base_;

@@ -83,24 +83,24 @@ std::string Rng::random_lowercase(std::size_t length) {
   return s;
 }
 
-void Rng::checkpoint(util::ByteWriter& out) const {
-  out.u64(seed_);
+template <class Ar>
+void Rng::visit(Ar& ar) {
   // mt19937_64's textual state is a space-separated integer list. Imbue the
   // classic locale explicitly: under a grouping global locale the integers
   // would be written as "4.294.967.295", corrupting the checkpoint bytes and
-  // making restore() on a plain-"C" host fail to parse.
-  std::ostringstream state;
+  // making a restore on a plain-"C" host fail to parse.
+  std::stringstream state;
   state.imbue(std::locale::classic());
-  state << engine_;
-  out.str(state.str());
+  if constexpr (!Ar::reading) state << engine_;
+  std::string text = state.str();
+  ar(seed_, text);
+  if constexpr (Ar::reading) {
+    state.str(text);
+    state >> engine_;
+  }
 }
-
-void Rng::restore(util::ByteReader& in) {
-  seed_ = in.u64();
-  std::istringstream state(in.str());
-  state.imbue(std::locale::classic());
-  state >> engine_;
-}
+template void Rng::visit(util::ByteWriter&);
+template void Rng::visit(util::ByteReader&);
 
 std::string Rng::random_digits(std::size_t length) {
   std::string s(length, '0');

@@ -17,7 +17,7 @@
 
 namespace fraudsim::sim {
 
-class Rng {
+class Rng : public util::Checkpointed<Rng> {
  public:
   explicit Rng(std::uint64_t seed);
 
@@ -71,8 +71,8 @@ class Rng {
   // original draw sequence exactly. Distribution objects are constructed
   // fresh per call throughout the codebase, so engine state is the whole
   // story.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   std::uint64_t seed_;

@@ -148,37 +148,27 @@ std::uint64_t ShardedSimulation::messages_in_flight() const {
   return total;
 }
 
-void ShardedSimulation::checkpoint(util::ByteWriter& out) const {
+template <class Ar>
+void ShardedSimulation::visit(Ar& ar) {
   assert(messages_in_flight() == 0 && "checkpoint only at a barrier");
-  out.u32(shards());
-  out.i64(now_);
-  for (const auto& shard : shards_) {
-    out.u64(shard->sent);
-    out.u64(shard->sim.fired_events());
+  std::uint32_t k = shards();
+  ar(k, now_);
+  if constexpr (Ar::reading) {
+    if (k != shards()) return ar.fail();
   }
-  out.u64(delivered_);
-  out.u64(dropped_);
-  out.u64(exchange_retries_);
-  out.u64(barriers_);
-}
-
-void ShardedSimulation::restore(util::ByteReader& in) {
-  const std::uint32_t k = in.u32();
-  assert(k == shards() && "restore into an engine with the same K");
-  (void)k;
-  now_ = in.i64();
   for (auto& shard : shards_) {
-    shard->sent = in.u64();
-    shard->sim.restore_fired(in.u64());
+    std::uint64_t fired = shard->sim.fired_events();
+    ar(shard->sent, fired);
+    if constexpr (Ar::reading) shard->sim.restore_fired(fired);
   }
-  delivered_ = in.u64();
-  dropped_ = in.u64();
-  exchange_retries_ = in.u64();
-  barriers_ = in.u64();
-  // Park every shard clock at the checkpointed barrier. Queues are empty at
-  // this point (owners re-register their events afterwards, all at times
-  // >= now_), so this fires nothing.
-  for (auto& shard : shards_) shard->sim.run_before(now_);
+  ar(delivered_, dropped_, exchange_retries_, barriers_);
+  if constexpr (Ar::reading) {
+    // Queues are empty at this point (owners re-register their events
+    // afterwards, all at times >= now_), so this fires nothing.
+    for (auto& shard : shards_) shard->sim.run_before(now_);
+  }
 }
+template void ShardedSimulation::visit(util::ByteWriter&);
+template void ShardedSimulation::visit(util::ByteReader&);
 
 }  // namespace fraudsim::sim

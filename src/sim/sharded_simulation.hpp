@@ -41,11 +41,7 @@
 
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
-
-namespace fraudsim::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace fraudsim::util
+#include "util/archive.hpp"
 
 namespace fraudsim::sim {
 
@@ -65,7 +61,7 @@ struct ShardMessage {
   std::uint64_t d = 0;
 };
 
-class ShardedSimulation {
+class ShardedSimulation : public util::Checkpointed<ShardedSimulation> {
  public:
   struct Config {
     std::uint32_t shards = 1;
@@ -133,9 +129,10 @@ class ShardedSimulation {
   // Must be called at a barrier (outboxes empty — asserted). Shard event
   // queues are workload state: owners persist their own event descriptors and
   // re-register them after restore() via Simulation::queue().restore_entry.
-  // restore() parks every shard clock at the checkpointed barrier time.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  // restore() parks every shard clock at the checkpointed barrier time; a
+  // frame from an engine with a different K fails the reader.
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   struct Shard {

@@ -207,74 +207,4 @@ std::size_t SmsGateway::distinct_countries(sim::SimTime from, sim::SimTime to) c
   return countries.size();
 }
 
-void SmsGateway::checkpoint(util::ByteWriter& out) const {
-  out.u64(log_.size());
-  for (const auto& r : log_) {
-    out.i64(r.time);
-    out.u16(r.destination.country.packed());
-    out.str(r.destination.subscriber);
-    out.u8(static_cast<std::uint8_t>(r.type));
-    out.u64(r.actor.value());
-    out.boolean(r.booking_ref.has_value());
-    if (r.booking_ref) out.str(*r.booking_ref);
-    out.i64(r.deadline.expires);
-    out.boolean(r.delivered);
-    out.u8(static_cast<std::uint8_t>(r.failure));
-    out.i64(r.attempts);
-    out.i64(r.delivered_at);
-    out.i64(r.app_cost.micros());
-    out.i64(r.attacker_revenue.micros());
-  }
-  out.i64(total_app_cost_.micros());
-  daily_.checkpoint(out);
-  out.i64(quota_day_);
-  out.u64(quota_used_);
-  breaker_.checkpoint(out);
-  retry_rng_.checkpoint(out);
-  out.u64(retries_.size());
-  for (const auto& [key, attempt] : retries_) {
-    out.i64(key.first);
-    out.u64(key.second);
-    out.i64(attempt);
-  }
-}
-
-void SmsGateway::restore(util::ByteReader& in) {
-  const auto n = in.u64();
-  log_.clear();
-  log_.reserve(n);
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    SmsRecord r;
-    r.time = in.i64();
-    const auto packed = in.u16();
-    r.destination.country =
-        net::CountryCode(static_cast<char>(packed >> 8), static_cast<char>(packed & 0xFF));
-    r.destination.subscriber = in.str();
-    r.type = static_cast<SmsType>(in.u8());
-    r.actor = web::ActorId{in.u64()};
-    if (in.boolean()) r.booking_ref = in.str();
-    r.deadline.expires = in.i64();
-    r.delivered = in.boolean();
-    r.failure = static_cast<SmsFailure>(in.u8());
-    r.attempts = static_cast<int>(in.i64());
-    r.delivered_at = in.i64();
-    r.app_cost = util::Money::from_micros(in.i64());
-    r.attacker_revenue = util::Money::from_micros(in.i64());
-    log_.push_back(std::move(r));
-  }
-  total_app_cost_ = util::Money::from_micros(in.i64());
-  daily_.restore(in);
-  quota_day_ = in.i64();
-  quota_used_ = in.u64();
-  breaker_.restore(in);
-  retry_rng_.restore(in);
-  const auto pending = in.u64();
-  retries_.clear();
-  for (std::uint64_t i = 0; i < pending && in.ok(); ++i) {
-    const sim::SimTime due = in.i64();
-    const std::size_t index = in.u64();
-    retries_[{due, index}] = static_cast<int>(in.i64());
-  }
-}
-
 }  // namespace fraudsim::sms

@@ -77,6 +77,12 @@ struct SmsRecord {
   sim::SimTime delivered_at = -1;         // set on successful delivery
   util::Money app_cost;
   util::Money attacker_revenue;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(time, destination.country, destination.subscriber, type, actor, booking_ref,
+       deadline.expires, delivered, failure, attempts, delivered_at, app_cost, attacker_revenue);
+  }
 };
 
 struct GatewayConfig {
@@ -99,7 +105,7 @@ struct GatewayConfig {
   fault::CircuitBreakerConfig breaker;
 };
 
-class SmsGateway {
+class SmsGateway : public util::Checkpointed<SmsGateway> {
  public:
   // `metrics` is the platform registry ("sms.*" series); when null the
   // gateway owns a private registry so standalone tests see isolated counts.
@@ -157,8 +163,10 @@ class SmsGateway {
   // Checkpoint support: message log, quota window, breaker, retry queue and
   // jitter stream. Counter cells live in the metrics registry and are
   // restored with it.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(log_, total_app_cost_, daily_, quota_day_, quota_used_, breaker_, retry_rng_, retries_);
+  }
 
  private:
   // One carrier submission for log_[index]; `attempt` is 1-based.

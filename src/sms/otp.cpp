@@ -1,8 +1,5 @@
 #include "sms/otp.hpp"
 
-#include <algorithm>
-#include <vector>
-
 namespace fraudsim::sms {
 
 OtpService::OtpService(SmsGateway& gateway, sim::Rng rng, sim::SimDuration validity,
@@ -47,39 +44,6 @@ bool OtpService::verify(sim::SimTime now, const std::string& account, const std:
   pending_.erase(it);
   verifications_.inc();
   return true;
-}
-
-void OtpService::checkpoint(util::ByteWriter& out) const {
-  rng_.checkpoint(out);
-  out.i64(validity_);
-  // pending_ is an unordered_map; write accounts sorted so the frame is
-  // byte-stable across standard libraries and restore -> re-checkpoint.
-  std::vector<const std::pair<const std::string, Pending>*> ordered;
-  ordered.reserve(pending_.size());
-  for (const auto& entry : pending_) ordered.push_back(&entry);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  out.u64(ordered.size());
-  for (const auto* entry : ordered) {
-    const auto& [account, p] = *entry;
-    out.str(account);
-    out.str(p.code);
-    out.i64(p.expires);
-  }
-}
-
-void OtpService::restore(util::ByteReader& in) {
-  rng_.restore(in);
-  validity_ = in.i64();
-  const auto n = in.u64();
-  pending_.clear();
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    const std::string account = in.str();
-    Pending p;
-    p.code = in.str();
-    p.expires = in.i64();
-    pending_[account] = std::move(p);
-  }
 }
 
 }  // namespace fraudsim::sms

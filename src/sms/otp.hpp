@@ -20,7 +20,7 @@
 
 namespace fraudsim::sms {
 
-class OtpService {
+class OtpService : public util::Checkpointed<OtpService> {
  public:
   // `metrics` is the platform registry ("otp.*" series); when null the
   // service owns a private registry so standalone tests see isolated counts.
@@ -46,13 +46,20 @@ class OtpService {
   [[nodiscard]] std::uint64_t delivery_faults() const { return delivery_faults_.value(); }
 
   // Checkpoint support: pending codes + the code-generation stream.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(rng_, validity_, pending_);
+  }
 
  private:
   struct Pending {
     std::string code;
     sim::SimTime expires;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(code, expires);
+    }
   };
   SmsGateway& gateway_;
   sim::Rng rng_;

@@ -29,6 +29,12 @@ class StrongId {
 
   [[nodiscard]] std::string str() const { return std::to_string(value_); }
 
+  // Archived as its u64 value (util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(value_);
+  }
+
  private:
   std::uint64_t value_ = 0;
 };

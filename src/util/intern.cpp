@@ -1,5 +1,6 @@
 #include "util/intern.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 namespace fraudsim::util {
@@ -47,33 +48,32 @@ void InternTable::clear() {
   free_.clear();
 }
 
-void InternTable::checkpoint(ByteWriter& out) const {
-  out.u64(slots_.size());
-  for (const auto* slot : slots_) {
-    out.boolean(slot != nullptr);
-    if (slot != nullptr) out.str(*slot);
-  }
-  out.u64(free_.size());
-  for (const Id id : free_) out.u32(id);
-}
-
-void InternTable::restore(ByteReader& in) {
-  clear();
-  const auto slot_count = in.u64();
-  if (!in.ok()) return;
-  slots_.resize(static_cast<std::size_t>(slot_count), nullptr);
-  for (std::uint64_t i = 0; i < slot_count && in.ok(); ++i) {
-    if (in.boolean()) {
-      auto [it, inserted] = ids_.emplace(in.str(), static_cast<Id>(i + 1));
-      (void)inserted;
-      slots_[static_cast<std::size_t>(i)] = &it->first;
+template <class Ar>
+void InternTable::visit(Ar& ar) {
+  if constexpr (Ar::reading) {
+    clear();
+    std::vector<std::optional<std::string>> slots;
+    ar(slots, free_);
+    slots_.resize(slots.size(), nullptr);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (!slots[i]) continue;
+      const auto it = ids_.emplace(std::move(*slots[i]), static_cast<Id>(i + 1)).first;
+      slots_[i] = &it->first;
     }
-  }
-  const auto free_count = in.u64();
-  free_.reserve(static_cast<std::size_t>(free_count));
-  for (std::uint64_t i = 0; i < free_count && in.ok(); ++i) {
-    free_.push_back(static_cast<Id>(in.u32()));
+    for (const Id id : free_) {
+      if (id == 0 || id > slots_.size() || slots_[id - 1] != nullptr) ar.fail();
+    }
+  } else {
+    // The slots as a vector of optional strings, without copying them.
+    ar(std::uint64_t{slots_.size()});
+    for (const std::string* slot : slots_) {
+      ar(slot != nullptr);
+      if (slot != nullptr) ar(*slot);
+    }
+    ar(free_);
   }
 }
+template void InternTable::visit(ByteWriter&);
+template void InternTable::visit(ByteReader&);
 
 }  // namespace fraudsim::util

@@ -33,7 +33,7 @@
 
 namespace fraudsim::util {
 
-class InternTable {
+class InternTable : public Checkpointed<InternTable> {
  public:
   using Id = std::uint32_t;  // 0 is "not interned"
 
@@ -61,9 +61,10 @@ class InternTable {
   void clear();
 
   // Byte-stable serialisation: slots in id order, then the free list. A
-  // restore reproduces every live string under its original id.
-  void checkpoint(ByteWriter& out) const;
-  void restore(ByteReader& in);
+  // restore reproduces every live string under its original id, and fails
+  // the reader on a free-list id that is not a free slot.
+  template <class Ar>
+  void visit(Ar& ar);
 
  private:
   struct Hash {

@@ -59,6 +59,12 @@ class Money {
   // "$12.34" / "-$0.002" style rendering with up to 4 decimal places.
   [[nodiscard]] std::string str() const;
 
+  // Archived as i64 micros (util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(micros_);
+  }
+
  private:
   std::int64_t micros_ = 0;
 };

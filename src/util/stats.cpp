@@ -60,24 +60,6 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void RunningStats::checkpoint(ByteWriter& out) const {
-  out.u64(n_);
-  out.f64(mean_);
-  out.f64(m2_);
-  out.f64(min_);
-  out.f64(max_);
-  out.f64(sum_);
-}
-
-void RunningStats::restore(ByteReader& in) {
-  n_ = static_cast<std::size_t>(in.u64());
-  mean_ = in.f64();
-  m2_ = in.f64();
-  min_ = in.f64();
-  max_ = in.f64();
-  sum_ = in.f64();
-}
-
 double percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
   // NaN propagates through clamp and makes the index cast undefined.
@@ -171,20 +153,6 @@ void ConfusionCounts::merge(const ConfusionCounts& other) {
   fp += other.fp;
   tn += other.tn;
   fn += other.fn;
-}
-
-void ConfusionCounts::checkpoint(ByteWriter& out) const {
-  out.u64(tp);
-  out.u64(fp);
-  out.u64(tn);
-  out.u64(fn);
-}
-
-void ConfusionCounts::restore(ByteReader& in) {
-  tp = in.u64();
-  fp = in.u64();
-  tn = in.u64();
-  fn = in.u64();
 }
 
 void ConfusionCounts::add(bool predicted_positive, bool actually_positive) {

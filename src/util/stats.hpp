@@ -12,7 +12,7 @@
 namespace fraudsim::util {
 
 // Streaming mean/variance/min/max (Welford).
-class RunningStats {
+class RunningStats : public Checkpointed<RunningStats> {
  public:
   void add(double x);
 
@@ -28,8 +28,10 @@ class RunningStats {
 
   // Lossless byte round-trip (fleet result shards persisted for crash
   // recovery): restore(checkpoint(x)) == x including the Welford internals.
-  void checkpoint(ByteWriter& out) const;
-  void restore(ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(n_, mean_, m2_, min_, max_, sum_);
+  }
 
  private:
   std::size_t n_ = 0;
@@ -64,7 +66,7 @@ class RunningStats {
                                    const std::vector<double>& q_counts);
 
 // Binary-classification tallies and derived metrics.
-struct ConfusionCounts {
+struct ConfusionCounts : Checkpointed<ConfusionCounts> {
   std::uint64_t tp = 0;
   std::uint64_t fp = 0;
   std::uint64_t tn = 0;
@@ -74,8 +76,10 @@ struct ConfusionCounts {
   // Element-wise sum: merging per-shard confusion tallies equals scoring the
   // concatenated predictions (self-merge doubles every cell).
   void merge(const ConfusionCounts& other);
-  void checkpoint(ByteWriter& out) const;
-  void restore(ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(tp, fp, tn, fn);
+  }
   [[nodiscard]] double precision() const;
   [[nodiscard]] double recall() const;
   [[nodiscard]] double f1() const;

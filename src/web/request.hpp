@@ -14,7 +14,6 @@
 #include "net/geo.hpp"
 #include "net/ip.hpp"
 #include "sim/time.hpp"
-#include "util/archive.hpp"
 #include "util/ids.hpp"
 #include "web/endpoint.hpp"
 
@@ -52,11 +51,15 @@ struct HttpRequest {
 
   // Ground truth (scoring only).
   ActorId actor;
-};
 
-// Wire serialisation (state checkpoints): the full record including the
-// assigned id, so a restored web log is byte-equal to the original on export.
-void save_request(util::ByteWriter& out, const HttpRequest& r);
-[[nodiscard]] HttpRequest load_request(util::ByteReader& in);
+  // Wire field list (state checkpoints; util/archive.hpp): the full record
+  // including the assigned id, so a restored web log is byte-equal to the
+  // original on export.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(id, time, method, endpoint, ip, session, fp_hash, status_code, flight_id, booking_ref,
+       sms_destination, nip, trace_id, actor);
+  }
+};
 
 }  // namespace fraudsim::web

@@ -30,18 +30,4 @@ void WebLog::clear() {
   next_id_ = 1;
 }
 
-void WebLog::checkpoint(util::ByteWriter& out) const {
-  out.u64(next_id_);
-  out.u64(requests_.size());
-  for (const auto& r : requests_) save_request(out, r);
-}
-
-void WebLog::restore(util::ByteReader& in) {
-  next_id_ = in.u64();
-  const auto n = in.u64();
-  requests_.clear();
-  requests_.reserve(n);
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) requests_.push_back(load_request(in));
-}
-
 }  // namespace fraudsim::web

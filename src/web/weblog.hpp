@@ -5,11 +5,12 @@
 #include <span>
 #include <vector>
 
+#include "util/archive.hpp"
 #include "web/request.hpp"
 
 namespace fraudsim::web {
 
-class WebLog {
+class WebLog : public util::Checkpointed<WebLog> {
  public:
   // Appends and assigns the request id. Returns the stored record.
   const HttpRequest& append(HttpRequest request);
@@ -29,8 +30,10 @@ class WebLog {
 
   // Checkpoint support: full log contents plus the id counter, so restored
   // logs keep assigning ids from where the original left off.
-  void checkpoint(util::ByteWriter& out) const;
-  void restore(util::ByteReader& in);
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(next_id_, requests_);
+  }
 
  private:
   std::vector<HttpRequest> requests_;

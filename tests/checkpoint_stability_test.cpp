@@ -6,10 +6,15 @@
 // checkpoint order. The contract pinned here: identical LOGICAL state yields
 // identical checkpoint BYTES — regardless of the insertion history that
 // produced it — and a restore -> re-checkpoint round trip reproduces the
-// frame exactly.
+// frame exactly. Restores of hostile bytes (truncated frames, absurd counts)
+// fail the reader promptly instead of throwing, spinning or allocating.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "airline/boarding.hpp"
@@ -17,15 +22,25 @@
 #include "airline/pnr.hpp"
 #include "app/actors.hpp"
 #include "app/fp_store.hpp"
+#include "attack/otp_pump.hpp"
+#include "attack/ring_orchestrator.hpp"
 #include "attack/seat_spin.hpp"
+#include "attack/sms_pump.hpp"
 #include "biometrics/detector.hpp"
 #include "core/detect/fingerprint_detect.hpp"
+#include "core/detect/graph/entity_graph.hpp"
+#include "core/detect/graph/graph_ingest.hpp"
+#include "core/fault/fault.hpp"
+#include "core/journal/journal.hpp"
+#include "core/journal/recording.hpp"
 #include "core/mitigate/controller.hpp"
 #include "core/mitigate/rate_limit.hpp"
 #include "core/scenario/env.hpp"
+#include "core/scenario/replay_harness.hpp"
 #include "fingerprint/population.hpp"
 #include "sms/carrier.hpp"
 #include "sms/otp.hpp"
+#include "sim/sharded_simulation.hpp"
 #include "util/archive.hpp"
 
 namespace fraudsim {
@@ -396,6 +411,257 @@ TEST(CheckpointStability, BiometricDetectorRestoreRecheckpointRoundTrips) {
   restored.restore(in);
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(checkpoint_bytes(restored), bytes);
+}
+
+// --- Whole platform --------------------------------------------------------
+
+// The soc_day platform: scenario::Env, the mitigation controller and the
+// entity graph on the admit-path tap. Built the same way for the live run and
+// for the restore target.
+struct SocPlatform {
+  explicit SocPlatform(std::uint64_t seed) : env(env_config(seed)), ingest(graph) {
+    env.add_flights("CS", 12, 180, sim::days(14));
+    target = env.app.add_flight("CS", 777, 180, sim::days(3));
+    env.app.set_tap(&ingest);
+  }
+
+  static scenario::EnvConfig env_config(std::uint64_t seed) {
+    scenario::EnvConfig config;
+    config.seed = seed;
+    return config;
+  }
+  static mitigate::ControllerConfig controller_config() {
+    mitigate::ControllerConfig config;
+    config.impose_nip_cap = true;
+    config.disable_sms_on_path_trip = true;
+    return config;
+  }
+
+  // actors, app, rules, controller, fault registry, graph.
+  std::vector<std::string> parts(const fault::FaultRegistry& faults) const {
+    return {checkpoint_bytes(env.actors), checkpoint_bytes(env.app),
+            checkpoint_bytes(env.engine), checkpoint_bytes(controller),
+            checkpoint_bytes(faults),     checkpoint_bytes(graph)};
+  }
+
+  scenario::Env env;
+  mitigate::MitigationController controller{env.app, env.engine, controller_config()};
+  detect::graph::EntityGraph graph;
+  detect::graph::GraphIngest ingest;
+  airline::FlightId target;
+};
+
+// Runs a soc_day-shaped morning on `platform`: legitimate demand, a seat
+// spinner, an SMS pump, an OTP pump (its codes are never verified, so the
+// OTP service holds many pending codes) and the 16-member ring, controller
+// fitted at 2 h and sweeping hourly after.
+void run_soc_morning(SocPlatform& platform, sim::SimTime end) {
+  scenario::Env& env = platform.env;
+  attack::SeatSpinConfig spin;
+  spin.target = platform.target;
+  attack::SeatSpinBot spinner(env.app, env.actors, env.residential, env.population, spin,
+                              env.rng.fork("seat-spin-bot"));
+  attack::SmsPumpConfig pump_config;
+  pump_config.stop_at = end;
+  attack::SmsPumpBot pump(env.app, env.actors, env.residential, env.population, env.tariffs,
+                          pump_config, env.rng.fork("sms-pump"));
+  attack::OtpPumpConfig otp_config;
+  otp_config.stop_at = end;
+  attack::OtpPumpBot otp_pump(env.app, env.actors, env.residential, env.population, env.tariffs,
+                              otp_config, env.rng.fork("otp-pump"));
+  attack::RingOrchestrator ring(env.app, env.actors, env.residential, env.population,
+                                attack::RingConfig{}, env.rng.fork("ring"));
+  env.start_background(end);
+  env.sim.schedule_at(sim::hours(1), [&] { spinner.start(); });
+  env.sim.schedule_at(sim::hours(1), [&] { pump.start(); });
+  env.sim.schedule_at(sim::hours(1), [&] { otp_pump.start(); });
+  ring.start(end);
+  env.sim.schedule_at(sim::hours(2), [&] {
+    platform.controller.fit_nip_baseline(0, sim::hours(2));
+    platform.controller.start(end);
+  });
+  env.run_until(end);
+}
+
+// Stricter than "same bytes up to hash order": every part of a restored
+// platform re-checkpoints to exactly the bytes it was restored from.
+TEST(CheckpointStability, PlatformRestoreRecheckpointIsByteIdentical) {
+  fault::FaultRegistry& faults = fault::FaultRegistry::global();
+  faults.reset();
+  faults.arm("checkpoint.probe", fault::FaultScenario::probabilistic(0.5, 41));
+  SocPlatform live(47);
+  run_soc_morning(live, sim::hours(5));
+  ASSERT_GT(live.controller.fingerprints_blocked(), 0u);
+  ASSERT_GT(live.graph.node_count(), 0u);
+  const std::vector<std::string> parts = live.parts(faults);
+  faults.reset();
+
+  SocPlatform fresh(47);
+  fault::FaultRegistry fresh_faults;
+  const std::vector<std::string> names = {"actors",     "app",           "rules",
+                                          "controller", "fault registry", "graph"};
+  const auto restore_part = [&](std::size_t i, auto& component) {
+    util::ByteReader in(parts[i]);
+    component.restore(in);
+    EXPECT_TRUE(in.exhausted()) << names[i];
+  };
+  restore_part(0, fresh.env.actors);
+  restore_part(1, fresh.env.app);
+  restore_part(2, fresh.env.engine);
+  restore_part(3, fresh.controller);
+  restore_part(4, fresh_faults);
+  restore_part(5, fresh.graph);
+
+  const std::vector<std::string> again = fresh.parts(fresh_faults);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(again[i].size(), parts[i].size()) << names[i];
+    EXPECT_TRUE(again[i] == parts[i]) << names[i] << " re-checkpoints to different bytes";
+  }
+}
+
+// --- Hostile bytes ---------------------------------------------------------
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 62;
+
+// Every strict prefix of `frame`, and `frame` with the u64 count at
+// `count_offset` replaced by 2^62, must restore into `target` without
+// throwing and leave the reader failed.
+void expect_hostile_frames_fail(auto& target, const std::string& frame, std::size_t count_offset,
+                                const char* what) {
+  ASSERT_GE(frame.size(), count_offset + 8) << what;
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    util::ByteReader in(std::string_view(frame).substr(0, cut));
+    EXPECT_NO_THROW(target.restore(in)) << what << " cut at " << cut;
+    EXPECT_FALSE(in.ok()) << what << " cut at " << cut;
+  }
+  util::ByteWriter count;
+  count.u64(kHugeCount);
+  std::string huge = frame;
+  huge.replace(count_offset, 8, count.bytes());
+  util::ByteReader in(huge);
+  EXPECT_NO_THROW(target.restore(in)) << what;
+  EXPECT_FALSE(in.ok()) << what;
+}
+
+// Every top-level component after a short, lightly loaded run, plus a restore
+// target for each built the same way.
+struct HostileRig {
+  static scenario::EnvConfig env_config() {
+    scenario::EnvConfig config;
+    config.seed = 59;
+    config.legit.booking_sessions_per_hour = 2;
+    config.legit.browse_sessions_per_hour = 1;
+    config.legit.otp_logins_per_hour = 1;
+    return config;
+  }
+  static sim::ShardedSimulation::Config engine_config() {
+    sim::ShardedSimulation::Config config;
+    config.shards = 3;
+    return config;
+  }
+
+  HostileRig() {
+    env.add_flights("H", 2, 20, sim::days(3));
+    target_env.add_flights("H", 2, 20, sim::days(3));
+    env.app.set_tap(&ingest);
+    env.start_background(sim::hours(2));
+    env.sim.schedule_at(sim::hours(1), [this] {
+      controller.fit_nip_baseline(0, sim::hours(1));
+      controller.start(sim::hours(2));
+    });
+    env.run_until(sim::hours(2));
+    EXPECT_GT(graph.node_count(), 0u);
+    faults.arm("hostile.a", fault::FaultScenario::probabilistic(0.25, 3));
+    faults.arm("hostile.b", fault::FaultScenario::every_nth(4));
+    engine.run_until(sim::minutes(5));
+  }
+
+  scenario::Env env{env_config()};
+  mitigate::MitigationController controller{env.app, env.engine, {}};
+  detect::graph::EntityGraph graph;
+  detect::graph::GraphIngest ingest{graph};
+  fault::FaultRegistry faults;
+  sim::ShardedSimulation engine{engine_config()};
+
+  scenario::Env target_env{env_config()};
+  mitigate::MitigationController target_controller{target_env.app, target_env.engine, {}};
+  detect::graph::EntityGraph target_graph;
+  fault::FaultRegistry target_faults;
+  sim::ShardedSimulation target_engine{engine_config()};
+};
+
+// Offsets are each frame's first count (actors and the web log lead with a
+// u64 id counter; the sharded engine's shard count is a u32).
+TEST(CheckpointStability, ActorsRestoreFailsCleanlyOnHostileFrames) {
+  HostileRig rig;
+  expect_hostile_frames_fail(rig.target_env.actors, checkpoint_bytes(rig.env.actors), 8, "actors");
+}
+
+TEST(CheckpointStability, AppRestoreFailsCleanlyOnHostileFrames) {
+  HostileRig rig;
+  expect_hostile_frames_fail(rig.target_env.app, checkpoint_bytes(rig.env.app), 8, "app");
+}
+
+TEST(CheckpointStability, RulesRestoreFailsCleanlyOnHostileFrames) {
+  HostileRig rig;
+  expect_hostile_frames_fail(rig.target_env.engine, checkpoint_bytes(rig.env.engine), 0, "rules");
+}
+
+TEST(CheckpointStability, ControllerRestoreFailsCleanlyOnHostileFrames) {
+  HostileRig rig;
+  expect_hostile_frames_fail(rig.target_controller, checkpoint_bytes(rig.controller), 0,
+                             "controller");
+}
+
+TEST(CheckpointStability, FaultRegistryRestoreFailsCleanlyOnHostileFrames) {
+  HostileRig rig;
+  expect_hostile_frames_fail(rig.target_faults, checkpoint_bytes(rig.faults), 0,
+                             "fault registry");
+}
+
+TEST(CheckpointStability, GraphRestoreFailsCleanlyOnHostileFrames) {
+  HostileRig rig;
+  expect_hostile_frames_fail(rig.target_graph, checkpoint_bytes(rig.graph), 0, "graph");
+}
+
+TEST(CheckpointStability, ShardedSimulationRestoreFailsCleanlyOnHostileFrames) {
+  HostileRig rig;
+  expect_hostile_frames_fail(rig.target_engine, checkpoint_bytes(rig.engine), 0,
+                             "sharded engine");
+}
+
+TEST(CheckpointStability, ReplayOfHostileCheckpointRecordIsJournalCorrupt) {
+  scenario::RecordedScenarioConfig config;
+  config.seed = 61;
+  config.horizon = sim::hours(2);
+  config.flights = 2;
+  config.capacity = 20;
+  config.checkpoint_every = 0;
+
+  // A well-framed journal whose only checkpoint record carries an actors
+  // frame followed by a web log that claims 2^62 requests.
+  util::ByteWriter blob;
+  blob.u64(1);  // actors: next id
+  blob.u64(0);  // actors: no registrations
+  blob.u64(1);  // web log: next id
+  blob.u64(kHugeCount);
+  const std::string path = testing::TempDir() + "hostile-checkpoint.journal";
+  {
+    journal::JournalWriter writer;
+    ASSERT_TRUE(writer.open(path, config.seed, scenario::config_digest(config)).is_ok());
+    journal::RecordingJournal recording(writer);
+    recording.checkpoint_blob(sim::hours(1), blob.bytes());
+    ASSERT_TRUE(writer.close().is_ok());
+  }
+
+  scenario::ReplayOptions from_checkpoint;
+  from_checkpoint.from_last_checkpoint = true;
+  util::Result<scenario::RunArtifacts> replayed =
+      util::Result<scenario::RunArtifacts>::fail(util::ErrorCode::kUnknown, "not run");
+  ASSERT_NO_THROW(replayed = scenario::replay_run(config, path, from_checkpoint));
+  ASSERT_FALSE(replayed.has_value());
+  EXPECT_EQ(replayed.code(), util::ErrorCode::kJournalCorrupt) << replayed.error();
+  fault::FaultRegistry::global().reset();
 }
 
 }  // namespace

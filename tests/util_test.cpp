@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "util/archive.hpp"
 #include "util/hash.hpp"
 #include "util/ids.hpp"
 #include "util/intern.hpp"
@@ -425,6 +430,90 @@ TEST(Format, AsciiBar) {
   EXPECT_EQ(ascii_bar(1.0, 10), "##########");
   EXPECT_EQ(ascii_bar(0.5, 10).substr(0, 5), "#####");
   EXPECT_EQ(ascii_bar(2.0, 4), "####");  // clamped
+}
+
+// --- Archive ------------------------------------------------------------------
+
+enum class Color : std::uint8_t { Red, Green, Blue };
+
+struct Sample {
+  bool flag = false;
+  std::uint16_t narrow = 0;
+  int wide = 0;
+  Color color = Color::Red;
+  double ratio = 0.0;
+  std::string name;
+  std::optional<std::uint32_t> maybe;
+  std::vector<std::int64_t> times;
+  std::map<std::string, std::uint8_t> ordered;
+  std::unordered_map<std::uint64_t, std::string> hashed;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(flag, narrow, wide, color, ratio, name, maybe, times, ordered, hashed);
+  }
+};
+
+TEST(Archive, TypePicksTheEncoding) {
+  Sample sample;
+  sample.flag = true;
+  sample.narrow = 0x0102;
+  sample.wide = -2;
+  sample.color = Color::Blue;
+  sample.ratio = 0.5;
+  sample.name = "ab";
+  sample.maybe = 7;
+  sample.times = {3};
+  sample.ordered = {{"z", 1}, {"y", 2}};
+  for (const std::uint64_t key : {9u, 4u, 6u}) sample.hashed[key] = std::string(1, 'a' + key % 3);
+
+  ByteWriter expected;
+  expected.boolean(true);
+  expected.u16(0x0102);
+  expected.i64(-2);
+  expected.u8(2);
+  expected.f64(0.5);
+  expected.str("ab");
+  expected.boolean(true);
+  expected.u32(7);
+  expected.u64(1);
+  expected.i64(3);
+  expected.u64(2);
+  expected.str("y");
+  expected.u8(2);
+  expected.str("z");
+  expected.u8(1);
+  expected.u64(3);  // unordered_map: sorted by key
+  for (const std::uint64_t key : {4u, 6u, 9u}) {
+    expected.u64(key);
+    expected.str(std::string(1, 'a' + key % 3));
+  }
+
+  ByteWriter out;
+  out(sample);
+  EXPECT_EQ(out.bytes(), expected.bytes());
+
+  Sample restored;
+  ByteReader in(out.bytes());
+  in(restored);
+  ASSERT_TRUE(in.exhausted());
+  ByteWriter again;
+  again(restored);
+  EXPECT_EQ(again.bytes(), out.bytes());
+}
+
+TEST(Archive, ReaderStopsAtTheFirstFailedRead) {
+  // A count no payload could hold: the loop ends at the first failed read,
+  // without reserving 2^62 elements.
+  ByteWriter out;
+  out.u64(std::uint64_t{1} << 62);
+  out.i64(5);
+  std::vector<std::int64_t> values;
+  ByteReader in(out.bytes());
+  in(values);
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(values, std::vector<std::int64_t>{5});
+  EXPECT_LT(values.capacity(), 64u);
 }
 
 }  // namespace
