@@ -18,19 +18,23 @@ namespace {
 
 // --- Inventory conservation across hold durations and capacities -------------------
 
+// Every field is 64 bits wide so the struct has no padding: gtest prints the
+// parameter as a byte dump, and that dump is part of the discovered test name,
+// so padding bytes would make the names differ between builds.
 struct InventoryParams {
-  int capacity;
+  std::int64_t capacity;
   sim::SimDuration hold;
-  int max_nip;
+  std::int64_t max_nip;
   std::uint64_t seed;
 };
+static_assert(sizeof(InventoryParams) == 4 * sizeof(std::int64_t));
 
 class InventoryProperty : public ::testing::TestWithParam<InventoryParams> {};
 
 TEST_P(InventoryProperty, ConservationAndMonotonicClock) {
   const auto p = GetParam();
-  airline::InventoryManager inv({p.hold, p.max_nip}, sim::Rng(p.seed));
-  const auto flight = inv.add_flight("T", 1, p.capacity, sim::days(30));
+  airline::InventoryManager inv({p.hold, static_cast<int>(p.max_nip)}, sim::Rng(p.seed));
+  const auto flight = inv.add_flight("T", 1, static_cast<int>(p.capacity), sim::days(30));
   sim::Rng rng(p.seed ^ 0xABCD);
   std::vector<std::string> pnrs;
 
