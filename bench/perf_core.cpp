@@ -13,6 +13,10 @@
 //   ns_admit_full           wall ns per request through Application::admit
 //                           with the paper's five §V rate limits active
 //   ns_score_<family>       wall ns per session-score for each detector
+//   ns_name_patterns_per_reservation
+//                           wall ns per reservation through
+//                           NamePatternAnalyzer::analyze on a 4,000-reservation
+//                           window with planted misspelling clusters
 //   arena_allocs_per_admit / arena_bytes_per_admit
 //                           per-request rate-key arena traffic
 //   arena_chunk_allocs      heap chunks the key arena ever acquired (steady
@@ -219,7 +223,7 @@ void BM_NamePatternAnalysis(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NamePatternAnalysis)->Arg(200)->Arg(1000);
+BENCHMARK(BM_NamePatternAnalysis)->Arg(200)->Arg(1000)->Arg(4000);
 
 // End-to-end phase breakdown: a small scenario driven with profiling on, so
 // the report covers the simulation event loop, every detector family, and the
@@ -386,6 +390,41 @@ std::vector<std::pair<std::string, double>> measure_detector_ns(bool smoke) {
   return out;
 }
 
+// Wall ns per reservation through NamePatternAnalyzer::analyze. The window
+// is large enough for misspelling clustering to face thousands of distinct
+// name keys: seeded random_party traffic, plus eight hand-typed campaign
+// identities whose lead passenger recurs in a tenth of the bookings, half of
+// the time with a one-character surname typo.
+double measure_ns_name_patterns(int reps) {
+  constexpr int kReservations = 4000;
+  sim::Rng rng(13);
+  std::vector<airline::Passenger> campaigns;
+  for (int i = 0; i < 8; ++i) campaigns.push_back(workload::random_passenger(rng));
+  std::vector<airline::Reservation> reservations;
+  for (int i = 0; i < kReservations; ++i) {
+    airline::Reservation r;
+    r.pnr = "N";
+    r.pnr += std::to_string(i);  // "N" + to_string trips gcc 12's -Wrestrict false positive
+    r.passengers = workload::random_party(rng, 2);
+    if (rng.bernoulli(0.1)) {
+      airline::Passenger lead = rng.pick(campaigns);
+      if (rng.bernoulli(0.5)) lead.surname = workload::misspell(rng, lead.surname);
+      r.passengers.front() = std::move(lead);
+    }
+    reservations.push_back(std::move(r));
+  }
+  const detect::NamePatternAnalyzer analyzer;
+  const auto sample = [&] {
+    const auto t0 = GateClock::now();
+    const auto findings = analyzer.analyze(reservations);
+    const auto t1 = GateClock::now();
+    benchmark::DoNotOptimize(findings);
+    return elapsed_ns(t0, t1) / kReservations;
+  };
+  (void)sample();  // warmup
+  return median_of(reps, sample);
+}
+
 int run_gate(const bench::Options& options) {
   const bool smoke = options.smoke;
   const int reps = smoke ? 3 : 5;
@@ -408,6 +447,9 @@ int run_gate(const bench::Options& options) {
 
   std::cerr << "[gate] detector scoring...\n";
   for (auto& m : measure_detector_ns(smoke)) metrics.push_back(std::move(m));
+
+  std::cerr << "[gate] name patterns at window scale...\n";
+  metrics.emplace_back("ns_name_patterns_per_reservation", measure_ns_name_patterns(reps));
 
   const std::string path = options.out_dir.empty() ? "BENCH_core.json" : options.out_dir;
   std::ofstream out(path);

@@ -1,6 +1,7 @@
 #include "airline/passenger.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -16,8 +17,12 @@ std::string party_key(const std::vector<Passenger>& party) {
   std::vector<std::string> keys;
   keys.reserve(party.size());
   for (const auto& p : party) keys.push_back(p.name_key());
-  std::sort(keys.begin(), keys.end());
-  return util::join(keys, "+");
+  return party_key(std::move(keys));
+}
+
+std::string party_key(std::vector<std::string> name_keys) {
+  std::sort(name_keys.begin(), name_keys.end());
+  return util::join(name_keys, "+");
 }
 
 }  // namespace fraudsim::airline

@@ -34,5 +34,7 @@ struct Passenger {
 // Two bookings holding the same people in a different order share this key —
 // the signature of the manual attack in §IV-B (Airline C).
 [[nodiscard]] std::string party_key(const std::vector<Passenger>& party);
+// The same key from the party's name_key()s, in any order.
+[[nodiscard]] std::string party_key(std::vector<std::string> name_keys);
 
 }  // namespace fraudsim::airline

@@ -5,7 +5,8 @@
 //   * repeated identities         (same name across many reservations)
 //   * birthdate rotation          (same name, systematically varied birthdate)
 //   * permuted fixed sets         (same people, shuffled order across PNRs)
-//   * misspelling clusters        (hand-typed variants within edit distance 1)
+//   * misspelling clusters        (hand-typed variants within edit distance 1,
+//                                  found through a one-byte-deletion index)
 #pragma once
 
 #include <map>
@@ -56,6 +57,8 @@ class NamePatternAnalyzer {
       const std::vector<airline::Reservation>& reservations) const;
 
   // Emits one alert per flagged PNR.
+  void analyze(const std::vector<const airline::Reservation*>& reservations,
+               AlertSink& sink) const;
   void analyze(const std::vector<airline::Reservation>& reservations, AlertSink& sink) const;
 
   [[nodiscard]] const NamePatternConfig& config() const { return config_; }

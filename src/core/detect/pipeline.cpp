@@ -335,9 +335,9 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
       [this](const RequestView& view, AlertSink& alerts) {
         NamePatternAnalyzer names(config_.names);
         // Window-scope the reservations for identity analysis.
-        std::vector<airline::Reservation> window;
+        std::vector<const airline::Reservation*> window;
         for (const auto& r : view.application.inventory().reservations()) {
-          if (r.created >= view.from && r.created < view.to) window.push_back(r);
+          if (r.created >= view.from && r.created < view.to) window.push_back(&r);
         }
         names.analyze(window, alerts);
       });

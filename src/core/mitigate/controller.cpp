@@ -66,9 +66,9 @@ void MitigationController::sweep() {
   // legitimate users).
   detect::AlertSink sink;
   nip_detector_.analyze(app_.inventory().reservations(), from, now, sink);
-  std::vector<airline::Reservation> window;
+  std::vector<const airline::Reservation*> window;
   for (const auto& r : app_.inventory().reservations()) {
-    if (r.created >= from && r.created < now) window.push_back(r);
+    if (r.created >= from && r.created < now) window.push_back(&r);
   }
   name_analyzer_.analyze(window, sink);
   if (config_.block_flagged_fingerprints) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "fingerprint/population.hpp"
 
 #include "core/detect/behavior.hpp"
@@ -8,6 +15,7 @@
 #include "core/detect/name_patterns.hpp"
 #include "core/detect/nip_anomaly.hpp"
 #include "core/detect/sms_anomaly.hpp"
+#include "util/strings.hpp"
 #include "workload/names.hpp"
 
 namespace fraudsim::detect {
@@ -339,15 +347,177 @@ TEST(NamePatterns, FlagsPermutedFixedSet) {
 }
 
 TEST(NamePatterns, FlagsMisspellingClusters) {
-  // The same surname with hand-typo variants across bookings.
+  // The same surname with hand-typo variants across bookings. A transposed
+  // surname is two edits away and stays out of the cluster.
   std::vector<airline::Reservation> reservations;
   reservations.push_back(reservation_with({{"Anna", "Martinez", {1990, 1, 1}, ""}}, "MS1"));
   reservations.push_back(reservation_with({{"Anna", "Martinez", {1990, 1, 1}, ""}}, "MS2"));
   reservations.push_back(reservation_with({{"Anna", "Martines", {1990, 1, 1}, ""}}, "MS3"));
   reservations.push_back(reservation_with({{"Anna", "Martinex", {1990, 1, 1}, ""}}, "MS4"));
+  reservations.push_back(reservation_with({{"Anna", "Matrinez", {1990, 1, 1}, ""}}, "MS5"));
   NamePatternAnalyzer analyzer;
   const auto findings = analyzer.analyze(reservations);
-  EXPECT_GE(findings.misspelling_cluster.size(), 4u);
+  EXPECT_EQ(findings.misspelling_cluster, (std::set<std::string>{"MS1", "MS2", "MS3", "MS4"}));
+}
+
+// Reference analyzer for the property test below: every name key compared
+// with every key that repeats (R x K edit-distance checks), and every key
+// rebuilt from the passenger at each use.
+NamePatternFindings brute_force_findings(const std::vector<airline::Reservation>& reservations) {
+  const NamePatternConfig config;
+  NamePatternFindings findings;
+  std::unordered_map<std::string, std::vector<const airline::Reservation*>> by_name_key;
+  std::unordered_map<std::string, std::vector<const airline::Reservation*>> by_identity_key;
+  std::unordered_map<std::string, std::set<std::string>> birthdates_by_name;
+  std::unordered_map<std::string, std::vector<const airline::Reservation*>> by_party_key;
+  std::size_t total_name_instances = 0;
+  for (const auto& r : reservations) {
+    for (const auto& p : r.passengers) {
+      by_name_key[p.name_key()].push_back(&r);
+      by_identity_key[p.identity_key()].push_back(&r);
+      birthdates_by_name[p.name_key()].insert(p.birthdate.str());
+      ++total_name_instances;
+    }
+    by_party_key[airline::party_key(r.passengers)].push_back(&r);
+  }
+  const double share_floor =
+      config.name_share_threshold * static_cast<double>(total_name_instances);
+
+  for (const auto& r : reservations) {
+    double total = 0.0;
+    std::size_t n = 0;
+    for (const auto& p : r.passengers) {
+      total += util::gibberish_score(p.first_name);
+      total += util::gibberish_score(p.surname);
+      n += 2;
+    }
+    if (n > 0 && total / static_cast<double>(n) >= config.gibberish_threshold) {
+      findings.gibberish.insert(r.pnr);
+    }
+  }
+  for (const auto& [key, rs] : by_identity_key) {
+    if (rs.size() < config.repeat_threshold) continue;
+    for (const auto* r : rs) findings.repeated_identity.insert(r->pnr);
+  }
+  for (const auto& [key, rs] : by_name_key) {
+    if (rs.size() < config.repeat_threshold) continue;
+    if (static_cast<double>(rs.size()) < share_floor) continue;
+    if (birthdates_by_name[key].size() >= config.birthdate_variants) {
+      for (const auto* r : rs) findings.birthdate_rotation.insert(r->pnr);
+    }
+  }
+  for (const auto& [key, rs] : by_party_key) {
+    if (rs.size() < config.party_repeat_threshold) continue;
+    for (const auto* r : rs) findings.permuted_party.insert(r->pnr);
+  }
+
+  std::vector<std::string> keys;
+  keys.reserve(by_name_key.size());
+  for (const auto& [key, rs] : by_name_key) keys.push_back(key);
+  for (const auto& [key, rs] : by_name_key) {
+    if (rs.size() < 2) continue;
+    std::size_t cluster = rs.size();
+    std::vector<const std::string*> variants;
+    for (const auto& other : keys) {
+      if (other == key) continue;
+      if (util::within_edit_distance(key, other, 1)) {
+        cluster += by_name_key[other].size();
+        variants.push_back(&other);
+      }
+    }
+    if (variants.empty() || cluster < config.misspell_cluster_size) continue;
+    if (static_cast<double>(cluster) < share_floor) continue;
+    for (const auto* r : rs) findings.misspelling_cluster.insert(r->pnr);
+    for (const auto* v : variants) {
+      for (const auto* r : by_name_key[*v]) findings.misspelling_cluster.insert(r->pnr);
+    }
+  }
+  return findings;
+}
+
+// One byte-level edit of `s` at `pos`: 0 substitutes, 1 inserts before,
+// 2 deletes, 3 swaps with the next byte (two edits unless the bytes match).
+std::string edit_at(std::string s, std::size_t pos, int op, char c) {
+  if (s.empty()) return op == 1 ? std::string(1, c) : s;
+  pos = std::min(pos, s.size() - 1);
+  switch (op) {
+    case 0: s[pos] = s[pos] == c ? static_cast<char>(c + 1) : c; break;
+    case 1: s.insert(pos, 1, c); break;
+    case 2: s.erase(pos, 1); break;
+    default:
+      if (pos + 1 == s.size()) pos = pos == 0 ? 0 : pos - 1;
+      if (pos + 1 < s.size()) std::swap(s[pos], s[pos + 1]);
+      break;
+  }
+  return s;
+}
+
+// A seeded window of `n` reservations: pooled background parties, campaign
+// bases repeated and hand-edited at their first, middle and last byte
+// (transpositions included), UTF-8 and empty names, and a dense region of
+// 0-3 byte names where nearly every key neighbours another.
+std::vector<airline::Reservation> random_name_window(std::uint64_t seed, int n) {
+  sim::Rng rng(seed);
+  std::vector<airline::Passenger> bases = {
+      {"José", "Müller", {1980, 5, 5}, ""}, {"李", "王", {1981, 6, 6}, ""},
+      {"", "", {1982, 7, 7}, ""},           {"a", "", {1983, 8, 8}, ""},
+      {"", "b", {1984, 9, 9}, ""},          {"Zoë", "Ångström", {1985, 10, 10}, ""}};
+  for (int i = 0; i < 1 + n / 200; ++i) bases.push_back(workload::random_passenger(rng));
+  const auto planted = [&]() -> airline::Passenger {
+    airline::Passenger p = bases[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bases.size()) - 1))];
+    if (rng.bernoulli(0.3)) p.birthdate = airline::random_birthdate(rng);
+    if (rng.bernoulli(0.4)) return p;  // exact repeat
+    std::string& field = rng.bernoulli(0.5) ? p.first_name : p.surname;
+    const std::size_t len = field.size();
+    const std::size_t positions[] = {0, len / 2, len == 0 ? 0 : len - 1, len};
+    const std::size_t pos = positions[rng.uniform_int(0, 3)];
+    const int op = static_cast<int>(rng.uniform_int(0, 3));
+    field = edit_at(field, pos, op, static_cast<char>('a' + rng.uniform_int(0, 25)));
+    if (rng.bernoulli(0.1)) field = util::to_upper(field);
+    return p;
+  };
+  const auto dense = [&]() -> airline::Passenger {
+    std::string first;
+    for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i) {
+      first += rng.bernoulli(0.5) ? 'a' : 'b';
+    }
+    return {first, "", airline::random_birthdate(rng), ""};
+  };
+  std::vector<airline::Reservation> reservations;
+  for (int i = 0; i < n; ++i) {
+    std::vector<airline::Passenger> party;
+    const double kind = rng.uniform();
+    if (kind < 0.5) {
+      party = workload::random_party(rng, static_cast<int>(rng.uniform_int(1, 3)));
+    } else {
+      for (std::int64_t j = rng.uniform_int(1, 3); j > 0; --j) {
+        party.push_back(kind < 0.9 ? planted() : dense());
+      }
+    }
+    reservations.push_back(reservation_with(party, "W" + std::to_string(i)));
+  }
+  return reservations;
+}
+
+TEST(NamePatterns, MisspellingIndexMatchesBruteForce) {
+  const NamePatternAnalyzer analyzer;
+  std::size_t clustered = 0;
+  for (const int n : {50, 120, 300, 700, 1500, 3000}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      const auto window = random_name_window(seed * 7919 + static_cast<std::uint64_t>(n), n);
+      const NamePatternFindings expected = brute_force_findings(window);
+      const NamePatternFindings actual = analyzer.analyze(window);
+      EXPECT_EQ(actual.gibberish, expected.gibberish);
+      EXPECT_EQ(actual.repeated_identity, expected.repeated_identity);
+      EXPECT_EQ(actual.birthdate_rotation, expected.birthdate_rotation);
+      EXPECT_EQ(actual.permuted_party, expected.permuted_party);
+      EXPECT_EQ(actual.misspelling_cluster, expected.misspelling_cluster);
+      clustered += expected.misspelling_cluster.size();
+    }
+  }
+  EXPECT_GT(clustered, 0u);  // the planted clusters fire
 }
 
 TEST(NamePatterns, CleanTrafficStaysClean) {
