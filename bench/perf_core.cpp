@@ -17,6 +17,10 @@
 //                           wall ns per reservation through
 //                           NamePatternAnalyzer::analyze on a 4,000-reservation
 //                           window with planted misspelling clusters
+//   ns_checkpoint_frame_per_kib
+//                           wall ns per KiB of blob to checkpoint the 6 h
+//                           gate scenario's platform and append the blob
+//                           as a Checkpoint frame to a journal
 //   arena_allocs_per_admit / arena_bytes_per_admit
 //                           per-request rate-key arena traffic
 //   arena_chunk_allocs      heap chunks the key arena ever acquired (steady
@@ -28,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -39,6 +44,7 @@
 #include "core/detect/behavior.hpp"
 #include "core/detect/name_patterns.hpp"
 #include "core/detect/pipeline.hpp"
+#include "core/journal/recording.hpp"
 #include "core/mitigate/controller.hpp"
 #include "core/mitigate/rate_limit.hpp"
 #include "core/mitigate/rules.hpp"
@@ -425,6 +431,47 @@ double measure_ns_name_patterns(int reps) {
   return median_of(reps, sample);
 }
 
+// Wall ns per KiB of blob on the defence loop's restore-point path: the
+// 6 h gate scenario's platform (actors, application, rule engine) serialised
+// and appended as a Checkpoint frame to a journal in the temp directory.
+double measure_ns_checkpoint_frame(bool smoke, int reps) {
+  const sim::SimTime horizon = smoke ? sim::hours(2) : sim::hours(6);
+  scenario::EnvConfig config;
+  config.seed = 7;
+  scenario::Env env(config);
+  env.add_flights("FS", 4, 180, sim::days(10));
+  env.start_background(horizon);
+  env.run_until(horizon);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fraudsim-gate-checkpoint.journal").string();
+  const auto check = [&path](const util::Status& status) {
+    if (status.is_ok()) return;
+    std::cerr << "[gate] checkpoint frame: " << status.error() << " (" << path << ")\n";
+    std::exit(1);
+  };
+  const auto sample = [&] {
+    journal::JournalWriter writer;
+    check(writer.open(path, config.seed, 0));
+    journal::RecordingJournal recording(writer);
+    const auto t0 = GateClock::now();
+    util::ByteWriter state;
+    env.actors.checkpoint(state);
+    env.app.checkpoint(state);
+    env.engine.checkpoint(state);
+    recording.checkpoint_blob(horizon, state.bytes());
+    const auto t1 = GateClock::now();
+    check(recording.status());
+    check(writer.close());
+    return elapsed_ns(t0, t1) / (static_cast<double>(state.size()) / 1024.0);
+  };
+  (void)sample();  // warmup
+  const double ns = median_of(reps, sample);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  return ns;
+}
+
 int run_gate(const bench::Options& options) {
   const bool smoke = options.smoke;
   const int reps = smoke ? 3 : 5;
@@ -450,6 +497,9 @@ int run_gate(const bench::Options& options) {
 
   std::cerr << "[gate] name patterns at window scale...\n";
   metrics.emplace_back("ns_name_patterns_per_reservation", measure_ns_name_patterns(reps));
+
+  std::cerr << "[gate] checkpoint frame...\n";
+  metrics.emplace_back("ns_checkpoint_frame_per_kib", measure_ns_checkpoint_frame(smoke, reps));
 
   const std::string path = options.out_dir.empty() ? "BENCH_core.json" : options.out_dir;
   std::ofstream out(path);

@@ -1,11 +1,12 @@
 #include "core/chaos/chaos.hpp"
 
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/fault/crash.hpp"
 #include "core/recover/atomic_file.hpp"
 #include "sim/rng.hpp"
+#include "util/file.hpp"
 #include "util/format.hpp"
 #include "util/hash.hpp"
 
@@ -170,21 +171,17 @@ util::Status write_chaos_repro(const std::string& path, const ChaosRepro& repro)
   payload.raw(std::string_view(kReproMagic, sizeof(kReproMagic)));
   payload.u64(repro.scenario_seed);
   repro.schedule.checkpoint(payload);
-  util::ByteWriter framed;
-  framed.raw(payload.bytes());
-  framed.u32(util::crc32(payload.bytes()));
-  auto written = recover::AtomicFile::write(path, framed.bytes(), /*now=*/0);
+  payload.u32(util::crc32(payload.bytes()));
+  auto written = recover::AtomicFile::write(path, payload.bytes(), /*now=*/0);
   if (!written) return util::Status::fail(written.code(), written.error());
   return util::Status::ok();
 }
 
 util::Result<ChaosRepro> read_chaos_repro(const std::string& path) {
   using R = util::Result<ChaosRepro>;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return R::fail(util::ErrorCode::kNotFound, "repro: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
+  const std::optional<std::string> file = util::read_file(path);
+  if (!file) return R::fail(util::ErrorCode::kNotFound, "repro: cannot open " + path);
+  const std::string& bytes = *file;
   if (bytes.size() < sizeof(kReproMagic) + sizeof(std::uint32_t)) {
     return R::fail(util::ErrorCode::kJournalCorrupt, "repro: file truncated");
   }

@@ -1,9 +1,10 @@
 #include "core/journal/journal.hpp"
 
 #include <filesystem>
-#include <sstream>
+#include <optional>
 
 #include "core/fault/crash.hpp"
+#include "util/file.hpp"
 #include "util/hash.hpp"
 
 namespace fraudsim::journal {
@@ -65,7 +66,7 @@ util::Status JournalWriter::open(const std::string& path, std::uint64_t seed,
 }
 
 util::Status JournalWriter::append(RecordKind kind, sim::SimTime time,
-                                   const util::ByteWriter& fields) {
+                                   const util::ByteWriter& fields, std::string_view tail) {
   if (failed_) {
     return util::Status::fail(util::ErrorCode::kIoWriteFailed,
                               "journal: writer failed earlier; append refused");
@@ -73,30 +74,39 @@ util::Status JournalWriter::append(RecordKind kind, sim::SimTime time,
   if (!out_.is_open()) {
     return util::Status::fail(util::ErrorCode::kIoWriteFailed, "journal: writer not open");
   }
-  util::ByteWriter payload;
-  payload.u8(static_cast<std::uint8_t>(kind));
-  payload.i64(time);
-  payload.raw(fields.bytes());
-
-  util::ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(util::crc32(payload.bytes()));
-  frame.raw(payload.bytes());
+  // The payload (kind | time | fields | tail) is never assembled: its CRC
+  // continues over the pieces, and the 17-byte head (len | crc | kind |
+  // time) and the pieces go to the stream one after another.
+  util::ByteWriter prefix;
+  prefix.u8(static_cast<std::uint8_t>(kind));
+  prefix.i64(time);
+  const std::uint32_t crc = util::crc32_append(
+      util::crc32_append(util::crc32(prefix.bytes()), fields.bytes()), tail);
+  util::ByteWriter head;
+  head.u32(static_cast<std::uint32_t>(prefix.size() + fields.size() + tail.size()));
+  head.u32(crc);
+  head.raw(prefix.bytes());
 
   const char* crash_point = kind == RecordKind::Checkpoint ? fault::kCrashJournalCheckpoint
                                                            : fault::kCrashJournalFrame;
   if (fault::crash_due(crash_point, time)) {
     // Simulated kill mid-append: a torn prefix of the frame reaches disk and
     // the writer latches failed so a catch-and-continue cannot keep going.
+    std::string frame = head.bytes();
+    frame += fields.bytes();
+    frame += tail;
     const auto& point = fault::FaultRegistry::global().point(crash_point);
     const std::size_t cut = fault::torn_prefix(frame.size(), point.hits());
-    out_.write(frame.bytes().data(), static_cast<std::streamsize>(cut));
+    out_.write(frame.data(), static_cast<std::streamsize>(cut));
     out_.flush();
     failed_ = true;
     throw fault::SimCrash(crash_point, time);
   }
 
-  out_.write(frame.bytes().data(), static_cast<std::streamsize>(frame.size()));
+  for (const std::string_view piece : {std::string_view(head.bytes()),
+                                       std::string_view(fields.bytes()), tail}) {
+    out_.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  }
   if (out_.fail()) {
     failed_ = true;
     return util::Status::fail(util::ErrorCode::kIoWriteFailed,
@@ -134,13 +144,11 @@ util::Status JournalReader::open(const std::string& path) {
   recovered_ = false;
   records_.clear();
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  const std::optional<std::string> file = util::read_file(path);
+  if (!file) {
     return util::Status::fail(util::ErrorCode::kNotFound, "journal: cannot open " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
+  const std::string& bytes = *file;
 
   if (bytes.size() < sizeof(kMagic) ||
       std::string_view(bytes.data(), sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
@@ -214,13 +222,11 @@ util::Status JournalReader::open(const std::string& path) {
 
 util::Result<JournalScan> scan_journal(const std::string& path) {
   using R = util::Result<JournalScan>;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  const std::optional<std::string> file = util::read_file(path);
+  if (!file) {
     return R::fail(util::ErrorCode::kNotFound, "journal: cannot open " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
+  const std::string& bytes = *file;
 
   if (bytes.size() < sizeof(kMagic) ||
       std::string_view(bytes.data(), sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {

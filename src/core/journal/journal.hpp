@@ -11,16 +11,18 @@
 // a digest of the scenario configuration, so a reader can refuse to replay a
 // journal against the wrong platform build-out.
 //
-// Durability model: a crashed recorder leaves at most one torn frame at the
-// tail (the file is append-only and frames are written atomically from
-// memory). On open the reader drops a final frame that is truncated or fails
-// its CRC and reports `recovered_torn_tail()`; a bad CRC anywhere *before*
-// the tail is real corruption and fails the open with kJournalCorrupt.
+// Durability model: the file is append-only and frames are appended in
+// order, each one complete before the next begins, so a crashed recorder
+// leaves at most one torn frame at the tail: any prefix of the last frame.
+// On open the reader drops a final frame that is truncated or fails its CRC
+// and reports `recovered_torn_tail()`; a bad CRC anywhere *before* the tail
+// is real corruption and fails the open with kJournalCorrupt.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -81,8 +83,10 @@ class JournalWriter {
   util::Status open(const std::string& path, std::uint64_t seed, std::uint64_t config_digest);
 
   // Frames and appends one record. `fields` is the record body after the
-  // kind/time prefix (pass an empty writer for field-less records).
-  util::Status append(RecordKind kind, sim::SimTime time, const util::ByteWriter& fields);
+  // kind/time prefix (pass an empty writer for field-less records); `tail`
+  // follows `fields` verbatim, so a large blob reaches the file uncopied.
+  util::Status append(RecordKind kind, sim::SimTime time, const util::ByteWriter& fields,
+                      std::string_view tail = {});
 
   // Flushes and closes; reports deferred write errors.
   util::Status close();

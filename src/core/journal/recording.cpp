@@ -141,9 +141,9 @@ ControllerFitRecord decode_controller_fit(util::ByteReader& in) {
 }
 
 void RecordingJournal::append(RecordKind kind, sim::SimTime time,
-                              const util::ByteWriter& fields) {
+                              const util::ByteWriter& fields, std::string_view tail) {
   if (!status_.is_ok()) return;  // latched: stop at the first torn frame
-  if (auto s = writer_.append(kind, time, fields); !s.is_ok()) status_ = std::move(s);
+  if (auto s = writer_.append(kind, time, fields, tail); !s.is_ok()) status_ = std::move(s);
 }
 
 void RecordingJournal::on_browse(sim::SimTime time, const app::ClientContext& ctx,
@@ -276,10 +276,11 @@ void RecordingJournal::mitigation_action(sim::SimTime time, const std::string& k
   append(RecordKind::MitigationAction, time, w);
 }
 
-void RecordingJournal::checkpoint_blob(sim::SimTime time, const std::string& blob) {
+void RecordingJournal::checkpoint_blob(sim::SimTime time, std::string_view blob) {
+  // The str() encoding, with the blob passed through as the frame's tail.
   util::ByteWriter w;
-  w.str(blob);
-  append(RecordKind::Checkpoint, time, w);
+  w.u32(static_cast<std::uint32_t>(blob.size()));
+  append(RecordKind::Checkpoint, time, w, blob);
 }
 
 }  // namespace fraudsim::journal

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/actors.hpp"
@@ -150,10 +151,11 @@ class RecordingJournal final : public app::CallJournal {
   void mitigation_sweep(sim::SimTime time);
   void controller_fit(sim::SimTime time, sim::SimTime from, sim::SimTime to);
   void mitigation_action(sim::SimTime time, const std::string& kind, const std::string& detail);
-  void checkpoint_blob(sim::SimTime time, const std::string& blob);
+  void checkpoint_blob(sim::SimTime time, std::string_view blob);
 
  private:
-  void append(RecordKind kind, sim::SimTime time, const util::ByteWriter& fields);
+  void append(RecordKind kind, sim::SimTime time, const util::ByteWriter& fields,
+              std::string_view tail = {});
 
   JournalWriter& writer_;
   util::Status status_ = util::Status::ok();

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/fault/crash.hpp"
+#include "util/file.hpp"
 #include "util/hash.hpp"
 
 namespace fraudsim::recover {
@@ -14,15 +16,6 @@ namespace fraudsim::recover {
 namespace {
 
 constexpr char kHeaderLine[] = "fraudsim-manifest v1";
-
-std::string read_file(const std::string& path, bool& ok) {
-  std::ifstream in(path, std::ios::binary);
-  ok = in.is_open();
-  if (!ok) return {};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
@@ -146,13 +139,12 @@ util::Result<Manifest> Manifest::parse(std::string_view text) {
 }
 
 util::Result<Manifest> Manifest::load(const std::string& path) {
-  bool ok = false;
-  const std::string text = read_file(path, ok);
-  if (!ok) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) {
     return util::Result<Manifest>::fail(util::ErrorCode::kNotFound,
                                         "manifest: cannot open " + path);
   }
-  return parse(text);
+  return parse(*text);
 }
 
 util::Status Manifest::write(const std::string& dir, sim::SimTime now) const {
@@ -181,13 +173,12 @@ ManifestAudit audit_artifacts(const Manifest& manifest, const std::string& dir) 
   ManifestAudit audit;
   for (const auto& entry : manifest.artifacts) {
     const std::string path = (std::filesystem::path(dir) / entry.path).string();
-    bool ok = false;
-    const std::string content = read_file(path, ok);
-    if (!ok) {
+    const std::optional<std::string> content = util::read_file(path);
+    if (!content) {
       audit.missing.push_back(entry.path);
       continue;
     }
-    if (content.size() != entry.size || util::crc32(content) != entry.crc) {
+    if (content->size() != entry.size || util::crc32(*content) != entry.crc) {
       audit.mismatched.push_back(entry.path);
       continue;
     }

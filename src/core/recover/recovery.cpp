@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/journal/journal.hpp"
 #include "core/recover/manifest.hpp"
 #include "util/archive.hpp"
+#include "util/file.hpp"
 #include "util/hash.hpp"
 
 namespace fraudsim::recover {
@@ -36,13 +37,11 @@ util::Result<WrittenArtifact> write_checkpoint_sidecar(const std::string& path,
 
 util::Result<SidecarCheckpoint> read_checkpoint_sidecar(const std::string& path) {
   using R = util::Result<SidecarCheckpoint>;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  const std::optional<std::string> file = util::read_file(path);
+  if (!file) {
     return R::fail(util::ErrorCode::kNotFound, "checkpoint: cannot open " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
+  const std::string& bytes = *file;
 
   const auto bad = [&path](const std::string& why) {
     return R::fail(util::ErrorCode::kCheckpointMismatch, "checkpoint: " + why + " in " + path);

@@ -1,8 +1,8 @@
 #include "core/scenario/replay_harness.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +15,7 @@
 #include "core/journal/recording.hpp"
 #include "core/recover/manifest.hpp"
 #include "core/scenario/soc_report.hpp"
+#include "util/file.hpp"
 #include "util/hash.hpp"
 
 namespace fraudsim::scenario {
@@ -682,15 +683,12 @@ util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
     manifest.seed = config.seed;
     manifest.config_digest = digest;
     {
-      std::ifstream in(journal_path, std::ios::binary);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      const std::string journal_bytes = buf.str();
-      if (!in.good() && !in.eof()) {
+      const std::optional<std::string> journal_bytes = util::read_file(journal_path);
+      if (!journal_bytes) {
         return R::fail(util::ErrorCode::kIoWriteFailed, "record: cannot re-read the journal");
       }
-      manifest.add(recover::kJournalFilename, journal_bytes.size(),
-                   util::crc32(journal_bytes));
+      manifest.add(recover::kJournalFilename, journal_bytes->size(),
+                   util::crc32(*journal_bytes));
     }
     for (const auto& [rel, written] : sidecars) manifest.add(written, rel);
 
@@ -766,10 +764,7 @@ util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
   // this scenario before re-recording over it.
   std::string salvaged_bytes;
   if (outcome.report.journal_salvaged && outcome.report.frames_salvaged > 0) {
-    std::ifstream in(journal_path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    salvaged_bytes = buf.str();
+    salvaged_bytes = util::read_file(journal_path).value_or(std::string());
 
     journal::JournalReader reader;
     if (auto s = reader.open(journal_path); !s.is_ok()) {
@@ -819,10 +814,7 @@ util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
   outcome.artifacts = rerecorded.value();
 
   if (!salvaged_bytes.empty()) {
-    std::ifstream in(journal_path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string fresh = buf.str();
+    const std::string fresh = util::read_file(journal_path).value_or(std::string());
     if (fresh.size() < salvaged_bytes.size() ||
         fresh.compare(0, salvaged_bytes.size(), salvaged_bytes) != 0) {
       return R::fail(util::ErrorCode::kCheckpointMismatch,

@@ -2,11 +2,12 @@
 // checkpoints.
 //
 // The journal format must be stable across builds and platforms, so nothing
-// here relies on struct layout or host endianness: every integer is written
-// byte-by-byte, doubles go through a bit_cast to u64, strings carry a u32
-// length prefix. ByteReader mirrors ByteWriter and latches an `ok` flag on
-// the first out-of-bounds read instead of throwing, so a truncated payload
-// degrades into a single failed Status at the call site.
+// here relies on struct layout or host endianness: every integer's bytes are
+// composed from its value low byte first, doubles go through a bit_cast to
+// u64, strings carry a u32 length prefix. ByteReader mirrors ByteWriter and
+// latches an `ok` flag on the first out-of-bounds read instead of throwing,
+// so a truncated payload degrades into a single failed Status at the call
+// site.
 //
 // Checkpointed state lists its fields once, in a member
 //
@@ -93,8 +94,12 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  // Lays the low `n` bytes out little-endian in a local buffer and appends
+  // them in one call: one capacity check per integer, not one per byte.
   void put_le(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    char le[8];
+    for (int i = 0; i < n; ++i) le[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    buf_.append(le, static_cast<std::size_t>(n));
   }
 
   template <class T>

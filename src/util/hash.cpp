@@ -32,28 +32,52 @@ std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
 
 namespace {
 
-struct Crc32Table {
-  std::uint32_t entries[256];
-  constexpr Crc32Table() : entries() {
+// Slicing-by-8 tables: entries[0] is the classic bytewise table, and
+// entries[k][b] is entries[0][b] carried through k more zero bytes, so one
+// step folds eight input bytes with eight independent table loads.
+struct Crc32Tables {
+  std::uint32_t entries[8][256];
+  constexpr Crc32Tables() : entries() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = entries[k - 1][i];
+        entries[k][i] = entries[0][prev & 0xFFu] ^ (prev >> 8);
+      }
     }
   }
 };
 
-constexpr Crc32Table kCrc32Table{};
+constexpr Crc32Tables kCrc32{};
+
+// Little-endian u32 from four bytes, whatever the host order or alignment.
+constexpr std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view bytes) noexcept {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (unsigned char b : bytes) {
-    c = kCrc32Table.entries[(c ^ b) & 0xFFu] ^ (c >> 8);
+std::uint32_t crc32(std::string_view bytes) noexcept { return crc32_append(0, bytes); }
+
+std::uint32_t crc32_append(std::uint32_t crc, std::string_view bytes) noexcept {
+  const auto& t = kCrc32.entries;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

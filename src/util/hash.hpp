@@ -26,4 +26,9 @@ namespace fraudsim::util {
 // frame journal records so torn or bit-rotted tails are detected on open.
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes) noexcept;
 
+// CRC-32 continuation: crc32_append(crc32(a), b) == crc32(a + b), and
+// crc32(bytes) == crc32_append(0, bytes), so a frame's checksum can be taken
+// over pieces that are never concatenated.
+[[nodiscard]] std::uint32_t crc32_append(std::uint32_t crc, std::string_view bytes) noexcept;
+
 }  // namespace fraudsim::util

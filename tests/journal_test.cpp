@@ -7,10 +7,14 @@
 // produces zero verdict diffs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 
+#include "core/fault/crash.hpp"
+#include "core/journal/recording.hpp"
 #include "core/scenario/replay_harness.hpp"
 #include "sim/rng.hpp"
 #include "util/hash.hpp"
@@ -57,6 +61,123 @@ scenario::RecordedScenarioConfig small_config(std::uint64_t seed = 2024) {
 TEST(JournalFraming, Crc32KnownVector) {
   // The canonical CRC-32 check value ("123456789" under the IEEE polynomial).
   EXPECT_EQ(util::crc32("123456789"), 0xCBF43926u);
+}
+
+// The reference CRC-32: one table step per byte, each waiting on the last.
+std::uint32_t crc32_bytewise(std::string_view bytes) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const unsigned char b : bytes) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+// `n` bytes from a splitmix64 stream: every byte value, no structure.
+std::string seeded_bytes(std::size_t n, std::uint64_t seed) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>(util::splitmix64(seed + i / 8) >> (8 * (i % 8)));
+  }
+  return out;
+}
+
+TEST(Crc32, SliceByEightMatchesBytewise) {
+  EXPECT_EQ(util::crc32(""), 0u);
+  EXPECT_EQ(crc32_bytewise(""), 0u);
+  EXPECT_EQ(crc32_bytewise("123456789"), 0xCBF43926u);
+
+  // Every length through the 8-byte stride and its tail, then longer runs.
+  for (std::size_t n = 0; n <= 64; ++n) {
+    const std::string bytes = seeded_bytes(n, 100 + n);
+    EXPECT_EQ(util::crc32(bytes), crc32_bytewise(bytes)) << "length " << n;
+  }
+  for (const std::size_t n : {127u, 255u, 256u, 1000u, 1023u, 4095u, 4096u, 4097u, 4100u}) {
+    const std::string bytes = seeded_bytes(n, n);
+    EXPECT_EQ(util::crc32(bytes), crc32_bytewise(bytes)) << "length " << n;
+  }
+
+  // Unaligned starts: the same lengths read from offsets 0..7 of a buffer.
+  const std::string big = seeded_bytes(4200, 7);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 4100u}) {
+      const std::string_view view = std::string_view(big).substr(offset, n);
+      EXPECT_EQ(util::crc32(view), crc32_bytewise(view)) << "offset " << offset << " length " << n;
+    }
+  }
+
+  // Continuation: a checksum taken in two pieces equals the one-piece sum.
+  const std::string kib = seeded_bytes(1024, 11);
+  const std::uint32_t whole = crc32_bytewise(kib);
+  for (std::size_t split = 0; split <= kib.size(); ++split) {
+    const std::string_view all(kib);
+    EXPECT_EQ(util::crc32_append(util::crc32(all.substr(0, split)), all.substr(split)), whole)
+        << "split " << split;
+  }
+}
+
+// A journal with every frame shape: the header, one record of each kind
+// (field-less ones empty, as the recorder writes them) and a 1 MiB
+// checkpoint blob streamed through RecordingJournal. Throws fault::SimCrash
+// when a crash point is armed.
+void write_pinned_journal(const std::string& path) {
+  journal::JournalWriter writer;
+  ASSERT_TRUE(writer.open(path, 0x0123456789ABCDEFull, 0xFEDCBA9876543210ull).is_ok());
+  for (auto k = static_cast<std::uint8_t>(journal::RecordKind::ActorRegistered);
+       k < static_cast<std::uint8_t>(journal::RecordKind::Checkpoint); ++k) {
+    const auto kind = static_cast<journal::RecordKind>(k);
+    util::ByteWriter fields;
+    if (kind != journal::RecordKind::ExpirySweep && kind != journal::RecordKind::MitigationSweep) {
+      fields.str(journal::to_string(kind));
+      fields.u8(k);
+      fields.u16(static_cast<std::uint16_t>(0x0100 + k));
+      fields.u32(0x01020300u + k);
+      fields.u64(0x0102030405060700ull + k);
+      fields.i64(-k);
+      fields.f64(k * 0.25);
+      fields.boolean(k % 2 == 0);
+    }
+    ASSERT_TRUE(writer.append(kind, sim::minutes(k) - 3, fields).is_ok()) << static_cast<int>(k);
+  }
+  journal::RecordingJournal recording(writer);
+  recording.checkpoint_blob(sim::hours(1), seeded_bytes(std::size_t{1} << 20, 2024));
+  ASSERT_TRUE(recording.status().is_ok());
+  ASSERT_TRUE(writer.close().is_ok());
+}
+
+TEST(JournalFraming, FrameBytesArePinned) {
+  // Digests of the files the bytewise CRC and the copy-then-write framing
+  // produced: the journal format must not move by a single byte.
+  constexpr std::uint64_t kCleanDigest = 0xa3d29030dfea992dull;
+  constexpr std::uint64_t kTornDigest = 0xda082c8e0c2222a1ull;
+
+  const std::string path = tmp_path("pinned.journal");
+  write_pinned_journal(path);
+  EXPECT_EQ(util::fnv1a(slurp(path)), kCleanDigest);
+  journal::JournalReader reader;
+  ASSERT_TRUE(reader.open(path).is_ok());
+  EXPECT_FALSE(reader.recovered_torn_tail());
+  ASSERT_EQ(reader.records().size(), 15u);
+  EXPECT_EQ(reader.records().back().kind, journal::RecordKind::Checkpoint);
+
+  // A kill mid-checkpoint leaves the same torn prefix as before.
+  const std::string torn_path = tmp_path("pinned-torn.journal");
+  fault::FaultRegistry::global().reset();
+  fault::FaultRegistry::global().arm(fault::kCrashJournalCheckpoint,
+                                     fault::FaultScenario::crash_at_hit(1));
+  EXPECT_THROW(write_pinned_journal(torn_path), fault::SimCrash);
+  fault::FaultRegistry::global().reset();
+  EXPECT_EQ(util::fnv1a(slurp(torn_path)), kTornDigest);
+  journal::JournalReader torn;
+  ASSERT_TRUE(torn.open(torn_path).is_ok());
+  EXPECT_TRUE(torn.recovered_torn_tail());
+  EXPECT_EQ(torn.records().size(), 14u);
 }
 
 TEST(JournalFraming, WriteReadRoundtrip) {

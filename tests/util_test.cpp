@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "util/archive.hpp"
+#include "util/file.hpp"
 #include "util/hash.hpp"
 #include "util/ids.hpp"
 #include "util/intern.hpp"
@@ -500,6 +503,57 @@ TEST(Archive, TypePicksTheEncoding) {
   ByteWriter again;
   again(restored);
   EXPECT_EQ(again.bytes(), out.bytes());
+}
+
+// The wire encoding as literal bytes, so a writer that is wrong in the same
+// way on both sides of a comparison cannot pass.
+std::string hex_bytes(std::initializer_list<unsigned> bytes) {
+  std::string out;
+  for (const unsigned b : bytes) out.push_back(static_cast<char>(b));
+  return out;
+}
+
+TEST(Archive, IntegersAreLittleEndianLiterals) {
+  const auto written = [](auto write) {
+    ByteWriter out;
+    write(out);
+    return out.bytes();
+  };
+  EXPECT_EQ(written([](ByteWriter& w) { w.u8(0xAB); }), hex_bytes({0xAB}));
+  EXPECT_EQ(written([](ByteWriter& w) { w.u16(0x0102); }), hex_bytes({0x02, 0x01}));
+  EXPECT_EQ(written([](ByteWriter& w) { w.u32(0x01020304); }),
+            hex_bytes({0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(written([](ByteWriter& w) { w.u64(0x0102030405060708); }),
+            hex_bytes({0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(written([](ByteWriter& w) { w.i64(-2); }),
+            hex_bytes({0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(written([](ByteWriter& w) { w.f64(0.5); }),
+            hex_bytes({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F}));
+  EXPECT_EQ(written([](ByteWriter& w) { w.str("ab"); }),
+            hex_bytes({0x02, 0x00, 0x00, 0x00, 'a', 'b'}));
+  // The type-directed path writes unsigned widths through the same encoder.
+  EXPECT_EQ(written([](ByteWriter& w) {
+              w(std::uint8_t{0xAB}, std::uint16_t{0x0102}, std::uint32_t{0x01020304},
+                std::uint64_t{0x0102030405060708}, -2, 0.5);
+            }),
+            hex_bytes({0xAB, 0x02, 0x01, 0x04, 0x03, 0x02, 0x01, 0x08, 0x07, 0x06, 0x05,
+                       0x04, 0x03, 0x02, 0x01, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                       0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F}));
+}
+
+TEST(File, ReadFileReturnsExactBytes) {
+  const std::string path = testing::TempDir() + "read_file.bin";
+  EXPECT_FALSE(read_file(path + ".missing").has_value());
+  for (const std::string& bytes : {std::string(), std::string("a\0b\xff\n", 5),
+                                   std::string(70000, 'x')}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const std::optional<std::string> read = read_file(path);
+    ASSERT_TRUE(read.has_value()) << bytes.size();
+    EXPECT_EQ(*read, bytes);
+  }
 }
 
 TEST(Archive, ReaderStopsAtTheFirstFailedRead) {
