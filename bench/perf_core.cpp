@@ -21,6 +21,10 @@
 //                           wall ns per KiB of blob to checkpoint the 6 h
 //                           gate scenario's platform and append the blob
 //                           as a Checkpoint frame to a journal
+//   ns_sessionize_per_request
+//                           wall ns per request to sessionize the 6 h gate
+//                           scenario's web log over the detection window,
+//                           read in place as DetectionPipeline::run does
 //   arena_allocs_per_admit / arena_bytes_per_admit
 //                           per-request rate-key arena traffic
 //   arena_chunk_allocs      heap chunks the key arena ever acquired (steady
@@ -431,6 +435,30 @@ double measure_ns_name_patterns(int reps) {
   return median_of(reps, sample);
 }
 
+// Wall ns per request to sessionize the detection window measure_detector_ns
+// scores, [0, horizon) of the gate scenario's web log, read in place.
+double measure_ns_sessionize(bool smoke, int reps) {
+  const sim::SimTime horizon = smoke ? sim::hours(3) : sim::hours(6);
+  scenario::EnvConfig config;
+  config.seed = 7;
+  scenario::Env env(config);
+  env.add_flights("FS", 4, 180, sim::days(10));
+  env.start_background(horizon);
+  env.run_until(horizon);
+
+  const web::Sessionizer sessionizer;
+  const auto requests = env.app.weblog().all();
+  const auto sample = [&] {
+    const auto t0 = GateClock::now();
+    const auto sessions = sessionizer.sessionize(requests, 0, horizon);
+    const auto t1 = GateClock::now();
+    benchmark::DoNotOptimize(sessions);
+    return elapsed_ns(t0, t1) / static_cast<double>(std::max<std::size_t>(1, requests.size()));
+  };
+  (void)sample();  // warmup
+  return median_of(reps, sample);
+}
+
 // Wall ns per KiB of blob on the defence loop's restore-point path: the
 // 6 h gate scenario's platform (actors, application, rule engine) serialised
 // and appended as a Checkpoint frame to a journal in the temp directory.
@@ -500,6 +528,9 @@ int run_gate(const bench::Options& options) {
 
   std::cerr << "[gate] checkpoint frame...\n";
   metrics.emplace_back("ns_checkpoint_frame_per_kib", measure_ns_checkpoint_frame(smoke, reps));
+
+  std::cerr << "[gate] sessionize...\n";
+  metrics.emplace_back("ns_sessionize_per_request", measure_ns_sessionize(smoke, reps));
 
   const std::string path = options.out_dir.empty() ? "BENCH_core.json" : options.out_dir;
   std::ofstream out(path);

@@ -5,7 +5,9 @@
 // name-pattern detectors aggregate on.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "airline/date.hpp"
@@ -34,7 +36,8 @@ struct Passenger {
 // Two bookings holding the same people in a different order share this key —
 // the signature of the manual attack in §IV-B (Airline C).
 [[nodiscard]] std::string party_key(const std::vector<Passenger>& party);
-// The same key from the party's name_key()s, in any order.
-[[nodiscard]] std::string party_key(std::vector<std::string> name_keys);
+// The same key from the party's name_key()s, in any order: sorts `name_keys`
+// and writes the key into `out`.
+void party_key(std::span<std::string_view> name_keys, std::string& out);
 
 }  // namespace fraudsim::airline

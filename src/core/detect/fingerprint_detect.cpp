@@ -104,10 +104,11 @@ void ArtifactDetector::analyze_many(const app::FingerprintStore& store, SessionS
 ConsistencyDetector::ConsistencyDetector(double min_score) : min_score_(min_score) {}
 
 bool ConsistencyDetector::is_bot(const fp::Fingerprint& fingerprint, std::string* reason) const {
-  const auto violations = checker_.check(fingerprint);
-  if (checker_.inconsistency_score(fingerprint) < min_score_) return false;
-  if (reason != nullptr && !violations.empty()) {
-    *reason = violations.front().rule + ": " + violations.front().detail;
+  fp::ConsistencyViolation first;
+  const std::size_t violations = checker_.count_violations(fingerprint, &first);
+  if (fp::ConsistencyChecker::score(violations) < min_score_) return false;
+  if (reason != nullptr && violations > 0) {
+    reason->assign(first.rule).append(": ").append(first.detail);
   }
   return true;
 }

@@ -27,12 +27,4 @@ std::vector<web::ActorId> actors_of(const std::vector<web::Session>& sessions) {
   return actors;
 }
 
-std::unordered_set<web::ActorId> flagged_actors(const std::vector<Alert>& alerts) {
-  std::unordered_set<web::ActorId> out;
-  for (const auto& a : alerts) {
-    if (a.actor) out.insert(*a.actor);
-  }
-  return out;
-}
-
 }  // namespace fraudsim::detect

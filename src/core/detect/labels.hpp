@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "app/actors.hpp"
-#include "core/detect/alert.hpp"
 #include "util/stats.hpp"
 #include "web/session.hpp"
 
@@ -30,8 +29,5 @@ enum class TruthCriterion { Abuser, Automated };
 
 // Collects the distinct actors appearing in a session list.
 [[nodiscard]] std::vector<web::ActorId> actors_of(const std::vector<web::Session>& sessions);
-
-// Actors referenced by alerts (directly, or resolved from sessions).
-[[nodiscard]] std::unordered_set<web::ActorId> flagged_actors(const std::vector<Alert>& alerts);
 
 }  // namespace fraudsim::detect

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <numeric>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -30,26 +30,77 @@ namespace {
 
 using Reservations = std::vector<const airline::Reservation*>;
 
-// The bookings carrying one name key, also split by birthdate. A birthdate
-// string never holds '|', so one by_birthdate entry groups exactly the
-// bookings that share a Passenger::identity_key() (name AND birthdate).
-struct NameGroup {
-  Reservations reservations;
-  std::map<std::string, Reservations> by_birthdate;
+// Dense ids for distinct keys, 0, 1, 2, ... in first-seen order. The keys
+// are stored back to back in one string and found through an open-addressing
+// table of ids; util::InternTable, with a heap node per key, made this
+// analyzer about 1.3x slower.
+class KeyIds {
+ public:
+  // The id of `key`; `fresh`, when given, tells whether it was new.
+  std::uint32_t intern(std::string_view key, bool* fresh = nullptr) {
+    if (2 * (size() + 1) > slots_.size()) rehash(std::max<std::size_t>(64, 2 * slots_.size()));
+    std::size_t slot = bucket(key);
+    for (; slots_[slot] != 0; slot = (slot + 1) & (slots_.size() - 1)) {
+      if (this->key(slots_[slot] - 1) == key) {
+        if (fresh != nullptr) *fresh = false;
+        return slots_[slot] - 1;
+      }
+    }
+    slots_[slot] = size() + 1;
+    text_.append(key);
+    ends_.push_back(text_.size());
+    if (fresh != nullptr) *fresh = true;
+    return size() - 1;
+  }
+  [[nodiscard]] std::string_view key(std::uint32_t id) const {
+    const std::size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return std::string_view(text_).substr(begin, ends_[id] - begin);
+  }
+  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(ends_.size()); }
+
+ private:
+  [[nodiscard]] std::size_t bucket(std::string_view key) const {
+    return util::splitmix64(util::fnv1a(key)) & (slots_.size() - 1);
+  }
+  void rehash(std::size_t slots) {
+    slots_.assign(slots, 0);
+    for (std::uint32_t id = 0; id < size(); ++id) {
+      std::size_t slot = bucket(key(id));
+      while (slots_[slot] != 0) slot = (slot + 1) & (slots - 1);
+      slots_[slot] = id + 1;
+    }
+  }
+
+  std::string text_;                  // every key, back to back
+  std::vector<std::size_t> ends_;     // key i ends at text_[ends_[i]]
+  std::vector<std::uint32_t> slots_;  // id + 1; 0 = empty
 };
-using NameGroups = std::unordered_map<std::string, NameGroup>;
 
 // Hashes of {key, key with byte j deleted for every j}. Bytes, not code
-// points, exactly as util::levenshtein counts edits. FNV-1a reads bytes in
-// order, so a deletion's hash is the prefix state fed the suffix: the same
-// string hashes the same whichever key and position it came from.
+// points, exactly as util::levenshtein counts edits. Each is a polynomial
+// hash of the resulting string alone (whichever key and position it came
+// from), mixed with its length. With prefix hashes from the front and suffix
+// hashes from the back, every deletion costs O(1).
 void deletion_hashes(std::string_view key, std::vector<std::uint64_t>& out) {
-  out.clear();
-  out.push_back(util::fnv1a(key));
-  std::uint64_t prefix = util::fnv1a({});
-  for (std::size_t j = 0; j < key.size(); ++j) {
-    out.push_back(util::fnv1a_append(prefix, key.substr(j + 1)));
-    prefix = util::fnv1a_append(prefix, key.substr(j, 1));
+  constexpr std::uint64_t kBase = 0x100000001b3ULL;
+  const auto byte = [&key](std::size_t i) {
+    return static_cast<std::uint64_t>(static_cast<unsigned char>(key[i])) + 1;
+  };
+  const std::size_t n = key.size();
+  out.assign(n + 1, 0);
+  // out[j + 1] = hash of key[0, j) for now; out[0] = hash of key.
+  std::uint64_t prefix = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j + 1] = prefix;
+    prefix = prefix * kBase + byte(j);
+  }
+  out[0] = util::splitmix64(prefix ^ n);
+  std::uint64_t suffix = 0;  // hash of key[j + 1, n)
+  std::uint64_t power = 1;   // kBase^(n - 1 - j)
+  for (std::size_t j = n; j-- > 0;) {
+    out[j + 1] = util::splitmix64((out[j + 1] * power + suffix) ^ (n - 1));
+    suffix += byte(j) * power;
+    power *= kBase;
   }
 }
 
@@ -93,76 +144,114 @@ class DeletionIndex {
   std::vector<Entry> entries_;
 };
 
+// One passenger of the window: name id, birthdate, booking position.
+struct NameRow {
+  std::uint32_t name = 0;
+  airline::Date birthdate;
+  std::uint32_t booking = 0;
+};
+
 }  // namespace
 
 NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservations) const {
   NamePatternFindings findings;
+  const auto flag = [&reservations](std::set<std::string>& signal, std::uint32_t booking) {
+    signal.insert(reservations[booking]->pnr);
+  };
 
-  // Pass 1: global aggregation. Each passenger's name key is built once and
-  // reused for the identity and party groupings.
-  NameGroups by_name_key;
-  std::unordered_map<std::string, Reservations> by_party_key;
-  std::size_t total_name_instances = 0;
-
-  std::vector<std::string> party;
-  for (const auto* r : reservations) {
-    party.clear();
-    for (const auto& p : r->passengers) {
-      std::string key = p.name_key();
-      auto& group = by_name_key[key];
-      group.reservations.push_back(r);
-      group.by_birthdate[p.birthdate.str()].push_back(r);
-      party.push_back(std::move(key));
-      ++total_name_instances;
+  // Pass 1: every passenger's name key and every party key, interned once.
+  KeyIds names;
+  KeyIds parties;
+  std::vector<NameRow> rows;
+  std::vector<std::uint32_t> party_of(reservations.size());
+  std::vector<std::string_view> party;
+  std::string party_text;
+  for (std::uint32_t b = 0; b < reservations.size(); ++b) {
+    const std::size_t party_begin = rows.size();
+    for (const auto& p : reservations[b]->passengers) {
+      rows.push_back({names.intern(p.name_key()), p.birthdate, b});
     }
-    by_party_key[airline::party_key(std::move(party))].push_back(r);
+    // Views into `names` last only until its next intern.
+    party.clear();
+    for (std::size_t i = party_begin; i < rows.size(); ++i) {
+      party.push_back(names.key(rows[i].name));
+    }
+    airline::party_key(party, party_text);
+    party_of[b] = parties.intern(party_text);
   }
-  const double share_floor =
-      config_.name_share_threshold * static_cast<double>(total_name_instances);
+  const double share_floor = config_.name_share_threshold * static_cast<double>(rows.size());
 
-  // Gibberish: per-reservation mean score over the party's names.
-  for (const auto* r : reservations) {
+  // Rows grouped by name with a counting sort: by_name[start[n], start[n + 1])
+  // are the rows of name n, later sorted by birthdate so that each birthdate
+  // run is one identity (name AND birthdate).
+  std::vector<std::uint32_t> start(names.size() + 1, 0);
+  for (const NameRow& row : rows) ++start[row.name + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<NameRow> by_name(rows.size());
+  {
+    std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+    for (const NameRow& row : rows) by_name[next[row.name]++] = row;
+  }
+  const auto bookings = [&](std::uint32_t name) {
+    return std::span<NameRow>(by_name).subspan(start[name], start[name + 1] - start[name]);
+  };
+
+  // Gibberish: per-reservation mean score over the party's names. Each
+  // distinct name is scored once.
+  KeyIds scored;
+  std::vector<double> scores;
+  const auto gibberish = [&](std::string_view name) {
+    bool fresh = false;
+    const std::uint32_t id = scored.intern(name, &fresh);
+    if (fresh) scores.push_back(util::gibberish_score(name));
+    return scores[id];
+  };
+  for (std::uint32_t b = 0; b < reservations.size(); ++b) {
     double total = 0.0;
     std::size_t n = 0;
-    for (const auto& p : r->passengers) {
-      total += util::gibberish_score(p.first_name);
-      total += util::gibberish_score(p.surname);
+    for (const auto& p : reservations[b]->passengers) {
+      total += gibberish(p.first_name);
+      total += gibberish(p.surname);
       n += 2;
     }
     if (n > 0 && total / static_cast<double>(n) >= config_.gibberish_threshold) {
-      findings.gibberish.insert(r->pnr);
+      flag(findings.gibberish, b);
     }
   }
 
-  // Repeated identities: the same person (name AND birthdate) across many
-  // distinct reservations — rare for genuine travellers within one window.
-  for (const auto& [key, group] : by_name_key) {
-    (void)key;
-    for (const auto& [birthdate, rs] : group.by_birthdate) {
-      (void)birthdate;
-      if (rs.size() < config_.repeat_threshold) continue;
-      for (const auto* r : rs) findings.repeated_identity.insert(r->pnr);
+  for (std::uint32_t name = 0; name < names.size(); ++name) {
+    const std::span<NameRow> rs = bookings(name);
+    std::sort(rs.begin(), rs.end(), [](const NameRow& x, const NameRow& y) {
+      return x.birthdate != y.birthdate ? x.birthdate < y.birthdate : x.booking < y.booking;
+    });
+    // Repeated identities: the same person (name AND birthdate) across many
+    // distinct reservations — rare for genuine travellers within one window.
+    std::size_t birthdates = 0;
+    for (std::size_t i = 0; i < rs.size();) {
+      std::size_t j = i + 1;
+      while (j < rs.size() && rs[j].birthdate == rs[i].birthdate) ++j;
+      if (j - i >= config_.repeat_threshold) {
+        for (std::size_t k = i; k < j; ++k) flag(findings.repeated_identity, rs[k].booking);
+      }
+      ++birthdates;
+      i = j;
     }
-  }
-
-  // Birthdate rotation: one NAME dominating the window while cycling through
-  // many birthdates (Airline B's fixed-name signature). The share floor keeps
-  // genuinely popular names from firing at airline scale.
-  for (const auto& [key, group] : by_name_key) {
-    (void)key;
-    const auto& rs = group.reservations;
-    if (rs.size() < config_.repeat_threshold) continue;
-    if (static_cast<double>(rs.size()) < share_floor) continue;
-    if (group.by_birthdate.size() >= config_.birthdate_variants) {
-      for (const auto* r : rs) findings.birthdate_rotation.insert(r->pnr);
+    // Birthdate rotation: one NAME dominating the window while cycling through
+    // many birthdates (Airline B's fixed-name signature). The share floor
+    // keeps genuinely popular names from firing at airline scale.
+    if (rs.size() >= config_.repeat_threshold && static_cast<double>(rs.size()) >= share_floor &&
+        birthdates >= config_.birthdate_variants) {
+      for (const NameRow& row : rs) flag(findings.birthdate_rotation, row.booking);
     }
   }
 
   // Permuted parties: the same multiset of people across many reservations.
-  for (const auto& [key, rs] : by_party_key) {
-    (void)key;
-    if (rs.size() < config_.party_repeat_threshold) continue;
-    for (const auto* r : rs) findings.permuted_party.insert(r->pnr);
+  std::vector<std::uint32_t> party_size(parties.size(), 0);
+  for (const std::uint32_t id : party_of) ++party_size[id];
+  for (std::uint32_t b = 0; b < reservations.size(); ++b) {
+    if (party_size[party_of[b]] >= config_.party_repeat_threshold) {
+      flag(findings.permuted_party, b);
+    }
   }
 
   // Misspelling clusters: name keys within edit distance 1 of a key that
@@ -172,19 +261,14 @@ NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservation
   // repeated keys' entries yields every candidate, and within_edit_distance
   // confirms it: a transposition shares a deletion at distance 2, and a hash
   // collision shares an entry by accident.
-  std::vector<const NameGroups::value_type*> keys;
-  std::vector<std::uint32_t> repeated;  // positions in keys of names seen repeatedly
-  keys.reserve(by_name_key.size());
-  for (const auto& entry : by_name_key) {
-    if (entry.second.reservations.size() >= 2) {
-      repeated.push_back(static_cast<std::uint32_t>(keys.size()));
-    }
-    keys.push_back(&entry);
+  std::vector<std::uint32_t> repeated;  // names seen repeatedly
+  for (std::uint32_t name = 0; name < names.size(); ++name) {
+    if (bookings(name).size() >= 2) repeated.push_back(name);
   }
   std::vector<std::uint64_t> hashes;
   DeletionIndex index;
   for (std::uint32_t i = 0; i < repeated.size(); ++i) {
-    deletion_hashes(keys[repeated[i]]->first, hashes);
+    deletion_hashes(names.key(repeated[i]), hashes);
     for (const std::uint64_t h : hashes) index.add(h, i);
   }
   index.build();
@@ -192,32 +276,31 @@ NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservation
   std::vector<std::size_t> variant_bookings(repeated.size());
   std::vector<std::vector<std::uint32_t>> variants(repeated.size());
   std::vector<std::uint32_t> candidates;
-  for (std::uint32_t k = 0; k < keys.size(); ++k) {
-    const std::string& other = keys[k]->first;
+  for (std::uint32_t name = 0; name < names.size(); ++name) {
+    const std::string_view other = names.key(name);
     deletion_hashes(other, hashes);
     candidates.clear();
     for (const std::uint64_t h : hashes) index.find(h, candidates);
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
     for (const std::uint32_t i : candidates) {
-      if (repeated[i] == k) continue;
-      if (!util::within_edit_distance(keys[repeated[i]]->first, other, 1)) continue;
-      variant_bookings[i] += keys[k]->second.reservations.size();
-      variants[i].push_back(k);
+      if (repeated[i] == name) continue;
+      if (!util::within_edit_distance(names.key(repeated[i]), other, 1)) continue;
+      variant_bookings[i] += bookings(name).size();
+      variants[i].push_back(name);
     }
   }
   for (std::uint32_t i = 0; i < repeated.size(); ++i) {
-    const auto& rs = keys[repeated[i]]->second.reservations;
-    const std::size_t cluster = rs.size() + variant_bookings[i];
+    const std::size_t cluster = bookings(repeated[i]).size() + variant_bookings[i];
     if (variants[i].empty() || cluster < config_.misspell_cluster_size) continue;
     // Scale guard: distinct real people can carry near-identical names; a
     // hand-typed campaign's cluster dominates the window instead.
     if (static_cast<double>(cluster) < share_floor) continue;
-    for (const auto* r : rs) findings.misspelling_cluster.insert(r->pnr);
+    for (const NameRow& row : bookings(repeated[i])) {
+      flag(findings.misspelling_cluster, row.booking);
+    }
     for (const std::uint32_t v : variants[i]) {
-      for (const auto* r : keys[v]->second.reservations) {
-        findings.misspelling_cluster.insert(r->pnr);
-      }
+      for (const NameRow& row : bookings(v)) flag(findings.misspelling_cluster, row.booking);
     }
   }
 

@@ -4,6 +4,8 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "core/fault/fault.hpp"
@@ -157,7 +159,7 @@ void DetectionPipeline::fit_nip_baseline(const app::Application& application, si
 void DetectionPipeline::fit_navigation(const app::Application& application, sim::SimTime from,
                                        sim::SimTime to) {
   const web::Sessionizer sessionizer(config_.session_timeout);
-  navigation_.fit(sessionizer.sessionize(application.weblog().range(from, to)));
+  navigation_.fit(sessionizer.sessionize(application.weblog().all(), from, to));
 }
 
 void DetectionPipeline::train_behavior(const app::Application& application,
@@ -170,8 +172,7 @@ void DetectionPipeline::train_behavior(const app::Application& application,
 void DetectionPipeline::train_behavior(const app::Application& application, sim::SimTime from,
                                        sim::SimTime to, sim::Rng& rng, const LabelFn& label_fn) {
   const web::Sessionizer sessionizer(config_.session_timeout);
-  const auto requests = application.weblog().range(from, to);
-  const auto sessions = sessionizer.sessionize(requests);
+  const auto sessions = sessionizer.sessionize(application.weblog().all(), from, to);
   std::vector<web::SessionFeatures> features;
   std::vector<int> labels;
   for (const auto& s : sessions) {
@@ -384,7 +385,7 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
                                       overload::Deadline analysis_budget) const {
   PipelineResult result;
   const web::Sessionizer sessionizer(config_.session_timeout);
-  result.sessions = sessionizer.sessionize(application.weblog().range(from, to));
+  result.sessions = sessionizer.sessionize(application.weblog().all(), from, to);
 
   // Brownout degradation: under pressure the expensive families analyse only
   // every stride-th session. Stride 1 (or no controller) is the full view.
@@ -547,16 +548,24 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
     span.finish(analysis_now);
   }
 
-  // Score per detector family at the actor level.
+  // Score per detector family at the actor level: one pass counts each
+  // family's alerts and collects the actors it flagged, in detector-name order.
+  struct Flagged {
+    std::size_t alerts = 0;
+    std::unordered_set<web::ActorId> actors;
+  };
+  std::map<std::string_view, Flagged> by_detector;
+  for (const auto& a : result.alerts.alerts()) {
+    Flagged& f = by_detector[a.detector];
+    ++f.alerts;
+    if (a.actor) f.actors.insert(*a.actor);
+  }
   const auto universe = actors_of(result.sessions);
-  std::map<std::string, std::vector<Alert>> by_detector;
-  for (const auto& a : result.alerts.alerts()) by_detector[a.detector].push_back(a);
-  for (const auto& [detector, alerts] : by_detector) {
+  for (const auto& [detector, flagged] : by_detector) {
     DetectorReport report;
     report.detector = detector;
-    report.alerts = alerts.size();
-    report.score = score_actors(flagged_actors(alerts), universe, registry,
-                                TruthCriterion::Abuser);
+    report.alerts = flagged.alerts;
+    report.score = score_actors(flagged.actors, universe, registry, TruthCriterion::Abuser);
     result.reports.push_back(std::move(report));
   }
   trace.annotate("alerts", std::to_string(result.alerts.alerts().size()));

@@ -1,7 +1,8 @@
 #include "fingerprint/population.hpp"
 
 #include <array>
-#include <string>
+#include <charconv>
+#include <string_view>
 
 #include "util/hash.hpp"
 
@@ -26,16 +27,41 @@ constexpr std::array<int, 8> kTimezones = {0, 60, 120, -300, -480, 330, 480, 540
 
 }  // namespace
 
+RenderingHashes rendering_hashes(const Fingerprint& fp) {
+  // Digest of the rendering-relevant stack
+  // "<browser>/<version>|<os>|<width>x<height>". Identical stacks collide —
+  // that is the point: canvas hashes cluster heavily in real populations.
+  // The longest stack is under 90 bytes; a longer one would be cut, never
+  // overrun.
+  char stack[128];
+  std::size_t len = 0;
+  const auto text = [&](std::string_view t) { len += t.copy(stack + len, sizeof(stack) - len); };
+  const auto number = [&](int v) {
+    const char* end = std::to_chars(stack + len, stack + sizeof(stack), v).ptr;
+    len = static_cast<std::size_t>(end - stack);
+  };
+  text(to_string(fp.browser));
+  text("/");
+  number(fp.browser_version);
+  text("|");
+  text(to_string(fp.os));
+  text("|");
+  number(fp.screen_width);
+  text("x");
+  number(fp.screen_height);
+  static const std::uint64_t kCanvas = util::fnv1a("canvas:");
+  static const std::uint64_t kWebgl = util::fnv1a("webgl:");
+  static const std::uint64_t kFonts = util::fnv1a("fonts:");
+  const std::string_view view(stack, len);
+  return {util::fnv1a_append(kCanvas, view), util::fnv1a_append(kWebgl, view),
+          util::fnv1a_append(kFonts, to_string(fp.os))};
+}
+
 void derive_rendering_hashes(Fingerprint& fp) {
-  // Digest of the rendering-relevant stack. Identical stacks collide — that
-  // is the point: canvas hashes cluster heavily in real populations.
-  const std::string stack = std::string(to_string(fp.browser)) + "/" +
-                            std::to_string(fp.browser_version) + "|" + to_string(fp.os) + "|" +
-                            std::to_string(fp.screen_width) + "x" +
-                            std::to_string(fp.screen_height);
-  fp.canvas_hash = util::fnv1a("canvas:" + stack);
-  fp.webgl_hash = util::fnv1a("webgl:" + stack);
-  fp.fonts_hash = util::fnv1a("fonts:" + std::string(to_string(fp.os)));
+  const RenderingHashes hashes = rendering_hashes(fp);
+  fp.canvas_hash = hashes.canvas;
+  fp.webgl_hash = hashes.webgl;
+  fp.fonts_hash = hashes.fonts;
 }
 
 Fingerprint PopulationModel::sample_base(sim::Rng& rng) const {

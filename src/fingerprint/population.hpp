@@ -8,6 +8,8 @@
 // common configurations (paper §III-B).
 #pragma once
 
+#include <cstdint>
+
 #include "fingerprint/fingerprint.hpp"
 #include "sim/rng.hpp"
 
@@ -39,6 +41,15 @@ class PopulationModel {
  private:
   [[nodiscard]] Fingerprint sample_base(sim::Rng& rng) const;
 };
+
+// The rendering digests a fingerprint's stack attributes imply (browser,
+// version, OS, screen). Allocates nothing.
+struct RenderingHashes {
+  std::uint64_t canvas = 0;
+  std::uint64_t webgl = 0;
+  std::uint64_t fonts = 0;
+};
+[[nodiscard]] RenderingHashes rendering_hashes(const Fingerprint& fp);
 
 // Recomputes rendering digests from the stack attributes; call after any
 // manual attribute edits to keep the fingerprint self-consistent.

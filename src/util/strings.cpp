@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace fraudsim::util {
 
 namespace {
-
-[[nodiscard]] char lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
-
-[[nodiscard]] bool is_alpha(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) != 0;
-}
 
 [[nodiscard]] bool is_vowel(char c) {
   switch (lower(c)) {
@@ -65,29 +58,35 @@ constexpr std::array<const char*, 26> kBigramRows = {
     "aeiozy",         // z
 };
 
-// Returns true if the (a, b) bigram is in the "common" table above.
-[[nodiscard]] bool common_bigram(char a, char b) {
-  if (!is_alpha(a) || !is_alpha(b)) return false;
-  const char* row = kBigramRows[static_cast<std::size_t>(lower(a) - 'a')];
-  for (const char* p = row; *p != '\0'; ++p) {
-    if (*p == lower(b)) return true;
+// The table above as bit rows: bit b of kCommonBigrams[a] is set when letter
+// b commonly follows letter a.
+constexpr std::array<std::uint32_t, 26> kCommonBigrams = [] {
+  std::array<std::uint32_t, 26> rows{};
+  for (std::size_t a = 0; a < rows.size(); ++a) {
+    for (const char* p = kBigramRows[a]; *p != '\0'; ++p) {
+      rows[a] |= std::uint32_t{1} << (*p - 'a');
+    }
   }
-  return false;
+  return rows;
+}();
+
+// True if (a, b) is a common bigram; both must be letters.
+[[nodiscard]] bool common_bigram(char a, char b) {
+  const std::uint32_t row = kCommonBigrams[static_cast<std::size_t>(lower(a) - 'a')];
+  return ((row >> (lower(b) - 'a')) & 1U) != 0;
 }
 
 }  // namespace
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  std::transform(out.begin(), out.end(), out.begin(), lower);
   return out;
 }
 
 std::string to_upper(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
+  std::transform(out.begin(), out.end(), out.begin(), upper);
   return out;
 }
 
@@ -117,14 +116,31 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 
 double shannon_entropy(std::string_view s) {
   if (s.empty()) return 0.0;
+  // Only the bytes that occur are visited, found through a 256-bit mask in
+  // ascending byte order: the order a walk over all 256 counts takes, so the
+  // sum is the same double bit for bit. Bytes with equal counts share one
+  // log2 call.
+  std::array<std::uint64_t, 4> seen{};
   std::array<std::size_t, 256> counts{};
-  for (unsigned char c : s) counts[c]++;
+  for (const unsigned char c : s) {
+    seen[c >> 6] |= std::uint64_t{1} << (c & 63);
+    ++counts[c];
+  }
   double entropy = 0.0;
   const double n = static_cast<double>(s.size());
-  for (std::size_t count : counts) {
-    if (count == 0) continue;
-    const double p = static_cast<double>(count) / n;
-    entropy -= p * std::log2(p);
+  std::size_t last_count = 0;
+  double last_log = 0.0;
+  for (std::size_t word = 0; word < seen.size(); ++word) {
+    for (std::uint64_t bits = seen[word]; bits != 0; bits &= bits - 1) {
+      const auto byte = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::size_t count = counts[byte];
+      const double p = static_cast<double>(count) / n;
+      if (count != last_count) {
+        last_count = count;
+        last_log = std::log2(p);
+      }
+      entropy -= p * last_log;
+    }
   }
   return entropy;
 }

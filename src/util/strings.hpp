@@ -14,6 +14,21 @@
 
 namespace fraudsim::util {
 
+// ASCII character classes. Detection verdicts must not depend on the host's C
+// locale, so nothing here consults <cctype>: only A-Z and a-z are letters,
+// and case mapping leaves every other byte (UTF-8 and 0x80-0xFF included) as
+// it is.
+[[nodiscard]] constexpr bool is_alpha(char c) noexcept {
+  const auto folded = static_cast<unsigned char>(static_cast<unsigned char>(c) | 0x20);
+  return folded >= 'a' && folded <= 'z';
+}
+[[nodiscard]] constexpr char lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+[[nodiscard]] constexpr char upper(char c) noexcept {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
 [[nodiscard]] std::string to_lower(std::string_view s);
 [[nodiscard]] std::string to_upper(std::string_view s);
 

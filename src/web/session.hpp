@@ -7,7 +7,6 @@
 #pragma once
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "web/request.hpp"
@@ -31,7 +30,13 @@ class Sessionizer {
   explicit Sessionizer(sim::SimDuration inactivity_timeout = sim::minutes(30));
 
   // Builds sessions from a time-ordered (or arbitrary-ordered) request set.
+  // Sessions come in cookie order, then by start time; each session's
+  // requests are time-ordered, equal times keeping their input order.
   [[nodiscard]] std::vector<Session> sessionize(std::span<const HttpRequest> requests) const;
+  // The same over only the requests with time in [from, to): equal to
+  // sessionizing WebLog::range(from, to), without copying the window first.
+  [[nodiscard]] std::vector<Session> sessionize(std::span<const HttpRequest> requests,
+                                                sim::SimTime from, sim::SimTime to) const;
 
  private:
   sim::SimDuration timeout_;

@@ -1,5 +1,8 @@
 #include "web/weblog.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 namespace fraudsim::web {
 
 const HttpRequest& WebLog::append(HttpRequest request) {
@@ -9,10 +12,11 @@ const HttpRequest& WebLog::append(HttpRequest request) {
 }
 
 std::vector<HttpRequest> WebLog::range(sim::SimTime from, sim::SimTime to) const {
+  const auto in_range = [from, to](const HttpRequest& r) { return r.time >= from && r.time < to; };
   std::vector<HttpRequest> out;
-  for (const auto& r : requests_) {
-    if (r.time >= from && r.time < to) out.push_back(r);
-  }
+  out.reserve(
+      static_cast<std::size_t>(std::count_if(requests_.begin(), requests_.end(), in_range)));
+  std::copy_if(requests_.begin(), requests_.end(), std::back_inserter(out), in_range);
   return out;
 }
 

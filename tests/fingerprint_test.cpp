@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "fingerprint/consistency.hpp"
 #include "fingerprint/fingerprint.hpp"
 #include "fingerprint/population.hpp"
 #include "fingerprint/rotation.hpp"
+#include "util/hash.hpp"
 
 namespace fraudsim::fp {
 namespace {
@@ -158,6 +162,65 @@ TEST(Consistency, ScoreBoundedByOne) {
   ConsistencyChecker checker;
   EXPECT_LE(checker.inconsistency_score(fp), 1.0);
   EXPECT_GT(checker.inconsistency_score(fp), 0.5);
+}
+
+// Rendering digests as derive_rendering_hashes computed them before the
+// stack went into a local buffer: string temporaries, three concatenations.
+RenderingHashes oracle_rendering_hashes(const Fingerprint& fp) {
+  const std::string stack = std::string(to_string(fp.browser)) + "/" +
+                            std::to_string(fp.browser_version) + "|" + to_string(fp.os) + "|" +
+                            std::to_string(fp.screen_width) + "x" +
+                            std::to_string(fp.screen_height);
+  return {util::fnv1a("canvas:" + stack), util::fnv1a("webgl:" + stack),
+          util::fnv1a("fonts:" + std::string(to_string(fp.os)))};
+}
+
+TEST(Consistency, RenderingHashesMatchOracle) {
+  PopulationModel population;
+  sim::Rng rng(48);
+  std::vector<Fingerprint> fps;
+  for (int i = 0; i < 10'000; ++i) fps.push_back(population.sample(rng));
+  for (int i = 0; i < 500; ++i) fps.push_back(population.sample_naive_bot(rng));
+  for (int i = 0; i < 500; ++i) {
+    fps.push_back(population.sample_spoofed(rng, SpoofOptions{true, 0.5}));
+  }
+  // Hand-edited stacks: every browser and OS (and one past each), extreme
+  // and negative numbers, digests left stale or tampered.
+  const int numbers[] = {0, -1, 7, 390, 3840, INT_MAX, INT_MIN};
+  for (int b = 0; b <= static_cast<int>(Browser::Other) + 1; ++b) {
+    for (int o = 0; o <= static_cast<int>(Os::Ios) + 1; ++o) {
+      for (const int n : numbers) {
+        Fingerprint fp;
+        fp.browser = static_cast<Browser>(b);
+        fp.os = static_cast<Os>(o);
+        fp.browser_version = n;
+        fp.screen_width = n;
+        fp.screen_height = INT_MIN + INT_MAX - n;
+        fp.canvas_hash = static_cast<std::uint64_t>(n);
+        fps.push_back(fp);
+      }
+    }
+  }
+  const ConsistencyChecker checker;
+  for (const Fingerprint& fp : fps) {
+    const RenderingHashes got = rendering_hashes(fp);
+    const RenderingHashes want = oracle_rendering_hashes(fp);
+    EXPECT_EQ(got.canvas, want.canvas) << fp.canonical();
+    EXPECT_EQ(got.webgl, want.webgl) << fp.canonical();
+    EXPECT_EQ(got.fonts, want.fonts) << fp.canonical();
+
+    // One pass counts what check() lists and reports its first entry.
+    const auto violations = checker.check(fp);
+    ConsistencyViolation first;
+    ASSERT_EQ(checker.count_violations(fp, &first), violations.size()) << fp.canonical();
+    if (!violations.empty()) {
+      EXPECT_EQ(first.rule, violations.front().rule);
+      EXPECT_EQ(first.detail, violations.front().detail);
+    }
+    const bool stale = want.canvas != fp.canvas_hash || want.webgl != fp.webgl_hash ||
+                       want.fonts != fp.fonts_hash;
+    EXPECT_EQ(!violations.empty() && violations.back().rule == "render-hash", stale);
+  }
 }
 
 // --- Rotation --------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "sim/rng.hpp"
 #include "util/archive.hpp"
 #include "util/format.hpp"
+#include "util/strings.hpp"
 
 namespace fraudsim {
 namespace {
@@ -154,6 +155,38 @@ TEST(Locale, MetricsCsvBytesAreLocaleIndependent) {
   std::ostringstream grouped_csv;  // freshly constructed → grouping locale
   snap.write_csv(grouped_csv);
   EXPECT_EQ(classic_csv.str(), grouped_csv.str());
+}
+
+// Text classes come from no locale at all: name scoring must give the same
+// verdicts whatever an embedding program passes to setlocale. The class and
+// case mapping of every byte is pinned here as literals, 64 bytes per row.
+TEST(Locale, AsciiClassesPinnedForEveryByte) {
+  const std::string alpha =  // 'A' = letter, '.' = not
+      "................................................................"
+      ".AAAAAAAAAAAAAAAAAAAAAAAAAA......AAAAAAAAAAAAAAAAAAAAAAAAAA....."
+      "................................................................"
+      "................................................................";
+  // Bytes 0x40-0x7F; every byte outside this row maps to itself.
+  const std::string lower_row =
+      "@abcdefghijklmnopqrstuvwxyz[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\x7f";
+  const std::string upper_row =
+      "@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`ABCDEFGHIJKLMNOPQRSTUVWXYZ{|}~\x7f";
+  ASSERT_EQ(alpha.size(), 256u);
+  std::string every_byte;
+  std::string want_lower;
+  std::string want_upper;
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool in_row = b >= 0x40 && b < 0x80;
+    every_byte += c;
+    want_lower += in_row ? lower_row[static_cast<std::size_t>(b - 0x40)] : c;
+    want_upper += in_row ? upper_row[static_cast<std::size_t>(b - 0x40)] : c;
+    EXPECT_EQ(util::is_alpha(c), alpha[static_cast<std::size_t>(b)] == 'A') << "byte " << b;
+    EXPECT_EQ(util::lower(c), want_lower.back()) << "byte " << b;
+    EXPECT_EQ(util::upper(c), want_upper.back()) << "byte " << b;
+  }
+  EXPECT_EQ(util::to_lower(every_byte), want_lower);
+  EXPECT_EQ(util::to_upper(every_byte), want_upper);
 }
 
 }  // namespace

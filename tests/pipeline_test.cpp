@@ -2,6 +2,11 @@
 // through the pipeline, scoring reports, and the SOC report rendering.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "attack/scraper.hpp"
 #include "attack/seat_spin.hpp"
 #include "core/detect/pipeline.hpp"
@@ -121,6 +126,62 @@ TEST(Pipeline, ReportsAreScoredAgainstGroundTruth) {
     EXPECT_EQ(report.score.confusion.total(),
               detect::actors_of(result.sessions).size())
         << report.detector;
+  }
+}
+
+// Scoring as it was before one pass counted per family: every alert copied
+// into a per-detector map, flagged actors collected from the copies.
+std::vector<detect::DetectorReport> oracle_reports(const detect::PipelineResult& result,
+                                                   const app::ActorRegistry& registry) {
+  std::map<std::string, std::vector<detect::Alert>> by_detector;
+  for (const auto& a : result.alerts.alerts()) by_detector[a.detector].push_back(a);
+  const auto universe = detect::actors_of(result.sessions);
+  std::vector<detect::DetectorReport> reports;
+  for (const auto& [detector, alerts] : by_detector) {
+    std::unordered_set<web::ActorId> flagged;
+    for (const auto& a : alerts) {
+      if (a.actor) flagged.insert(*a.actor);
+    }
+    detect::DetectorReport report;
+    report.detector = detector;
+    report.alerts = alerts.size();
+    report.score =
+        detect::score_actors(flagged, universe, registry, detect::TruthCriterion::Abuser);
+    reports.push_back(std::move(report));
+  }
+  return reports;
+}
+
+TEST(Pipeline, SessionsAndReportsMatchCopyingOracle) {
+  detect::DetectionPipeline pipeline;
+  pipeline.fit_nip_baseline(world().env.app, 0, sim::days(1));
+  pipeline.enable_ip_reputation(world().env.geo);
+  const auto& app = world().env.app;
+  const auto result = pipeline.run(app, world().env.actors, sim::days(1), sim::days(2));
+
+  // The window is sessionized in place, as if copied out of the log first.
+  const auto copied = web::Sessionizer().sessionize(app.weblog().range(sim::days(1), sim::days(2)));
+  ASSERT_EQ(result.sessions.size(), copied.size());
+  for (std::size_t i = 0; i < copied.size(); ++i) {
+    EXPECT_EQ(result.sessions[i].id, copied[i].id);
+    ASSERT_EQ(result.sessions[i].requests.size(), copied[i].requests.size());
+    for (std::size_t k = 0; k < copied[i].requests.size(); ++k) {
+      EXPECT_EQ(result.sessions[i].requests[k].id, copied[i].requests[k].id);
+    }
+  }
+
+  const auto want = oracle_reports(result, world().env.actors);
+  ASSERT_EQ(result.reports.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& got = result.reports[i];
+    EXPECT_EQ(got.detector, want[i].detector);
+    EXPECT_EQ(got.alerts, want[i].alerts) << want[i].detector;
+    EXPECT_EQ(got.score.confusion.tp, want[i].score.confusion.tp) << want[i].detector;
+    EXPECT_EQ(got.score.confusion.fp, want[i].score.confusion.fp) << want[i].detector;
+    EXPECT_EQ(got.score.confusion.tn, want[i].score.confusion.tn) << want[i].detector;
+    EXPECT_EQ(got.score.confusion.fn, want[i].score.confusion.fn) << want[i].detector;
+    EXPECT_EQ(got.score.missed, want[i].score.missed) << want[i].detector;
+    EXPECT_EQ(got.score.false_alarms, want[i].score.false_alarms) << want[i].detector;
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -8,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -192,6 +196,120 @@ TEST(Strings, GibberishScoreSeparatesNamesFromMash) {
 
 TEST(Strings, GibberishScoreShortStringsNeutral) {
   EXPECT_DOUBLE_EQ(gibberish_score("ab"), 0.0);
+}
+
+// The scorer before ASCII classes and the bigram bit table: <cctype> per
+// byte, a scan of the row string per bigram, a walk over all 256 byte counts
+// per entropy.
+namespace oracle {
+
+char lower(char c) { return static_cast<char>(std::tolower(static_cast<unsigned char>(c))); }
+
+bool is_alpha(char c) { return std::isalpha(static_cast<unsigned char>(c)) != 0; }
+
+bool is_vowel(char c) {
+  const char l = lower(c);
+  return l == 'a' || l == 'e' || l == 'i' || l == 'o' || l == 'u';
+}
+
+constexpr std::array<const char*, 26> kBigramRows = {
+    "bcdglmnrstvyz", "aeilorub",       "aehiklortu",       "aeiorsuy",        "adeglmnrstvwxy",
+    "aeiloru",       "aehilnoru",      "aeiouy",           "acdeglmnorstvz",  "aeiou",
+    "aeiloy",        "adeiklnostuvy",  "aabeiopuy",        "acdegiknostuy",   "bcdklmnoprstuvw",
+    "aehiloprtu",    "u",              "adeghiklmnorstuy", "acehiklmnopqtuw", "aehiorstuwy",
+    "bcdgilmnprst",  "aeio",           "aehio",            "aeit",            "aelnos",
+    "aeiozy",
+};
+
+bool common_bigram(char a, char b) {
+  if (!is_alpha(a) || !is_alpha(b)) return false;
+  for (const char* p = kBigramRows[static_cast<std::size_t>(lower(a) - 'a')]; *p != '\0'; ++p) {
+    if (*p == lower(b)) return true;
+  }
+  return false;
+}
+
+double shannon_entropy(std::string_view s) {
+  if (s.empty()) return 0.0;
+  std::array<std::size_t, 256> counts{};
+  for (unsigned char c : s) counts[c]++;
+  double entropy = 0.0;
+  const double n = static_cast<double>(s.size());
+  for (std::size_t count : counts) {
+    if (count == 0) continue;
+    const double p = static_cast<double>(count) / n;
+    entropy -= p * std::log2(p);
+  }
+  return entropy;
+}
+
+double vowel_ratio(std::string_view s) {
+  std::size_t alpha = 0;
+  std::size_t vowels = 0;
+  for (char c : s) {
+    if (!is_alpha(c)) continue;
+    ++alpha;
+    if (is_vowel(c)) ++vowels;
+  }
+  return alpha == 0 ? 0.0 : static_cast<double>(vowels) / static_cast<double>(alpha);
+}
+
+double bigram_log_likelihood(std::string_view s) {
+  double total = 0.0;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i + 1 < s.size(); ++i) {
+    if (!is_alpha(s[i]) || !is_alpha(s[i + 1])) continue;
+    total += common_bigram(s[i], s[i + 1]) ? -3.0 : -6.2;
+    ++n;
+  }
+  return n == 0 ? 0.0 : total / static_cast<double>(n);
+}
+
+double gibberish_score(std::string_view s) {
+  if (s.size() < 3) return 0.0;
+  const double max_entropy = std::log2(std::min<double>(26.0, static_cast<double>(s.size())));
+  const double entropy_sig =
+      max_entropy > 0 ? std::clamp(shannon_entropy(s) / max_entropy, 0.0, 1.0) : 0.0;
+  const double vr = vowel_ratio(s);
+  double vowel_sig = 0.0;
+  if (vr < 0.30) vowel_sig = (0.30 - vr) / 0.30;
+  if (vr > 0.55) vowel_sig = (vr - 0.55) / 0.45;
+  vowel_sig = std::clamp(vowel_sig, 0.0, 1.0);
+  const double bll = bigram_log_likelihood(s);
+  const double bigram_sig = std::clamp((bll - (-3.0)) / (-6.2 - (-3.0)), 0.0, 1.0);
+  return std::clamp(0.25 * entropy_sig + 0.25 * vowel_sig + 0.50 * bigram_sig, 0.0, 1.0);
+}
+
+}  // namespace oracle
+
+// Bit-for-bit agreement with the oracle on seeded names: mixed case, digits,
+// punctuation, UTF-8, raw bytes 0x80-0xFF, lengths 0-3 and over 300.
+TEST(Strings, GibberishMatchesOracle) {
+  std::vector<std::string> names = {"",      "a",       "Zo",      "ab!",     "José",
+                                    "李",    "Müller",  "O'Brien", "x-Æ-12",  "AFFJGDUI",
+                                    "Smith", "ddfjrei", "MaRtInEz", "\x80\xff\x41", "Ωmega"};
+  const std::string pools[] = {
+      "abcdefghijklmnopqrstuvwxyz",
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 -'.,!?|",
+      "aeiouAEIOU\xc3\xa9\xc3\xb1\xe6\x9d\x8e",  // with UTF-8 é, ñ, 李 bytes
+  };
+  std::uint64_t state = 2024;
+  const auto next = [&state] { return state = splitmix64(state); };
+  for (int i = 0; i < 3000; ++i) {
+    const std::size_t len = i % 10 == 0 ? 300 + next() % 200 : next() % 16;
+    const std::string& pool = pools[next() % 3];
+    std::string name;
+    for (std::size_t k = 0; k < len; ++k) {
+      name += i % 7 == 0 ? static_cast<char>(next() % 256) : pool[next() % pool.size()];
+    }
+    names.push_back(std::move(name));
+  }
+  for (const std::string& name : names) {
+    EXPECT_EQ(shannon_entropy(name), oracle::shannon_entropy(name)) << name;
+    EXPECT_EQ(vowel_ratio(name), oracle::vowel_ratio(name)) << name;
+    EXPECT_EQ(bigram_log_likelihood(name), oracle::bigram_log_likelihood(name)) << name;
+    EXPECT_EQ(gibberish_score(name), oracle::gibberish_score(name)) << name;
+  }
 }
 
 // --- Stats ------------------------------------------------------------------------

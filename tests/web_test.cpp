@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "sim/rng.hpp"
 #include "web/endpoint.hpp"
 #include "web/features.hpp"
 #include "web/session.hpp"
@@ -104,6 +109,125 @@ TEST(Sessionizer, SortsOutOfOrderRequests) {
   EXPECT_EQ(sessions[0].start(), 1000);
   EXPECT_EQ(sessions[0].end(), 5000);
   EXPECT_EQ(sessions[0].duration(), 4000);
+}
+
+// The sessionizer before it sorted keys: copy every request into a per-cookie
+// map, stable-sort each cookie's full records by time, split on gaps.
+std::vector<Session> oracle_sessionize(const std::vector<HttpRequest>& requests,
+                                       sim::SimDuration timeout) {
+  std::map<SessionId, std::vector<HttpRequest>> by_cookie;
+  for (const auto& r : requests) by_cookie[r.session].push_back(r);
+  std::vector<Session> sessions;
+  for (auto& [cookie, reqs] : by_cookie) {
+    std::stable_sort(reqs.begin(), reqs.end(),
+                     [](const HttpRequest& a, const HttpRequest& b) { return a.time < b.time; });
+    Session current;
+    current.id = cookie;
+    for (const auto& r : reqs) {
+      if (!current.requests.empty() && r.time - current.requests.back().time > timeout) {
+        sessions.push_back(std::move(current));
+        current = Session{};
+        current.id = cookie;
+      }
+      if (current.requests.empty()) current.actor = r.actor;
+      current.requests.push_back(r);
+    }
+    if (!current.requests.empty()) sessions.push_back(std::move(current));
+  }
+  return sessions;
+}
+
+void expect_same_sessions(const std::vector<Session>& got, const std::vector<Session>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "session " << i;
+    EXPECT_EQ(got[i].actor, want[i].actor) << "session " << i;
+    ASSERT_EQ(got[i].requests.size(), want[i].requests.size()) << "session " << i;
+    for (std::size_t k = 0; k < got[i].requests.size(); ++k) {
+      // Ids are unique per request, so equal ids mean the same record in the
+      // same place, ties included.
+      EXPECT_EQ(got[i].requests[k].id, want[i].requests[k].id) << "session " << i << " #" << k;
+      EXPECT_EQ(got[i].requests[k].time, want[i].requests[k].time);
+      EXPECT_EQ(got[i].requests[k].endpoint, want[i].requests[k].endpoint);
+    }
+  }
+}
+
+// Seeded request sets: a few cookies whose ids differ in every byte
+// position, times on a coarse grid so equal timestamps within a cookie are
+// common, gaps of exactly `timeout` and `timeout + 1`, and a shuffled input
+// order.
+std::vector<HttpRequest> random_requests(sim::Rng& rng, std::size_t n, sim::SimDuration timeout) {
+  const std::vector<std::uint64_t> ids = {1,           2,           255,
+                                          256,         0x10000,     0x1000000001,
+                                          0x100 << 20, 1ULL << 56,  0xff00000000000001,
+                                          ~0ULL};
+  std::vector<std::uint64_t> cookies;
+  for (std::int64_t c = rng.uniform_int(1, 6); c > 0; --c) cookies.push_back(rng.pick(ids));
+  std::vector<HttpRequest> requests;
+  sim::SimTime t = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        break;  // same time as the previous request
+      case 1:
+        t += timeout;  // exactly the timeout: same session
+        break;
+      case 2:
+        t += timeout + 1;  // one past it: a new session
+        break;
+      default:
+        t += rng.uniform_int(1, timeout / 4);
+        break;
+    }
+    const auto endpoint = static_cast<Endpoint>(rng.uniform_int(0, 5));
+    const auto actor = static_cast<std::uint64_t>(rng.uniform_int(1, 9));
+    HttpRequest r = make_request(t, rng.pick(cookies), endpoint, HttpMethod::Get, actor);
+    r.id = RequestId{i + 1};
+    requests.push_back(r);
+  }
+  rng.shuffle(requests.begin(), requests.end());
+  return requests;
+}
+
+TEST(Sessionizer, MatchesMapAndStableSortOracle) {
+  const sim::SimDuration timeout = sim::minutes(30);
+  const Sessionizer sessionizer(timeout);
+  sim::Rng rng(20);
+  for (const std::size_t n : {0, 1, 2, 3, 17, 200, 2000}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const auto requests = random_requests(rng, n, timeout);
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
+      expect_same_sessions(sessionizer.sessionize(requests), oracle_sessionize(requests, timeout));
+
+      // The [from, to) form equals filtering first, then sessionizing.
+      const sim::SimTime last = requests.empty() ? 0 : std::max_element(
+          requests.begin(), requests.end(),
+          [](const HttpRequest& a, const HttpRequest& b) { return a.time < b.time; })->time;
+      const sim::SimTime from = rng.uniform_int(0, last);
+      const sim::SimTime to = rng.uniform_int(from, last + 1);
+      std::vector<HttpRequest> window;
+      for (const auto& r : requests) {
+        if (r.time >= from && r.time < to) window.push_back(r);
+      }
+      expect_same_sessions(sessionizer.sessionize(requests, from, to),
+                           oracle_sessionize(window, timeout));
+    }
+  }
+  // One-request sessions: two cookies, each request one past the timeout
+  // after the one before, input reversed.
+  std::vector<HttpRequest> singles;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    singles.push_back(make_request(static_cast<sim::SimTime>(i) * (timeout + 1), i % 2 + 1,
+                                   Endpoint::Home, HttpMethod::Get, i + 1));
+    singles.back().id = RequestId{i + 1};
+  }
+  std::reverse(singles.begin(), singles.end());
+  EXPECT_EQ(sessionizer.sessionize(singles).size(), 6u);
+  expect_same_sessions(sessionizer.sessionize(singles), oracle_sessionize(singles, timeout));
+  // An empty window, and an empty input.
+  EXPECT_TRUE(sessionizer.sessionize(singles, 5, 5).empty());
+  EXPECT_TRUE(sessionizer.sessionize({}, 0, 100).empty());
 }
 
 // --- Feature extraction -------------------------------------------------------------
