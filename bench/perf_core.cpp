@@ -13,6 +13,9 @@
 //   ns_admit_full           wall ns per request through Application::admit
 //                           with the paper's five §V rate limits active
 //   ns_score_<family>       wall ns per session-score for each detector
+//   ns_rate_limit_allow     wall ns per SlidingWindowRateLimiter::allow:
+//                           four limiters fed identities rotating over
+//                           100k keys, each key stale by its next visit
 //   ns_name_patterns_per_reservation
 //                           wall ns per reservation through
 //                           NamePatternAnalyzer::analyze on a 4,000-reservation
@@ -363,6 +366,40 @@ double measure_ns_admit(std::size_t requests, util::Arena::Stats& arena_out) {
   return elapsed_ns(t0, t1) / static_cast<double>(requests);
 }
 
+// Wall ns per SlidingWindowRateLimiter::allow on the rotation path: four
+// limiters (one per keying the admit path limits on) each take one call per
+// step, keys cycling over 100k identities with sim time advancing 1 ms per
+// step. A key returns after 100 s, past the one-minute window, so each call
+// interns into an id the stale-key sweep recycled, and each sweep evicts a
+// minute's worth of keys. The first full rotation warms the tables up.
+double measure_ns_rate_limit_allow(bool smoke, int reps) {
+  constexpr std::size_t kKeys = 100'000;
+  constexpr std::size_t kLimiters = 4;
+  std::vector<std::string> keys;
+  keys.reserve(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) keys.push_back("10." + std::to_string(i));
+  const std::size_t steps = smoke ? 100'000 : 500'000;
+  const auto sample = [&] {
+    std::vector<mitigate::SlidingWindowRateLimiter> limiters(
+        kLimiters, mitigate::SlidingWindowRateLimiter(1u << 30, sim::kMinute));
+    sim::SimTime now = 0;
+    std::size_t allowed = 0;
+    const auto drive = [&](std::size_t from, std::size_t to) {
+      for (std::size_t s = from; s < to; ++s) {
+        now += 1;
+        for (auto& limiter : limiters) allowed += limiter.allow(now, keys[s % kKeys]) ? 1 : 0;
+      }
+    };
+    drive(0, kKeys);
+    const auto t0 = GateClock::now();
+    drive(kKeys, kKeys + steps);
+    const auto t1 = GateClock::now();
+    benchmark::DoNotOptimize(allowed);
+    return elapsed_ns(t0, t1) / static_cast<double>(steps * kLimiters);
+  };
+  return median_of(reps, sample);
+}
+
 // Per-detector wall ns per analysed session, read off the profiler phases the
 // pipeline already wraps every family in. One seeded scenario provides the
 // log; the pipeline re-runs `reps` times over the same window.
@@ -519,6 +556,9 @@ int run_gate(const bench::Options& options) {
   metrics.emplace_back("arena_bytes_per_admit",
                        static_cast<double>(arena.bytes) / static_cast<double>(admits));
   metrics.emplace_back("arena_chunk_allocs", static_cast<double>(arena.chunk_allocs));
+
+  std::cerr << "[gate] rate limiter...\n";
+  metrics.emplace_back("ns_rate_limit_allow", measure_ns_rate_limit_allow(smoke, reps));
 
   std::cerr << "[gate] detector scoring...\n";
   for (auto& m : measure_detector_ns(smoke)) metrics.push_back(std::move(m));

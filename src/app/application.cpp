@@ -80,19 +80,6 @@ std::unordered_map<std::string, std::uint64_t> Application::rule_hits() const {
   return out;
 }
 
-web::HttpRequest Application::make_request(const ClientContext& ctx, web::Endpoint endpoint,
-                                           web::HttpMethod method) const {
-  web::HttpRequest r;
-  r.time = sim_.now();
-  r.method = method;
-  r.endpoint = endpoint;
-  r.ip = ctx.ip;
-  r.session = ctx.session;
-  r.fp_hash = ctx.fingerprint.hash();
-  r.actor = ctx.actor;
-  return r;
-}
-
 int Application::status_code_for(PolicyAction action) {
   switch (action) {
     case PolicyAction::Allow:
@@ -122,6 +109,7 @@ Application::AdmitOutcome Application::admit(const ClientContext& ctx, web::Endp
   request.actor = ctx.actor;
 
   AdmitOutcome out;
+  out.fp_hash = request.fp_hash;
   out.trace = obs_.traces.start_trace(web::endpoint_path(endpoint), request.time);
   request.trace_id = out.trace.trace_id();
 
@@ -181,7 +169,7 @@ Application::AdmitOutcome Application::admit(const ClientContext& ctx, web::Endp
   request.status_code = status_code_for(decision.action);
 
   if (!shed) {
-    fp_store_.observe(ctx.fingerprint, request.time);
+    fp_store_.observe(ctx.fingerprint, request.fp_hash, request.time);
     if (ctx.pointer_biometrics) {
       biometric_log_.push_back(BiometricRecord{request.time, ctx.session, request.fp_hash,
                                                ctx.actor, *ctx.pointer_biometrics});
@@ -290,7 +278,7 @@ HoldResult Application::hold_impl(const ClientContext& ctx, airline::FlightId fl
       }
       const auto span = adm.trace.child("inventory.decoy_hold", sim_.now());
       auto outcome = decoy_->hold(sim_.now(), flight, std::move(passengers), ctx.actor, ctx.ip,
-                                  ctx.fingerprint.hash());
+                                  adm.fp_hash);
       if (outcome.ok) {
         result.status = CallStatus::Ok;
         result.pnr = outcome.pnr;
@@ -321,9 +309,8 @@ HoldResult Application::hold_impl(const ClientContext& ctx, airline::FlightId fl
     }
   }
   const auto span = adm.trace.child("inventory.hold", sim_.now());
-  auto outcome =
-      inventory_.hold(sim_.now(), flight, std::move(passengers), ctx.actor, ctx.ip,
-                      ctx.fingerprint.hash(), ttl_override);
+  auto outcome = inventory_.hold(sim_.now(), flight, std::move(passengers), ctx.actor, ctx.ip,
+                                 adm.fp_hash, ttl_override);
   if (outcome.ok) {
     result.status = CallStatus::Ok;
     result.pnr = outcome.pnr;

@@ -245,6 +245,7 @@ class Application : public util::Checkpointed<Application> {
     PolicyDecision decision;
     overload::Deadline deadline;
     obs::TraceContext trace;
+    fp::FpHash fp_hash;  // the request's fingerprint digest, hashed once
   };
 
   // Logs the request, runs overload admission then the policy, updates the
@@ -267,8 +268,6 @@ class Application : public util::Checkpointed<Application> {
   BoardingSmsResult request_boarding_sms_impl(const ClientContext& ctx, const std::string& pnr,
                                               sms::PhoneNumber number);
   CallStatus request_boarding_email_impl(const ClientContext& ctx, const std::string& pnr);
-  web::HttpRequest make_request(const ClientContext& ctx, web::Endpoint endpoint,
-                                web::HttpMethod method) const;
   static int status_code_for(PolicyAction action);
 
   sim::Simulation& sim_;

@@ -5,12 +5,12 @@ namespace fraudsim::app {
 FingerprintStore::FingerprintStore()
     : record_fault_(fault::FaultRegistry::global().point("fp.store.record")) {}
 
-void FingerprintStore::observe(const fp::Fingerprint& fingerprint, sim::SimTime now) {
+void FingerprintStore::observe(const fp::Fingerprint& fingerprint, fp::FpHash hash,
+                               sim::SimTime now) {
   if (record_fault_.should_fail(now)) {
     ++dropped_;
     return;
   }
-  const fp::FpHash hash = fingerprint.hash();
   auto& entry = entries_[hash];
   if (entry.count == 0) entry.fingerprint = fingerprint;
   ++entry.count;

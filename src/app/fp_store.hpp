@@ -26,7 +26,9 @@ class FingerprintStore : public util::Checkpointed<FingerprintStore> {
  public:
   FingerprintStore();
 
-  void observe(const fp::Fingerprint& fingerprint, sim::SimTime now = 0);
+  // Records one presentation of `fingerprint`, whose digest the caller has
+  // already taken (`hash` == fingerprint.hash(); the admit path hashes once).
+  void observe(const fp::Fingerprint& fingerprint, fp::FpHash hash, sim::SimTime now = 0);
 
   [[nodiscard]] std::uint64_t observations(fp::FpHash hash) const;
   [[nodiscard]] std::uint64_t total_observations() const { return total_; }

@@ -62,13 +62,10 @@ EntityGraph::EntityGraph(GraphConfig config)
       next_maintenance_(config.maintenance_every),
       ingest_fault_(fault::FaultRegistry::global().point("graph.ingest")) {}
 
-std::string EntityGraph::compose_key(NodeType type, std::string_view key) {
-  std::string composed;
-  composed.reserve(key.size() + 2);
-  composed.push_back(type_prefix(type));
-  composed.push_back(':');
-  composed.append(key);
-  return composed;
+std::string_view EntityGraph::compose_key(NodeType type, std::string_view key) const {
+  key_buf_.assign({type_prefix(type), ':'});
+  key_buf_.append(key);
+  return key_buf_;
 }
 
 bool EntityGraph::begin_event(sim::SimTime now) {
@@ -130,8 +127,7 @@ void EntityGraph::add_signal(sim::SimTime now, NodeId node, Signal signal, doubl
 std::string_view EntityGraph::key_of(NodeId id) const {
   if (!alive(id)) return {};
   // Composed key is "<type-prefix>:<raw key>"; strip the two-byte prefix.
-  const std::string& composed = intern_.str(id);
-  return std::string_view(composed).substr(2);
+  return intern_.str(id).substr(2);
 }
 
 void EntityGraph::merge_from(const EntityGraph& other, sim::SimTime now) {

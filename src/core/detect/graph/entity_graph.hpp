@@ -195,7 +195,9 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
     for (const auto& [key, last_seen] : edges_) fn(key.first, key.second, last_seen);
   }
 
-  // Raw (un-prefixed) key of a live node; empty for dead ids.
+  // Raw (un-prefixed) key of a live node; empty for dead ids. The view points
+  // into the interner: it is valid until the graph next adds or evicts a
+  // node.
   [[nodiscard]] std::string_view key_of(NodeId id) const;
 
   // Folds `other`'s live nodes, edges and decayed signal mass into this
@@ -216,7 +218,8 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
   void visit(Ar& ar);
 
  private:
-  [[nodiscard]] static std::string compose_key(NodeType type, std::string_view key);
+  // "<type-prefix>:<key>", composed in key_buf_: valid until the next call.
+  [[nodiscard]] std::string_view compose_key(NodeType type, std::string_view key) const;
   // Evicts live `ids` (ascending) and every edge touching them in one pass.
   void evict_nodes(const std::vector<NodeId>& ids);
   void evict_oldest_node();
@@ -243,6 +246,9 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
   mutable std::vector<std::uint32_t> rank_size_;
   mutable std::vector<std::uint32_t> canonical_;
   mutable std::size_t unions_refused_ = 0;
+  // Reused by compose_key, so a lookup builds no string per call. Like the
+  // lazy partition above, it makes const queries unsafe to run concurrently.
+  mutable std::string key_buf_;
 };
 
 }  // namespace fraudsim::detect::graph

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "util/hash.hpp"
+#include "util/intern.hpp"
 #include "util/strings.hpp"
 
 namespace fraudsim::detect {
@@ -29,52 +30,6 @@ std::set<std::string> NamePatternFindings::all_flagged() const {
 namespace {
 
 using Reservations = std::vector<const airline::Reservation*>;
-
-// Dense ids for distinct keys, 0, 1, 2, ... in first-seen order. The keys
-// are stored back to back in one string and found through an open-addressing
-// table of ids; util::InternTable, with a heap node per key, made this
-// analyzer about 1.3x slower.
-class KeyIds {
- public:
-  // The id of `key`; `fresh`, when given, tells whether it was new.
-  std::uint32_t intern(std::string_view key, bool* fresh = nullptr) {
-    if (2 * (size() + 1) > slots_.size()) rehash(std::max<std::size_t>(64, 2 * slots_.size()));
-    std::size_t slot = bucket(key);
-    for (; slots_[slot] != 0; slot = (slot + 1) & (slots_.size() - 1)) {
-      if (this->key(slots_[slot] - 1) == key) {
-        if (fresh != nullptr) *fresh = false;
-        return slots_[slot] - 1;
-      }
-    }
-    slots_[slot] = size() + 1;
-    text_.append(key);
-    ends_.push_back(text_.size());
-    if (fresh != nullptr) *fresh = true;
-    return size() - 1;
-  }
-  [[nodiscard]] std::string_view key(std::uint32_t id) const {
-    const std::size_t begin = id == 0 ? 0 : ends_[id - 1];
-    return std::string_view(text_).substr(begin, ends_[id] - begin);
-  }
-  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(ends_.size()); }
-
- private:
-  [[nodiscard]] std::size_t bucket(std::string_view key) const {
-    return util::splitmix64(util::fnv1a(key)) & (slots_.size() - 1);
-  }
-  void rehash(std::size_t slots) {
-    slots_.assign(slots, 0);
-    for (std::uint32_t id = 0; id < size(); ++id) {
-      std::size_t slot = bucket(key(id));
-      while (slots_[slot] != 0) slot = (slot + 1) & (slots - 1);
-      slots_[slot] = id + 1;
-    }
-  }
-
-  std::string text_;                  // every key, back to back
-  std::vector<std::size_t> ends_;     // key i ends at text_[ends_[i]]
-  std::vector<std::uint32_t> slots_;  // id + 1; 0 = empty
-};
 
 // Hashes of {key, key with byte j deleted for every j}. Bytes, not code
 // points, exactly as util::levenshtein counts edits. Each is a polynomial
@@ -160,8 +115,10 @@ NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservation
   };
 
   // Pass 1: every passenger's name key and every party key, interned once.
-  KeyIds names;
-  KeyIds parties;
+  // Interned ids start at 1; names and parties are numbered from 0 here.
+  util::InternTable names;
+  util::InternTable parties;
+  const auto key = [&names](std::uint32_t name) { return names.str(name + 1); };
   std::vector<NameRow> rows;
   std::vector<std::uint32_t> party_of(reservations.size());
   std::vector<std::string_view> party;
@@ -169,15 +126,13 @@ NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservation
   for (std::uint32_t b = 0; b < reservations.size(); ++b) {
     const std::size_t party_begin = rows.size();
     for (const auto& p : reservations[b]->passengers) {
-      rows.push_back({names.intern(p.name_key()), p.birthdate, b});
+      rows.push_back({names.intern(p.name_key()) - 1, p.birthdate, b});
     }
     // Views into `names` last only until its next intern.
     party.clear();
-    for (std::size_t i = party_begin; i < rows.size(); ++i) {
-      party.push_back(names.key(rows[i].name));
-    }
+    for (std::size_t i = party_begin; i < rows.size(); ++i) party.push_back(key(rows[i].name));
     airline::party_key(party, party_text);
-    party_of[b] = parties.intern(party_text);
+    party_of[b] = parties.intern(party_text) - 1;
   }
   const double share_floor = config_.name_share_threshold * static_cast<double>(rows.size());
 
@@ -198,13 +153,12 @@ NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservation
 
   // Gibberish: per-reservation mean score over the party's names. Each
   // distinct name is scored once.
-  KeyIds scored;
-  std::vector<double> scores;
+  util::InternTable scored;
+  std::vector<double> scores;  // by interned id - 1
   const auto gibberish = [&](std::string_view name) {
-    bool fresh = false;
-    const std::uint32_t id = scored.intern(name, &fresh);
-    if (fresh) scores.push_back(util::gibberish_score(name));
-    return scores[id];
+    const std::uint32_t id = scored.intern(name);
+    if (id > scores.size()) scores.push_back(util::gibberish_score(name));
+    return scores[id - 1];
   };
   for (std::uint32_t b = 0; b < reservations.size(); ++b) {
     double total = 0.0;
@@ -268,7 +222,7 @@ NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservation
   std::vector<std::uint64_t> hashes;
   DeletionIndex index;
   for (std::uint32_t i = 0; i < repeated.size(); ++i) {
-    deletion_hashes(names.key(repeated[i]), hashes);
+    deletion_hashes(key(repeated[i]), hashes);
     for (const std::uint64_t h : hashes) index.add(h, i);
   }
   index.build();
@@ -277,7 +231,7 @@ NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservation
   std::vector<std::vector<std::uint32_t>> variants(repeated.size());
   std::vector<std::uint32_t> candidates;
   for (std::uint32_t name = 0; name < names.size(); ++name) {
-    const std::string_view other = names.key(name);
+    const std::string_view other = key(name);
     deletion_hashes(other, hashes);
     candidates.clear();
     for (const std::uint64_t h : hashes) index.find(h, candidates);
@@ -285,7 +239,7 @@ NamePatternFindings NamePatternAnalyzer::analyze(const Reservations& reservation
     candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
     for (const std::uint32_t i : candidates) {
       if (repeated[i] == name) continue;
-      if (!util::within_edit_distance(names.key(repeated[i]), other, 1)) continue;
+      if (!util::within_edit_distance(key(repeated[i]), other, 1)) continue;
       variant_bookings[i] += bookings(name).size();
       variants[i].push_back(name);
     }

@@ -9,14 +9,18 @@
 // once per window) erases such keys. Long-running scenarios with rotating
 // IPs/sessions therefore hold O(active keys), not O(all keys ever seen).
 //
-// Keys are interned to dense u32 ids and windows live in an id-indexed
-// vector — steady-state admits hash the key string once and do integer work
-// from there. Stale-key eviction releases the intern id, so the table stays
-// bounded by live keys.
+// Keys are interned to dense u32 ids (util::InternTable) and windows live in
+// an id-indexed vector, so steady-state admits hash the key string once and
+// do integer work from there. A window is one vector of event times plus a
+// moving head: pruning advances the head, and the vector is compacted when
+// the head passes half of it, so each event is moved at most once on
+// average. A key costs its interner record and slots (24–32 B plus its
+// bytes) and a 32 B window plus 8 B per event of capacity. Stale-key eviction
+// releases the intern id and empties the window but keeps its capacity for
+// the id's next key.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,10 +92,19 @@ class SlidingWindowRateLimiter : public util::Checkpointed<SlidingWindowRateLimi
   void visit(Ar& ar);
 
  private:
-  // The window deque for `key`, created if absent.
-  [[nodiscard]] std::deque<sim::SimTime>& window_for(std::string_view key);
-  void prune(sim::SimTime now, std::deque<sim::SimTime>& q) const;
-  [[nodiscard]] std::uint64_t live_count(sim::SimTime now, const std::deque<sim::SimTime>& q) const;
+  // One key's events in arrival order: times[head, end) are in the window
+  // (as of the last prune); times[0, head) are pruned and await compaction.
+  struct Window {
+    std::vector<sim::SimTime> times;
+    std::size_t head = 0;
+
+    [[nodiscard]] std::size_t size() const { return times.size() - head; }
+  };
+
+  // The window for `key`, created if absent.
+  [[nodiscard]] Window& window_for(std::string_view key);
+  void prune(sim::SimTime now, Window& w) const;
+  [[nodiscard]] std::uint64_t live_count(sim::SimTime now, const Window& w) const;
   // Drops every key with no event newer than now - window. Amortised: runs at
   // most once per window span, and releases the intern id so the id space is
   // bounded by live keys.
@@ -102,10 +115,10 @@ class SlidingWindowRateLimiter : public util::Checkpointed<SlidingWindowRateLimi
   // Key strings live once in keys_; windows are a dense
   // vector indexed by id-1, so after the single intern probe every window
   // access is an array index (and sweeps walk contiguous memory). Id
-  // recycling reuses slots; erase paths clear the slot's deque so a recycled
-  // id never inherits stale events.
+  // recycling reuses slots; erase paths empty the slot's window so a
+  // recycled id never inherits stale events.
   util::InternTable keys_;
-  std::vector<std::deque<sim::SimTime>> windows_;
+  std::vector<Window> windows_;
   // Denial tally: local until bind_denials() publishes it to a registry.
   std::uint64_t local_denials_ = 0;
   obs::Counter denials_counter_;

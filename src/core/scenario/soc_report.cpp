@@ -17,12 +17,14 @@ std::string render_soc_report(const SocReportInputs& inputs) {
       << "\n\n";
 
   // --- Traffic & business ----------------------------------------------------
-  const auto requests = app.weblog().range(inputs.from, inputs.to);
+  std::uint64_t requests = 0;
   std::uint64_t blocked = 0;
   std::uint64_t challenged = 0;
   std::uint64_t limited = 0;
   std::uint64_t shed = 0;
-  for (const auto& r : requests) {
+  for (const auto& r : app.weblog().all()) {
+    if (r.time < inputs.from || r.time >= inputs.to) continue;
+    ++requests;
     if (r.status_code == 403) ++blocked;
     if (r.status_code == 401) ++challenged;
     if (r.status_code == 429) ++limited;
@@ -46,7 +48,7 @@ std::string render_soc_report(const SocReportInputs& inputs) {
   }
 
   util::AsciiTable traffic({"Traffic & business", "count"});
-  traffic.add_row({"HTTP requests", util::format_count(requests.size())});
+  traffic.add_row({"HTTP requests", util::format_count(requests)});
   traffic.add_row({"sessions analysed", util::format_count(inputs.detection.sessions.size())});
   traffic.add_row({"holds created", util::format_count(holds)});
   traffic.add_row({"holds ticketed", util::format_count(ticketed)});

@@ -1,6 +1,8 @@
 #include "fingerprint/fingerprint.hpp"
 
+#include <charconv>
 #include <sstream>
+#include <type_traits>
 
 #include "util/hash.hpp"
 
@@ -50,15 +52,37 @@ const char* to_string(DeviceClass d) {
   return "?";
 }
 
+namespace {
+
+// Appends each part: integers in decimal through std::to_chars, text and
+// chars as they are.
+template <class... Parts>
+void append_all(std::string& out, const Parts&... parts) {
+  const auto one = [&out](const auto& part) {
+    if constexpr (std::is_integral_v<std::decay_t<decltype(part)>> &&
+                  !std::is_same_v<std::decay_t<decltype(part)>, char>) {
+      char buf[24];  // a u64 takes 20 digits, an int 11 with its sign
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, part).ptr);
+    } else {
+      out += part;
+    }
+  };
+  (one(parts), ...);
+}
+
+}  // namespace
+
 std::string Fingerprint::canonical() const {
-  std::ostringstream out;
-  out << to_string(browser) << '/' << browser_version << '|' << to_string(os) << '|'
-      << to_string(device) << '|' << screen_width << 'x' << screen_height << '|'
-      << timezone_offset_minutes << '|' << language << '|' << cpu_cores << 'c' << memory_gb << 'g'
-      << '|' << (touch_support ? 'T' : 't') << plugin_count << '|' << canvas_hash << '|'
-      << webgl_hash << '|' << fonts_hash << '|' << (webdriver_flag ? 'W' : 'w')
-      << (headless_hint ? 'H' : 'h');
-  return out.str();
+  // The bytes an ostringstream in the classic locale wrote (pinned by
+  // Fingerprint.CanonicalMatchesStreamOracle), in one reserved string.
+  std::string out;
+  out.reserve(160 + language.size());
+  append_all(out, to_string(browser), '/', browser_version, '|', to_string(os), '|',
+             to_string(device), '|', screen_width, 'x', screen_height, '|',
+             timezone_offset_minutes, '|', language, '|', cpu_cores, 'c', memory_gb, "g|",
+             touch_support ? 'T' : 't', plugin_count, '|', canvas_hash, '|', webgl_hash, '|',
+             fonts_hash, '|', webdriver_flag ? 'W' : 'w', headless_hint ? 'H' : 'h');
+  return out;
 }
 
 FpHash Fingerprint::hash() const {

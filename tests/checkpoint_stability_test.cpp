@@ -92,8 +92,8 @@ TEST(CheckpointStability, FingerprintStoreIsInsertionOrderIndependent) {
 
   app::FingerprintStore forward;
   app::FingerprintStore backward;
-  for (const auto& print : prints) forward.observe(print, 0);
-  for (auto it = prints.rbegin(); it != prints.rend(); ++it) backward.observe(*it, 0);
+  for (const auto& print : prints) forward.observe(print, print.hash(), 0);
+  for (auto it = prints.rbegin(); it != prints.rend(); ++it) backward.observe(*it, it->hash(), 0);
   EXPECT_EQ(checkpoint_bytes(forward), checkpoint_bytes(backward));
 }
 
@@ -101,7 +101,10 @@ TEST(CheckpointStability, FingerprintStoreRestoreRecheckpointRoundTrips) {
   fp::PopulationModel population;
   sim::Rng rng(13);
   app::FingerprintStore store;
-  for (int i = 0; i < 64; ++i) store.observe(population.sample(rng), sim::minutes(i));
+  for (int i = 0; i < 64; ++i) {
+    const fp::Fingerprint print = population.sample(rng);
+    store.observe(print, print.hash(), sim::minutes(i));
+  }
   const std::string bytes = checkpoint_bytes(store);
 
   app::FingerprintStore restored;

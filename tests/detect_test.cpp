@@ -127,13 +127,16 @@ TEST(RarityDetector, FlagsBusyRareFingerprints) {
   fp::PopulationModel population;
   sim::Rng rng(2);
   // A large population of normal users.
-  for (int i = 0; i < 20000; ++i) store.observe(population.sample(rng));
+  for (int i = 0; i < 20000; ++i) {
+    const fp::Fingerprint print = population.sample(rng);
+    store.observe(print, print.hash());
+  }
   // One odd stack hammering the site.
   fp::Fingerprint odd;
   odd.browser = fp::Browser::Other;
   odd.screen_width = 801;
   fp::derive_rendering_hashes(odd);
-  for (int i = 0; i < 100; ++i) store.observe(odd);
+  for (int i = 0; i < 100; ++i) store.observe(odd, odd.hash());
 
   // 100 / 20100 observations ~ 0.5%: busy, yet far rarer than any popular
   // stack (the heaviest configurations carry several percent each).
@@ -153,7 +156,7 @@ TEST(RarityDetector, IgnoresOneOffFingerprints) {
   fp::Fingerprint once;
   once.screen_width = 999;
   fp::derive_rendering_hashes(once);
-  store.observe(once);
+  store.observe(once, once.hash());
   RarityDetector detector(1e-3, 30);
   EXPECT_FALSE(detector.is_rare(store, once.hash()));
 }

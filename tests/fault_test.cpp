@@ -472,14 +472,15 @@ TEST_F(FaultTest, FingerprintStoreDropsUnderFault) {
   app::FingerprintStore store;
   fp::Fingerprint fingerprint;
   fp::derive_rendering_hashes(fingerprint);
-  store.observe(fingerprint, 0);
+  const fp::FpHash hash = fingerprint.hash();
+  store.observe(fingerprint, hash, 0);
   EXPECT_EQ(store.total_observations(), 1u);
   FaultRegistry::global().arm("fp.store.record", FaultScenario::always());
-  store.observe(fingerprint, sim::minutes(1));
+  store.observe(fingerprint, hash, sim::minutes(1));
   EXPECT_EQ(store.total_observations(), 1u);
   EXPECT_EQ(store.dropped(), 1u);
   FaultRegistry::global().disarm_all();
-  store.observe(fingerprint, sim::minutes(2));
+  store.observe(fingerprint, hash, sim::minutes(2));
   EXPECT_EQ(store.total_observations(), 2u);
 }
 

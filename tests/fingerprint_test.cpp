@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -220,6 +222,67 @@ TEST(Consistency, RenderingHashesMatchOracle) {
     const bool stale = want.canvas != fp.canvas_hash || want.webgl != fp.webgl_hash ||
                        want.fonts != fp.fonts_hash;
     EXPECT_EQ(!violations.empty() && violations.back().rule == "render-hash", stale);
+  }
+}
+
+// The attribute string as an ostringstream writes it: the canonical() that
+// Fingerprint::hash() digested before it was built with std::to_chars.
+std::string oracle_canonical(const Fingerprint& fp) {
+  std::ostringstream out;
+  out << to_string(fp.browser) << '/' << fp.browser_version << '|' << to_string(fp.os) << '|'
+      << to_string(fp.device) << '|' << fp.screen_width << 'x' << fp.screen_height << '|'
+      << fp.timezone_offset_minutes << '|' << fp.language << '|' << fp.cpu_cores << 'c'
+      << fp.memory_gb << 'g' << '|' << (fp.touch_support ? 'T' : 't') << fp.plugin_count << '|'
+      << fp.canvas_hash << '|' << fp.webgl_hash << '|' << fp.fonts_hash << '|'
+      << (fp.webdriver_flag ? 'W' : 'w') << (fp.headless_hint ? 'H' : 'h');
+  return out.str();
+}
+
+TEST(Fingerprint, CanonicalMatchesStreamOracle) {
+  PopulationModel population;
+  sim::Rng rng(52);
+  std::vector<Fingerprint> fps;
+  for (int i = 0; i < 5'000; ++i) fps.push_back(population.sample(rng));
+  for (int i = 0; i < 500; ++i) fps.push_back(population.sample_naive_bot(rng));
+  // Every browser, OS and device class (and one past each) with extreme
+  // numbers, flags flipped, and empty and long languages.
+  const int numbers[] = {0, -1, -300, 7, 390, INT_MAX, INT_MIN};
+  const std::uint64_t digests[] = {0, 1, 0x8000000000000000ULL, UINT64_MAX};
+  for (int b = 0; b <= static_cast<int>(Browser::Other) + 1; ++b) {
+    for (int o = 0; o <= static_cast<int>(Os::Ios) + 1; ++o) {
+      for (int d = 0; d <= static_cast<int>(DeviceClass::Tablet) + 1; ++d) {
+        for (std::size_t n = 0; n < std::size(numbers); ++n) {
+          Fingerprint fp;
+          fp.browser = static_cast<Browser>(b);
+          fp.os = static_cast<Os>(o);
+          fp.device = static_cast<DeviceClass>(d);
+          fp.browser_version = numbers[n];
+          fp.screen_width = numbers[(n + 1) % std::size(numbers)];
+          fp.screen_height = numbers[(n + 2) % std::size(numbers)];
+          fp.timezone_offset_minutes = numbers[(n + 3) % std::size(numbers)];
+          fp.cpu_cores = numbers[(n + 4) % std::size(numbers)];
+          fp.memory_gb = numbers[(n + 5) % std::size(numbers)];
+          fp.plugin_count = numbers[(n + 6) % std::size(numbers)];
+          fp.canvas_hash = digests[n % std::size(digests)];
+          fp.webgl_hash = digests[(n + 1) % std::size(digests)];
+          fp.fonts_hash = digests[(n + 2) % std::size(digests)];
+          fp.touch_support = n % 2 == 0;
+          fp.webdriver_flag = n % 3 == 0;
+          fp.headless_hint = n % 4 == 0;
+          fp.language = n % 3 == 0 ? "" : n % 3 == 1 ? std::string(300, 'x') : "pt-BR";
+          fps.push_back(fp);
+        }
+      }
+    }
+  }
+  Fingerprint west;
+  west.timezone_offset_minutes = -480;
+  fps.push_back(west);
+  for (const Fingerprint& fp : fps) {
+    const std::string want = oracle_canonical(fp);
+    ASSERT_EQ(fp.canonical(), want);
+    const std::uint64_t digest = util::fnv1a(want);
+    EXPECT_EQ(fp.hash().value(), digest == 0 ? 1 : digest) << want;
   }
 }
 

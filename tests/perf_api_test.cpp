@@ -17,7 +17,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -100,7 +103,8 @@ class ReferenceLimiter {
   ReferenceLimiter(std::uint64_t limit, sim::SimDuration window)
       : limit_(limit), window_(window) {}
 
-  bool allow(sim::SimTime now, const std::string& key) {
+  bool allow(sim::SimTime now, const std::string& key) { return allow(now, key, limit_); }
+  bool allow(sim::SimTime now, const std::string& key, std::uint64_t effective_limit) {
     if (now - last_sweep_ >= window_) {
       last_sweep_ = now;
       std::erase_if(events_, [&](const auto& entry) {
@@ -109,7 +113,7 @@ class ReferenceLimiter {
     }
     auto& q = events_[key];
     while (!q.empty() && q.front() <= now - window_) q.pop_front();
-    if (q.size() >= limit_) {
+    if (q.size() >= effective_limit) {
       ++denials_;
       return false;
     }
@@ -286,6 +290,85 @@ TEST(RateLimiterStores, InternedMatchesStringKeyedReference) {
     ASSERT_EQ(limiter.current(now, key), reference.current(now, key)) << key;
   }
   EXPECT_EQ(checkpoint_bytes(limiter), reference.checkpoint_bytes());
+}
+
+// Asserts the limiter and the reference agree on `keys` and as a whole.
+void expect_same(const mitigate::SlidingWindowRateLimiter& limiter,
+                 const ReferenceLimiter& reference, sim::SimTime now,
+                 const std::vector<std::string>& keys) {
+  for (const std::string& key : keys) {
+    ASSERT_EQ(limiter.current(now, key), reference.current(now, key)) << key;
+  }
+  ASSERT_EQ(limiter.max_in_window(now), reference.max_in_window(now));
+  ASSERT_EQ(limiter.key_count(), reference.key_count());
+  ASSERT_EQ(limiter.denials(), reference.denials());
+  ASSERT_EQ(checkpoint_bytes(limiter), reference.checkpoint_bytes());
+}
+
+TEST(RateLimiterStores, MatchesReferenceUnderChurnBrownoutAndRestore) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::mt19937_64 rng(seed);
+    std::optional<mitigate::SlidingWindowRateLimiter> limiter(std::in_place, 6, sim::kMinute);
+    ReferenceLimiter reference(6, sim::kMinute);
+    sim::SimTime now = 0;
+    std::uint64_t base = 0;  // the live key range drifts, so old keys go stale
+    std::vector<std::string> recent;
+    for (int op = 0; op < 40'000; ++op) {
+      now += static_cast<sim::SimTime>(rng() % 2'000);
+      if (rng() % 500 == 0) now += sim::minutes(2);  // an idle gap: every key goes stale
+      if (rng() % 50 == 0) base += 8;
+      const std::string key = "ip-" + std::to_string(base + rng() % 40);
+      // Brownout scales the limit down for a while; 0 denies everything.
+      const std::uint64_t scaled[] = {6, 6, 6, 3, 1, 0};
+      const std::uint64_t limit = scaled[(op / 1'000 + rng() % 2) % std::size(scaled)];
+      ASSERT_EQ(limiter->allow(now, key, limit), reference.allow(now, key, limit)) << op;
+      recent.push_back(key);
+      if (op % 211 == 0) {
+        recent.push_back("never-seen");
+        expect_same(*limiter, reference, now, recent);
+        recent.clear();
+      }
+      if (op % 4'999 == 0) {
+        // Restore round trip: the restored limiter carries on in lockstep.
+        const std::string bytes = checkpoint_bytes(*limiter);
+        limiter.emplace(6, sim::kMinute);
+        util::ByteReader in(bytes);
+        limiter->restore(in);
+        ASSERT_TRUE(in.exhausted());
+        ASSERT_EQ(checkpoint_bytes(*limiter), bytes);
+      }
+    }
+    expect_same(*limiter, reference, now, recent);
+    EXPECT_GT(reference.denials(), 0u);
+  }
+}
+
+TEST(RateLimiterStores, GlobalKeyHoldingOver100kEventsMatchesReference) {
+  constexpr std::uint64_t kLimit = 150'000;
+  mitigate::SlidingWindowRateLimiter limiter(kLimit, sim::kHour);
+  ReferenceLimiter reference(kLimit, sim::kHour);
+  std::mt19937_64 rng(7);
+  sim::SimTime now = 0;
+  std::uint64_t allowed = 0;
+  // 10 ms apart for the first 1,300 s, then 50 ms apart across the hour
+  // boundary, so the window first fills past 100k events and then slides.
+  for (int i = 0; i < 230'000; ++i) {
+    now += i < 130'000 ? 10 : 50;
+    // A brownout at 80% of the limit, while the window holds more than
+    // that, denies until enough of the window has aged out.
+    const std::uint64_t limit = i >= 130'000 && i < 150'000 ? kLimit * 4 / 5 : kLimit;
+    const bool verdict = limiter.allow(now, "global", limit);
+    ASSERT_EQ(verdict, reference.allow(now, "global", limit)) << i;
+    allowed += verdict ? 1 : 0;
+    const std::string ip = "ip-" + std::to_string(rng() % 300);
+    ASSERT_EQ(limiter.allow(now, ip, 50), reference.allow(now, ip, 50)) << i;
+    if (i == 129'999) {
+      EXPECT_EQ(limiter.current(now, "global"), 130'000u);
+    }
+    if (i % 25'000 == 0) expect_same(limiter, reference, now, {"global", ip});
+  }
+  EXPECT_LT(allowed, 230'000u);  // the brownout denied some
+  expect_same(limiter, reference, now, {"global"});
 }
 
 TEST(RateLimiterStores, CheckpointRestoreContinuesIdentically) {

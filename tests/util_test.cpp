@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <random>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -56,7 +57,8 @@ TEST(StrongId, GeneratorIsMonotonicFromOne) {
 
 // --- InternTable ------------------------------------------------------------
 // (Core recycling + checkpoint contracts are pinned in perf_api_test; this
-// pins the multi-erase free-list ORDER the entity graph's eviction relies on.)
+// pins the multi-erase free-list ORDER the entity graph's eviction relies on,
+// and checks the flat table against the node table it replaced.)
 
 TEST(InternTable, MultiEraseRecyclesStrictlyLifo) {
   InternTable table;
@@ -78,6 +80,192 @@ TEST(InternTable, MultiEraseRecyclesStrictlyLifo) {
   table.erase(x);
   table.erase(x);
   EXPECT_EQ(table.size(), 2u);
+}
+
+// The node-based table InternTable replaced: an unordered_map of strings
+// plus a vector of pointers into it. Kept as the oracle for ids, sizes,
+// free-list order and visit bytes.
+class NodeInternTable {
+ public:
+  using Id = InternTable::Id;
+
+  Id intern(std::string_view s) {
+    if (auto it = ids_.find(std::string(s)); it != ids_.end()) return it->second;
+    Id id;
+    if (!free_.empty()) {
+      id = free_.back();
+      free_.pop_back();
+    } else {
+      id = static_cast<Id>(slots_.size() + 1);
+      slots_.push_back(nullptr);
+    }
+    slots_[id - 1] = &ids_.emplace(std::string(s), id).first->first;
+    return id;
+  }
+  [[nodiscard]] Id find(std::string_view s) const {
+    const auto it = ids_.find(std::string(s));
+    return it == ids_.end() ? 0 : it->second;
+  }
+  [[nodiscard]] bool contains(Id id) const {
+    return id != 0 && id <= slots_.size() && slots_[id - 1] != nullptr;
+  }
+  [[nodiscard]] const std::string& str(Id id) const { return *slots_[id - 1]; }
+  void erase(Id id) {
+    if (!contains(id)) return;
+    ids_.erase(*slots_[id - 1]);
+    slots_[id - 1] = nullptr;
+    free_.push_back(id);
+  }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  void clear() {
+    ids_.clear();
+    slots_.clear();
+    free_.clear();
+  }
+
+  [[nodiscard]] std::string checkpoint() const {
+    ByteWriter w;
+    w.u64(slots_.size());
+    for (const std::string* slot : slots_) {
+      w.boolean(slot != nullptr);
+      if (slot != nullptr) w.str(*slot);
+    }
+    w(free_);
+    return w.take();
+  }
+  // False when the reader fails: a free-list id that is live or out of
+  // range. (It does not notice a repeated key.)
+  bool restore(std::string_view bytes) {
+    clear();
+    ByteReader in(bytes);
+    std::vector<std::optional<std::string>> slots;
+    in(slots, free_);
+    slots_.resize(slots.size(), nullptr);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (slots[i]) {
+        slots_[i] = &ids_.emplace(std::move(*slots[i]), static_cast<Id>(i + 1)).first->first;
+      }
+    }
+    for (const Id id : free_) {
+      if (id == 0 || id > slots_.size() || slots_[id - 1] != nullptr) return false;
+    }
+    return in.exhausted();
+  }
+
+ private:
+  std::unordered_map<std::string, Id> ids_;
+  std::vector<const std::string*> slots_;
+  std::vector<Id> free_;
+};
+
+std::string checkpoint_of(const InternTable& table) {
+  ByteWriter w;
+  table.checkpoint(w);
+  return w.take();
+}
+
+bool restore_into(InternTable& table, std::string_view bytes) {
+  ByteReader in(bytes);
+  table.restore(in);
+  return in.exhausted();
+}
+
+// Asserts the two tables agree on everything a caller can observe.
+void expect_same(const InternTable& table, const NodeInternTable& oracle) {
+  ASSERT_EQ(table.size(), oracle.size());
+  ASSERT_EQ(table.capacity(), oracle.capacity());
+  for (InternTable::Id id = 0; id <= oracle.capacity() + 1; ++id) {
+    ASSERT_EQ(table.contains(id), oracle.contains(id)) << id;
+    if (oracle.contains(id)) {
+      ASSERT_EQ(table.str(id), oracle.str(id)) << id;
+    }
+  }
+  // The bytes carry the free list, so they pin its order too.
+  ASSERT_EQ(checkpoint_of(table), oracle.checkpoint());
+}
+
+// Keys of 0 to ~300 bytes, binary included, drawn from a pool of `distinct`.
+std::string random_key(std::mt19937_64& rng, std::uint64_t distinct) {
+  const std::uint64_t k = rng() % distinct;
+  std::string key = "k" + std::to_string(k);
+  if (k % 7 == 0) key.assign(k % 300, static_cast<char>('a' + k % 26));
+  if (k % 11 == 0) key += std::string("\0\xff", 2);
+  if (k % 13 == 0) key.clear();
+  return key;
+}
+
+TEST(InternTable, MatchesNodeOracleUnderSeededChurn) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    InternTable table;
+    NodeInternTable oracle;
+    // Phases alternate between growth (mostly interns) and erase-heavy
+    // churn that frees most live keys, forcing arena compaction and
+    // table rehashes many times over.
+    for (int phase = 0; phase < 12; ++phase) {
+      const bool churn = phase % 2 == 1;
+      const std::uint64_t distinct = 64u << (phase % 5);
+      for (int op = 0; op < 3'000; ++op) {
+        const std::uint64_t dice = rng() % 100;
+        if (dice < (churn ? 25u : 70u)) {
+          const std::string key = random_key(rng, distinct);
+          ASSERT_EQ(table.intern(key), oracle.intern(key));
+        } else if (dice < (churn ? 35u : 85u)) {
+          const std::string key = random_key(rng, distinct);
+          ASSERT_EQ(table.find(key), oracle.find(key));
+        } else if (dice < 99) {
+          // Live, dead, zero and out-of-range ids alike.
+          const auto id = static_cast<InternTable::Id>(rng() % (oracle.capacity() + 2));
+          table.erase(id);
+          oracle.erase(id);
+        } else if (rng() % 8 == 0) {
+          table.clear();
+          oracle.clear();
+        } else {
+          const std::string bytes = oracle.checkpoint();
+          ASSERT_TRUE(restore_into(table, bytes));
+          ASSERT_TRUE(oracle.restore(bytes));
+        }
+        if (op % 97 == 0) expect_same(table, oracle);
+      }
+      expect_same(table, oracle);
+    }
+  }
+}
+
+TEST(InternTable, RestoreFailsOnHostileFrames) {
+  const auto frame = [](std::initializer_list<std::optional<std::string>> slots,
+                        std::vector<InternTable::Id> free) {
+    ByteWriter w;
+    w(std::vector<std::optional<std::string>>(slots), free);
+    return w.take();
+  };
+  // Accepted by both.
+  const std::string good = frame({"a", std::nullopt, "b"}, {2});
+  InternTable table;
+  NodeInternTable oracle;
+  ASSERT_TRUE(restore_into(table, good));
+  ASSERT_TRUE(oracle.restore(good));
+  expect_same(table, oracle);
+  // A free-list id that is live, zero or out of range fails both readers.
+  for (const std::string& bad : {frame({"a"}, {1}), frame({"a", std::nullopt}, {0}),
+                                 frame({"a", std::nullopt}, {3})}) {
+    EXPECT_FALSE(restore_into(table, bad));
+    EXPECT_FALSE(oracle.restore(bad));
+  }
+  // A repeated key, or a free id listed twice, fails the flat table's reader
+  // (the node table took both silently).
+  EXPECT_FALSE(restore_into(table, frame({"a", "a"}, {})));
+  EXPECT_FALSE(restore_into(table, frame({"", std::nullopt, ""}, {2})));
+  EXPECT_FALSE(restore_into(table, frame({std::nullopt, std::nullopt}, {1, 1})));
+  // A hostile slot count neither allocates for it nor spins.
+  ByteWriter huge;
+  huge.u64(std::uint64_t{1} << 60);
+  EXPECT_FALSE(restore_into(table, huge.bytes()));
+  // A failed table still works once cleared.
+  table.clear();
+  EXPECT_EQ(table.intern("z"), 1u);
 }
 
 TEST(StrongId, HashableInUnorderedContainers) {
