@@ -261,7 +261,7 @@ int main() {
       if (written.has_value()) manifest.add(written.value(), name);
     };
     emit("metrics.csv", artifacts.metrics_csv);
-    emit("result.bin", shard.bytes());
+    emit("result.bin", shard.take());
     if (!manifest.write(dir.string()).is_ok()) {
       throw std::runtime_error("manifest write failed for " + dir.string());
     }

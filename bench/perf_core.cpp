@@ -22,8 +22,13 @@
 //                           window with planted misspelling clusters
 //   ns_checkpoint_frame_per_kib
 //                           wall ns per KiB of blob to checkpoint the 6 h
-//                           gate scenario's platform and append the blob
-//                           as a Checkpoint frame to a journal
+//                           gate scenario's platform from scratch and append
+//                           the blob as a Checkpoint frame to a journal
+//   ns_checkpoint_repeat_per_kib
+//                           the same for the platform's later restore
+//                           points, which re-encode only what the web log
+//                           and biometric log gained since the last one
+//   ns_crc32_per_kib        wall ns per KiB for util::crc32 over 4 MiB
 //   ns_sessionize_per_request
 //                           wall ns per request to sessionize the 6 h gate
 //                           scenario's web log over the detection window,
@@ -43,6 +48,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +67,7 @@
 #include "core/scenario/replay_harness.hpp"
 #include "fingerprint/population.hpp"
 #include "util/format.hpp"
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 #include "web/features.hpp"
 #include "web/session.hpp"
@@ -496,18 +503,35 @@ double measure_ns_sessionize(bool smoke, int reps) {
   return median_of(reps, sample);
 }
 
-// Wall ns per KiB of blob on the defence loop's restore-point path: the
-// 6 h gate scenario's platform (actors, application, rule engine) serialised
-// and appended as a Checkpoint frame to a journal in the temp directory.
-double measure_ns_checkpoint_frame(bool smoke, int reps) {
-  const sim::SimTime horizon = smoke ? sim::hours(2) : sim::hours(6);
+sim::SimTime gate_horizon(bool smoke) { return smoke ? sim::hours(2) : sim::hours(6); }
+
+// The gate scenario built with traffic until its horizon, run to `until`.
+std::unique_ptr<scenario::Env> gate_scenario(bool smoke, sim::SimTime until) {
   scenario::EnvConfig config;
   config.seed = 7;
-  scenario::Env env(config);
-  env.add_flights("FS", 4, 180, sim::days(10));
-  env.start_background(horizon);
-  env.run_until(horizon);
+  auto env = std::make_unique<scenario::Env>(config);
+  env->add_flights("FS", 4, 180, sim::days(10));
+  env->start_background(gate_horizon(smoke));
+  env->run_until(until);
+  return env;
+}
 
+// Wall ns per KiB of blob to write one restore point of `env`'s platform
+// (actors, application, rule engine) as a Checkpoint frame.
+double time_checkpoint_frame(scenario::Env& env, journal::RecordingJournal& recording) {
+  const auto t0 = GateClock::now();
+  util::ByteWriter state;
+  env.actors.checkpoint(state);
+  env.app.checkpoint(state);
+  env.engine.checkpoint(state);
+  recording.checkpoint_blob(env.sim.now(), state.bytes());
+  const auto t1 = GateClock::now();
+  return elapsed_ns(t0, t1) / (static_cast<double>(state.size()) / 1024.0);
+}
+
+// Opens a gate journal in the temp directory, hands it to `body`, then
+// closes and removes it; any journal error exits the gate.
+double with_gate_journal(const std::function<double(journal::RecordingJournal&)>& body) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "fraudsim-gate-checkpoint.journal").string();
   const auto check = [&path](const util::Status& status) {
@@ -515,26 +539,78 @@ double measure_ns_checkpoint_frame(bool smoke, int reps) {
     std::cerr << "[gate] checkpoint frame: " << status.error() << " (" << path << ")\n";
     std::exit(1);
   };
-  const auto sample = [&] {
-    journal::JournalWriter writer;
-    check(writer.open(path, config.seed, 0));
-    journal::RecordingJournal recording(writer);
-    const auto t0 = GateClock::now();
-    util::ByteWriter state;
-    env.actors.checkpoint(state);
-    env.app.checkpoint(state);
-    env.engine.checkpoint(state);
-    recording.checkpoint_blob(horizon, state.bytes());
-    const auto t1 = GateClock::now();
-    check(recording.status());
-    check(writer.close());
-    return elapsed_ns(t0, t1) / (static_cast<double>(state.size()) / 1024.0);
-  };
-  (void)sample();  // warmup
-  const double ns = median_of(reps, sample);
+  journal::JournalWriter writer;
+  check(writer.open(path, 7, 0));
+  journal::RecordingJournal recording(writer);
+  const double ns = body(recording);
+  check(recording.status());
+  check(writer.close());
   std::error_code ec;
   std::filesystem::remove(path, ec);
   return ns;
+}
+
+// Wall ns per KiB of blob on the defence loop's restore-point path: the
+// 6 h gate scenario's platform serialised from scratch and appended as a
+// Checkpoint frame. Each sample first restores the platform from its own
+// blob, outside the timer, so the append-only logs keep no encoding.
+double measure_ns_checkpoint_frame(bool smoke, int reps) {
+  const auto env = gate_scenario(smoke, gate_horizon(smoke));
+  util::ByteWriter state;
+  env->actors.checkpoint(state);
+  env->app.checkpoint(state);
+  env->engine.checkpoint(state);
+  const std::string blob = state.take();
+  return with_gate_journal([&](journal::RecordingJournal& recording) {
+    const auto sample = [&] {
+      util::ByteReader in(blob);
+      env->actors.restore(in);
+      env->app.restore(in);
+      env->engine.restore(in);
+      if (!in.exhausted()) {
+        std::cerr << "[gate] checkpoint frame: platform restore failed\n";
+        std::exit(1);
+      }
+      return time_checkpoint_frame(*env, recording);
+    };
+    (void)sample();  // warmup
+    return median_of(reps, sample);
+  });
+}
+
+// Wall ns per KiB of blob for the second and later restore points of one
+// platform: the gate scenario checkpointed at its midpoint, then at `reps`
+// even steps to its end. Each of those re-encodes only the requests and
+// biometric records appended since the previous one.
+double measure_ns_checkpoint_repeat(bool smoke, int reps) {
+  const sim::SimTime horizon = gate_horizon(smoke);
+  const auto env = gate_scenario(smoke, horizon / 2);
+  return with_gate_journal([&](journal::RecordingJournal& recording) {
+    (void)time_checkpoint_frame(*env, recording);  // the first restore point
+    const sim::SimDuration step = (horizon - horizon / 2) / reps;
+    return median_of(reps, [&] {
+      env->run_until(env->sim.now() + step);
+      return time_checkpoint_frame(*env, recording);
+    });
+  });
+}
+
+// Wall ns per KiB for util::crc32 over a 4 MiB buffer (journal frames are
+// checksummed whole, checkpoints being the large ones).
+double measure_ns_crc32(int reps) {
+  std::string bytes(std::size_t{4} << 20, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(util::splitmix64(i / 8) >> (8 * (i % 8)));
+  }
+  const auto sample = [&] {
+    const auto t0 = GateClock::now();
+    const std::uint32_t crc = util::crc32(bytes);
+    const auto t1 = GateClock::now();
+    benchmark::DoNotOptimize(crc);
+    return elapsed_ns(t0, t1) / (static_cast<double>(bytes.size()) / 1024.0);
+  };
+  (void)sample();  // warmup
+  return median_of(reps, sample);
 }
 
 int run_gate(const bench::Options& options) {
@@ -568,6 +644,10 @@ int run_gate(const bench::Options& options) {
 
   std::cerr << "[gate] checkpoint frame...\n";
   metrics.emplace_back("ns_checkpoint_frame_per_kib", measure_ns_checkpoint_frame(smoke, reps));
+  metrics.emplace_back("ns_checkpoint_repeat_per_kib", measure_ns_checkpoint_repeat(smoke, reps));
+
+  std::cerr << "[gate] crc32...\n";
+  metrics.emplace_back("ns_crc32_per_kib", measure_ns_crc32(reps));
 
   std::cerr << "[gate] sessionize...\n";
   metrics.emplace_back("ns_sessionize_per_request", measure_ns_sessionize(smoke, reps));

@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
     emit("metrics.csv", artifacts.metrics_csv);
     emit("weblog.csv", artifacts.weblog_csv);
     emit("soc_report.txt", artifacts.soc_report);
-    emit("result.bin", shard.bytes());
+    emit("result.bin", shard.take());
     if (!manifest.write(dir.string()).is_ok()) {
       write_failed.store(true, std::memory_order_relaxed);
     }

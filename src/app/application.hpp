@@ -158,8 +158,8 @@ class Application : public util::Checkpointed<Application> {
       if (decoy && decoy_ == nullptr) ar.fail();
     }
     if (decoy && decoy_ != nullptr) ar(*decoy_);
-    ar(decoy_pnrs_, gateway_, otp_, boarding_, overload_, obs_.metrics, obs_.traces,
-       biometric_log_);
+    ar(decoy_pnrs_, gateway_, otp_, boarding_, overload_, obs_.metrics, obs_.traces);
+    biometric_encoded_.visit(ar, biometric_log_);
   }
 
   // --- Telemetry (what detectors and benches read) --------------------------
@@ -309,6 +309,10 @@ class Application : public util::Checkpointed<Application> {
   std::unordered_map<std::string, obs::Counter> rule_counters_;
   std::unordered_set<std::string> decoy_pnrs_;
   std::vector<BiometricRecord> biometric_log_;
+  // Biometric records are never edited once appended, so checkpoints
+  // re-encode only the new ones. (The SMS log and reservations change after
+  // they are appended and are encoded afresh every time.)
+  mutable util::EncodedPrefix biometric_encoded_;
 };
 
 }  // namespace fraudsim::app

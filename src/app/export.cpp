@@ -1,5 +1,7 @@
 #include "app/export.hpp"
 
+#include "util/format.hpp"
+
 namespace fraudsim::app {
 
 namespace {
@@ -118,8 +120,8 @@ util::Status export_overload_csv(std::ostream& out, const overload::OverloadSnap
     write_csv_row(out, {"class", overload::to_string(static_cast<overload::RequestClass>(i)),
                         std::to_string(c.offered), std::to_string(c.admitted),
                         std::to_string(c.shed_queue), std::to_string(c.shed_fail_fast),
-                        std::to_string(c.deadline_missed), std::to_string(c.p50_latency_ms),
-                        std::to_string(c.p99_latency_ms), ""});
+                        std::to_string(c.deadline_missed), util::format_fixed(c.p50_latency_ms, 6),
+                        util::format_fixed(c.p99_latency_ms, 6), ""});
     if (auto s = row_status(out, "export_overload_csv", row++); !s.is_ok()) return s;
   }
   for (std::size_t i = 0; i < overload::kBrownoutStates; ++i) {

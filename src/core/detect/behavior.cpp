@@ -1,5 +1,7 @@
 #include "core/detect/behavior.hpp"
 
+#include "util/format.hpp"
+
 namespace fraudsim::detect {
 
 FeatureRow to_row(const web::SessionFeatures& features) {
@@ -98,7 +100,7 @@ void BehaviorClassifier::analyze(const std::vector<web::Session>& sessions, Aler
     alert.time = session.end();
     alert.detector = "behavior.classifier";
     alert.severity = Severity::Warning;
-    alert.explanation = "classifier score " + std::to_string(p);
+    alert.explanation = "classifier score " + util::format_fixed(p, 6);
     alert.session = session.id;
     alert.actor = session.actor;
     if (!session.requests.empty()) {

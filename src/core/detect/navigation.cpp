@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/format.hpp"
 #include "util/stats.hpp"
 
 namespace fraudsim::detect {
@@ -62,9 +63,8 @@ void NavigationModel::analyze(const std::vector<web::Session>& sessions, AlertSi
     alert.time = session.end();
     alert.detector = "behavior.navigation";
     alert.severity = Severity::Warning;
-    alert.explanation =
-        "navigation likelihood " + std::to_string(score(session)) + " below clean threshold " +
-        std::to_string(threshold_);
+    alert.explanation = "navigation likelihood " + util::format_fixed(score(session), 6) +
+                        " below clean threshold " + util::format_fixed(threshold_, 6);
     alert.session = session.id;
     alert.actor = session.actor;
     if (!session.requests.empty()) {

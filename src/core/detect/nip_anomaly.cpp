@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/format.hpp"
+
 namespace fraudsim::detect {
 
 NipAnomalyDetector::NipAnomalyDetector(NipAnomalyConfig config) : config_(config) {}
@@ -57,7 +59,7 @@ void NipAnomalyDetector::analyze(const std::vector<airline::Reservation>& reserv
     alert.detector = "nip.anomaly";
     alert.severity = Severity::Critical;
     alert.explanation = "NiP=" + std::to_string(nip) + " volume far above baseline (chi2=" +
-                        std::to_string(verdict.test.chi_square) + ")";
+                        util::format_fixed(verdict.test.chi_square, 6) + ")";
     sink.emit(alert);
     // Flag every window reservation at the anomalous NiP.
     for (const auto& r : reservations) {
@@ -105,7 +107,7 @@ void NipAnomalyDetector::analyze_windows(const std::vector<airline::Reservation>
       alert.detector = "nip.anomaly";
       alert.severity = Severity::Critical;
       alert.explanation = "NiP=" + std::to_string(nip) + " volume far above baseline (chi2=" +
-                          std::to_string(verdict.test.chi_square) + ")";
+                          util::format_fixed(verdict.test.chi_square, 6) + ")";
       sink.emit(alert);
       for (const std::size_t r : members[w]) {
         const auto& res = reservations[r];

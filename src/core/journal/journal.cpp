@@ -77,24 +77,23 @@ util::Status JournalWriter::append(RecordKind kind, sim::SimTime time,
   // The payload (kind | time | fields | tail) is never assembled: its CRC
   // continues over the pieces, and the 17-byte head (len | crc | kind |
   // time) and the pieces go to the stream one after another.
-  util::ByteWriter prefix;
-  prefix.u8(static_cast<std::uint8_t>(kind));
-  prefix.i64(time);
-  const std::uint32_t crc = util::crc32_append(
-      util::crc32_append(util::crc32(prefix.bytes()), fields.bytes()), tail);
-  util::ByteWriter head;
-  head.u32(static_cast<std::uint32_t>(prefix.size() + fields.size() + tail.size()));
-  head.u32(crc);
-  head.raw(prefix.bytes());
+  char head[17];
+  head[8] = static_cast<char>(kind);
+  util::store_le(head + 9, static_cast<std::uint64_t>(time), 8);
+  const std::string_view prefix(head + 8, 9);
+  util::store_le(head, prefix.size() + fields.size() + tail.size(), 4);
+  util::store_le(head + 4,
+                 util::crc32_append(util::crc32_append(util::crc32(prefix), fields.bytes()), tail),
+                 4);
+  const std::string_view pieces[] = {std::string_view(head, sizeof(head)), fields.bytes(), tail};
 
   const char* crash_point = kind == RecordKind::Checkpoint ? fault::kCrashJournalCheckpoint
                                                            : fault::kCrashJournalFrame;
   if (fault::crash_due(crash_point, time)) {
     // Simulated kill mid-append: a torn prefix of the frame reaches disk and
     // the writer latches failed so a catch-and-continue cannot keep going.
-    std::string frame = head.bytes();
-    frame += fields.bytes();
-    frame += tail;
+    std::string frame;
+    for (const std::string_view piece : pieces) frame += piece;
     const auto& point = fault::FaultRegistry::global().point(crash_point);
     const std::size_t cut = fault::torn_prefix(frame.size(), point.hits());
     out_.write(frame.data(), static_cast<std::streamsize>(cut));
@@ -103,8 +102,7 @@ util::Status JournalWriter::append(RecordKind kind, sim::SimTime time,
     throw fault::SimCrash(crash_point, time);
   }
 
-  for (const std::string_view piece : {std::string_view(head.bytes()),
-                                       std::string_view(fields.bytes()), tail}) {
+  for (const std::string_view piece : pieces) {
     out_.write(piece.data(), static_cast<std::streamsize>(piece.size()));
   }
   if (out_.fail()) {

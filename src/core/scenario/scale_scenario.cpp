@@ -559,7 +559,7 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
 
   ss.graph.checkpoint(out);
   out.u64(engine.shard(k).queue().next_id());
-  return out.bytes();
+  return out.take();
 }
 
 // Restores one shard from its blob, re-registering pending events (activity

@@ -46,6 +46,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <optional>
@@ -64,24 +65,55 @@ namespace fraudsim::util {
 // read on another, so the archive targets 64-bit size_t only.
 static_assert(sizeof(std::size_t) == 8, "checkpoint frames encode std::size_t as u64");
 
+// Stores the low `n` bytes of `v` at `at`, low byte first.
+inline void store_le(char* at, std::uint64_t v, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) at[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+// Writes through a pointer into a std::string: one capacity check per value,
+// and take() hands the string over uncopied. The string's size is the part
+// made writable so far, and only the first size() bytes are written. That
+// part starts as the string's inline buffer, so a writer that stays within
+// it never allocates; after that it grows by its own size, at least 256 bytes
+// and at most 64 KiB at a time, while the capacity under it at least doubles
+// on each reallocation. Appending N bytes so costs O(N), and no more than
+// 64 KiB past the last byte written is ever touched.
 class ByteWriter {
  public:
   static constexpr bool reading = false;
 
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) { put_le(v, 2); }
-  void u32(std::uint32_t v) { put_le(v, 4); }
-  void u64(std::uint64_t v) { put_le(v, 8); }
+  ByteWriter() = default;
+  ByteWriter(const ByteWriter&) = default;
+  ByteWriter& operator=(const ByteWriter&) = default;
+  // A moved-from writer is empty, whatever the moved-from string holds.
+  ByteWriter(ByteWriter&& other) noexcept
+      : buf_(std::move(other.buf_)), size_(std::exchange(other.size_, 0)) {}
+  ByteWriter& operator=(ByteWriter&& other) noexcept {
+    buf_ = std::move(other.buf_);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
+
+  void u8(std::uint8_t v) { *grow(1) = static_cast<char>(v); }
+  void u16(std::uint16_t v) { store_le(grow(2), v, 2); }
+  void u32(std::uint32_t v) { store_le(grow(4), v, 4); }
+  void u64(std::uint64_t v) { store_le(grow(8), v, 8); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
+    raw(s);
   }
   // Appends bytes verbatim (no length prefix) — for embedding an
   // already-serialised sub-payload into a frame.
-  void raw(std::string_view s) { buf_.append(s.data(), s.size()); }
+  void raw(std::string_view s) {
+    if (!s.empty()) std::memcpy(grow(s.size()), s.data(), s.size());
+  }
 
   // Writes each value in the encoding its type selects (table above).
   template <class... T>
@@ -89,17 +121,33 @@ class ByteWriter {
     (put(values), ...);
   }
 
-  [[nodiscard]] const std::string& bytes() const { return buf_; }
-  [[nodiscard]] std::string take() { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  [[nodiscard]] std::string_view bytes() const { return {buf_.data(), size_}; }
+  // Hands the bytes over and leaves the writer empty.
+  [[nodiscard]] std::string take() {
+    std::string out;
+    buf_.resize(size_);
+    out.swap(buf_);
+    size_ = 0;
+    return out;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  // Lays the low `n` bytes out little-endian in a local buffer and appends
-  // them in one call: one capacity check per integer, not one per byte.
-  void put_le(std::uint64_t v, int n) {
-    char le[8];
-    for (int i = 0; i < n; ++i) le[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    buf_.append(le, static_cast<std::size_t>(n));
+  // Reserves `n` bytes at the end and returns where they start.
+  char* grow(std::size_t n) {
+    if (buf_.size() - size_ < n) extend(n);
+    char* at = buf_.data() + size_;
+    size_ += n;
+    return at;
+  }
+  void extend(std::size_t n) {
+    constexpr std::size_t kMinStep = 256;
+    constexpr std::size_t kMaxStep = std::size_t{64} << 10;
+    const std::size_t step =
+        buf_.empty() ? buf_.capacity() : std::clamp(buf_.size(), kMinStep, kMaxStep);
+    const std::size_t want = std::max(size_ + n, buf_.size() + step);
+    if (want > buf_.capacity()) buf_.reserve(std::max(want, 2 * buf_.capacity()));
+    buf_.resize(want);
   }
 
   template <class T>
@@ -111,7 +159,7 @@ class ByteWriter {
     } else if constexpr (std::is_floating_point_v<T>) {
       f64(static_cast<double>(v));
     } else if constexpr (std::is_unsigned_v<T>) {
-      put_le(v, sizeof(T));
+      store_le(grow(sizeof(T)), v, sizeof(T));
     } else if constexpr (std::is_integral_v<T>) {
       i64(static_cast<std::int64_t>(v));
     } else if constexpr (std::is_array_v<T>) {
@@ -180,6 +228,7 @@ class ByteWriter {
   }
 
   std::string buf_;
+  std::size_t size_ = 0;
 };
 
 class ByteReader {
@@ -317,6 +366,40 @@ class ByteReader {
   std::string_view bytes_;
   std::size_t pos_ = 0;
   bool ok_ = true;
+};
+
+// The kept encoding of an append-only vector: elements that never change
+// once appended. A checkpoint encodes only the elements appended since the
+// previous one and copies the rest, writing the same bytes as encoding the
+// whole vector afresh. A restore drops it; so must the owner wherever the
+// vector changes other than by appending (reset()). The owner declares it
+// `mutable`, since checkpointing is const.
+class EncodedPrefix {
+ public:
+  template <class T, class A>
+  void visit(ByteWriter& out, const std::vector<T, A>& log) {
+    if (log.size() < count_) reset();  // shrank without a reset(): encode it whole
+    out.u64(log.size());
+    out.raw(bytes_);
+    const std::size_t mark = out.size();
+    for (std::size_t i = count_; i < log.size(); ++i) out(log[i]);
+    bytes_.append(out.bytes().substr(mark));
+    count_ = log.size();
+  }
+  template <class T, class A>
+  void visit(ByteReader& in, std::vector<T, A>& log) {
+    in(log);
+    reset();
+  }
+
+  void reset() {
+    bytes_.clear();
+    count_ = 0;
+  }
+
+ private:
+  std::string bytes_;      // encoding of the first count_ elements
+  std::size_t count_ = 0;
 };
 
 // Turns a component's visit() into its public checkpoint()/restore() pair.

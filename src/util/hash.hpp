@@ -28,7 +28,17 @@ namespace fraudsim::util {
 
 // CRC-32 continuation: crc32_append(crc32(a), b) == crc32(a + b), and
 // crc32(bytes) == crc32_append(0, bytes), so a frame's checksum can be taken
-// over pieces that are never concatenated.
+// over pieces that are never concatenated. On x86-64 CPUs with PCLMULQDQ
+// (checked once at run time) spans of 64 bytes or more fold with carry-less
+// multiplies; tails, short spans and other CPUs take a slicing-by-8 loop.
 [[nodiscard]] std::uint32_t crc32_append(std::uint32_t crc, std::string_view bytes) noexcept;
+
+// For tests that hold both CRC-32 paths to a bytewise reference: whether
+// crc32_append folds with PCLMULQDQ on this CPU, and its slicing-by-8 path
+// on its own.
+namespace detail {
+[[nodiscard]] bool crc32_clmul_available() noexcept;
+[[nodiscard]] std::uint32_t crc32_append_table(std::uint32_t crc, std::string_view bytes) noexcept;
+}  // namespace detail
 
 }  // namespace fraudsim::util

@@ -32,6 +32,7 @@ std::vector<HttpRequest> WebLog::filter(
 void WebLog::clear() {
   requests_.clear();
   next_id_ = 1;
+  encoded_.reset();
 }
 
 }  // namespace fraudsim::web

@@ -32,12 +32,16 @@ class WebLog : public util::Checkpointed<WebLog> {
   // logs keep assigning ids from where the original left off.
   template <class Ar>
   void visit(Ar& ar) {
-    ar(next_id_, requests_);
+    ar(next_id_);
+    encoded_.visit(ar, requests_);
   }
 
  private:
   std::vector<HttpRequest> requests_;
   std::uint64_t next_id_ = 1;
+  // Requests are never edited once appended, so checkpoints re-encode only
+  // the new ones.
+  mutable util::EncodedPrefix encoded_;
 };
 
 }  // namespace fraudsim::web

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -49,7 +50,7 @@ namespace {
 std::string checkpoint_bytes(const auto& component) {
   util::ByteWriter out;
   component.checkpoint(out);
-  return out.bytes();
+  return out.take();
 }
 
 // --- SlidingWindowRateLimiter ----------------------------------------------
@@ -122,7 +123,7 @@ std::string pnr_frame(const sim::Rng& rng, const std::vector<std::string>& pnrs)
   rng.checkpoint(out);
   out.u64(pnrs.size());
   for (const auto& pnr : pnrs) out.str(pnr);
-  return out.bytes();
+  return out.take();
 }
 
 TEST(CheckpointStability, PnrGeneratorIsInsertionOrderIndependent) {
@@ -331,7 +332,7 @@ std::string otp_frame(const sim::Rng& rng, const std::vector<int>& accounts) {
     out.str(std::to_string(100000 + i));
     out.i64(sim::minutes(i));
   }
-  return out.bytes();
+  return out.take();
 }
 
 struct OtpRig {
@@ -414,6 +415,98 @@ TEST(CheckpointStability, BiometricDetectorRestoreRecheckpointRoundTrips) {
   restored.restore(in);
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(checkpoint_bytes(restored), bytes);
+}
+
+// --- Append-only logs: kept encodings ---------------------------------------
+
+// The web log encodes only the requests appended since its last checkpoint.
+// After each batch of appends the checkpoint must equal the encoding of the
+// whole log written afresh; restore and clear() drop the kept part.
+TEST(CheckpointStability, WebLogCheckpointEqualsFreshEncode) {
+  sim::Rng rng(29);
+  const auto append = [&rng](web::WebLog& log, std::int64_t n) {
+    for (; n > 0; --n) {
+      web::HttpRequest r;
+      r.time = rng.uniform_int(0, 1'000'000);
+      r.endpoint = static_cast<web::Endpoint>(rng.uniform_int(0, 14));
+      r.booking_ref = "REF" + std::to_string(rng.uniform_int(0, 99));
+      r.nip = static_cast<int>(rng.uniform_int(1, 9));
+      log.append(std::move(r));
+    }
+  };
+  const auto fresh = [](const web::WebLog& log) {
+    util::ByteWriter out;
+    const std::uint64_t next_id = log.empty() ? 1 : log.all().back().id.value() + 1;
+    out(next_id, std::vector<web::HttpRequest>(log.all().begin(), log.all().end()));
+    return out.take();
+  };
+  web::WebLog log;
+  for (int batch = 0; batch < 12; ++batch) {
+    append(log, rng.uniform_int(0, 40));
+    ASSERT_EQ(checkpoint_bytes(log), fresh(log)) << "batch " << batch;
+  }
+  const std::string early = checkpoint_bytes(log);
+  append(log, 25);
+  const std::string late = checkpoint_bytes(log);
+
+  // Restored to an earlier, shorter log, then to the later, longer one.
+  for (const std::string* blob : {&early, &late}) {
+    util::ByteReader in(*blob);
+    log.restore(in);
+    ASSERT_TRUE(in.exhausted());
+    EXPECT_EQ(checkpoint_bytes(log), *blob);
+    append(log, 7);
+    EXPECT_EQ(checkpoint_bytes(log), fresh(log));
+  }
+  log.clear();
+  EXPECT_EQ(checkpoint_bytes(log), fresh(log));
+  append(log, 3);
+  EXPECT_EQ(checkpoint_bytes(log), fresh(log));
+}
+
+// The application keeps the encodings of its web log and biometric log. A
+// platform checkpointed every hour must write, each hour, the bytes of a
+// twin that never checkpointed; after a restore it must write the restored
+// blob back.
+TEST(CheckpointStability, AppCheckpointEachHourEqualsNeverCheckpointedTwin) {
+  const auto make_env = [](std::uint64_t seed) {
+    scenario::EnvConfig config;
+    config.seed = seed;
+    config.legit.booking_sessions_per_hour = 6;
+    config.legit.browse_sessions_per_hour = 3;
+    config.legit.otp_logins_per_hour = 2;
+    auto env = std::make_unique<scenario::Env>(config);
+    env->add_flights("A", 4, 150, sim::days(30));
+    env->start_background(sim::hours(4));
+    return env;
+  };
+  const auto hourly = make_env(61);
+  std::vector<std::string> blobs;
+  std::size_t biometrics = 0;
+  for (sim::SimTime t = sim::hours(1); t <= sim::hours(4); t += sim::hours(1)) {
+    hourly->run_until(t);
+    EXPECT_GT(hourly->app.biometric_log().size(), biometrics) << "hour " << t / sim::kHour;
+    biometrics = hourly->app.biometric_log().size();
+    blobs.push_back(checkpoint_bytes(hourly->app));
+    const auto twin = make_env(61);
+    twin->run_until(t);
+    EXPECT_EQ(blobs.back(), checkpoint_bytes(twin->app)) << "hour " << t / sim::kHour;
+  }
+
+  // A restore drops both kept encodings, whether the restored logs are
+  // shorter (hour 1 over hour 4) or longer (hour 4 over a platform of
+  // another seed at hour 2).
+  util::ByteReader back(blobs.front());
+  hourly->app.restore(back);
+  ASSERT_TRUE(back.exhausted());
+  EXPECT_EQ(checkpoint_bytes(hourly->app), blobs.front());
+  const auto behind = make_env(62);
+  behind->run_until(sim::hours(2));
+  EXPECT_NE(checkpoint_bytes(behind->app), blobs[1]);
+  util::ByteReader ahead(blobs.back());
+  behind->app.restore(ahead);
+  ASSERT_TRUE(ahead.exhausted());
+  EXPECT_EQ(checkpoint_bytes(behind->app), blobs.back());
 }
 
 // --- Whole platform --------------------------------------------------------

@@ -47,7 +47,7 @@ using detect::graph::Signal;
 std::string checkpoint_bytes(const EntityGraph& graph) {
   util::ByteWriter out;
   graph.checkpoint(out);
-  return out.bytes();
+  return out.take();
 }
 
 std::string render_alerts(const std::vector<detect::Alert>& alerts) {

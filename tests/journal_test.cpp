@@ -12,6 +12,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/fault/crash.hpp"
 #include "core/journal/recording.hpp"
@@ -64,7 +65,8 @@ TEST(JournalFraming, Crc32KnownVector) {
 }
 
 // The reference CRC-32: one table step per byte, each waiting on the last.
-std::uint32_t crc32_bytewise(std::string_view bytes) {
+// `crc` continues an earlier checksum, as util::crc32_append does.
+std::uint32_t crc32_bytewise(std::string_view bytes, std::uint32_t crc = 0) {
   static const auto table = [] {
     std::array<std::uint32_t, 256> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -74,7 +76,7 @@ std::uint32_t crc32_bytewise(std::string_view bytes) {
     }
     return t;
   }();
-  std::uint32_t c = 0xFFFFFFFFu;
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
   for (const unsigned char b : bytes) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
@@ -119,6 +121,45 @@ TEST(Crc32, SliceByEightMatchesBytewise) {
     const std::string_view all(kib);
     EXPECT_EQ(util::crc32_append(util::crc32(all.substr(0, split)), all.substr(split)), whole)
         << "split " << split;
+  }
+}
+
+TEST(Crc32, ClmulAndTablePathsMatchBytewise) {
+  // crc32_append folds with PCLMULQDQ where the CPU has it; elsewhere both
+  // entries run the table loop.
+  RecordProperty("clmul", util::detail::crc32_clmul_available() ? "yes" : "no");
+  using Kernel = std::uint32_t (*)(std::uint32_t, std::string_view) noexcept;
+  const std::pair<const char*, Kernel> kernels[] = {
+      {"table", &util::detail::crc32_append_table}, {"crc32_append", &util::crc32_append}};
+
+  // Every length 0..4096 from every start offset 0..15, each continuing a
+  // different random checksum: all block counts, 16-byte remainders, byte
+  // tails and load alignments of both kernels.
+  const std::string big = seeded_bytes(4096 + 16, 41);
+  std::size_t mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      const auto seed = static_cast<std::uint32_t>(util::splitmix64(offset << 16 | n));
+      const std::string_view view = std::string_view(big).substr(offset, n);
+      const std::uint32_t want = crc32_bytewise(view, seed);
+      for (const auto& [name, kernel] : kernels) {
+        if (kernel(seed, view) != want && ++mismatches <= 5) {
+          ADD_FAILURE() << name << " offset " << offset << " length " << n;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  // Continuation at every split point of an unaligned 4 KiB span.
+  const std::string_view all = std::string_view(big).substr(3, 4099);
+  const std::uint32_t seed = 0x9E3779B9u;
+  const std::uint32_t whole = crc32_bytewise(all, seed);
+  for (const auto& [name, kernel] : kernels) {
+    for (std::size_t split = 0; split <= all.size(); ++split) {
+      ASSERT_EQ(kernel(kernel(seed, all.substr(0, split)), all.substr(split)), whole)
+          << name << " split " << split;
+    }
   }
 }
 
@@ -383,6 +424,34 @@ TEST(RecordReplay, CheckpointResumeEqualsFullReplay) {
   EXPECT_EQ(recorded.value().metrics_csv, resumed.value().metrics_csv);
   EXPECT_EQ(recorded.value().weblog_csv, resumed.value().weblog_csv);
   EXPECT_EQ(recorded.value().soc_report, resumed.value().soc_report);
+}
+
+TEST(RecordReplay, JournalBytesArePinned) {
+  // Length and CRC-32 of whole recorded journals, graph off and on: the
+  // call frames and the embedded checkpoints of the full platform (web log,
+  // biometric log, entity graph, ...) must not move by a single byte.
+  struct Pin {
+    bool graph;
+    std::size_t bytes;
+    std::uint32_t crc;
+  };
+  for (const Pin& pin : {Pin{false, 370085u, 0x12ccc598u}, Pin{true, 423920u, 0x1d1f525cu}}) {
+    auto config = small_config();
+    config.graph.enabled = pin.graph;
+    const std::string path = tmp_path(pin.graph ? "pinned-graph.journal" : "pinned-run.journal");
+    ASSERT_TRUE(scenario::record_run(config, path).has_value());
+    const std::string bytes = slurp(path);
+    EXPECT_EQ(bytes.size(), pin.bytes) << "graph " << pin.graph;
+    EXPECT_EQ(crc32_bytewise(bytes), pin.crc) << "graph " << pin.graph;
+
+    journal::JournalReader reader;
+    ASSERT_TRUE(reader.open(path).is_ok());
+    std::size_t checkpoints = 0;
+    for (const auto& record : reader.records()) {
+      checkpoints += record.kind == journal::RecordKind::Checkpoint ? 1 : 0;
+    }
+    EXPECT_GE(checkpoints, 2u) << "graph " << pin.graph;
+  }
 }
 
 TEST(RecordReplay, MismatchedConfigIsRefused) {

@@ -8,13 +8,19 @@
 // without depending on named locales being compiled into the image.
 #include <gtest/gtest.h>
 
+#include <clocale>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <locale>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "app/export.hpp"
+#include "core/detect/behavior.hpp"
+#include "core/detect/navigation.hpp"
+#include "core/detect/nip_anomaly.hpp"
 #include "core/obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "util/archive.hpp"
@@ -155,6 +161,101 @@ TEST(Locale, MetricsCsvBytesAreLocaleIndependent) {
   std::ostringstream grouped_csv;  // freshly constructed → grouping locale
   snap.write_csv(grouped_csv);
   EXPECT_EQ(classic_csv.str(), grouped_csv.str());
+}
+
+// RAII: points the C library's LC_NUMERIC (what printf and std::to_string
+// read) at a named locale, restoring the previous one on exit. active() is
+// false when the host has no such locale.
+class ScopedNumericLocale {
+ public:
+  explicit ScopedNumericLocale(const char* name)
+      : previous_(std::setlocale(LC_NUMERIC, nullptr)),
+        active_(std::setlocale(LC_NUMERIC, name) != nullptr) {}
+  ~ScopedNumericLocale() { std::setlocale(LC_NUMERIC, previous_.c_str()); }
+  ScopedNumericLocale(const ScopedNumericLocale&) = delete;
+  ScopedNumericLocale& operator=(const ScopedNumericLocale&) = delete;
+  [[nodiscard]] bool active() const { return active_; }
+
+ private:
+  std::string previous_;
+  bool active_;
+};
+
+web::Session path_session(std::uint64_t id, const std::vector<web::Endpoint>& path) {
+  web::Session s;
+  s.id = web::SessionId{id};
+  s.actor = web::ActorId{id};
+  sim::SimTime t = 0;
+  for (const auto endpoint : path) {
+    web::HttpRequest r;
+    r.time = t += sim::seconds(20);
+    r.session = s.id;
+    r.endpoint = endpoint;
+    s.requests.push_back(r);
+  }
+  return s;
+}
+
+// Every double the overload CSV and the classifier, navigation and NiP
+// alert explanations print, as those exporters and detectors print them.
+std::string decimal_outputs() {
+  using E = web::Endpoint;
+  std::ostringstream out;
+  overload::OverloadSnapshot snapshot;
+  snapshot.cls[0].p50_latency_ms = 12.5;
+  snapshot.cls[0].p99_latency_ms = 250.125;
+  EXPECT_TRUE(app::export_overload_csv(out, snapshot).is_ok());
+
+  detect::AlertSink sink;
+  const std::vector<web::Session> loop = {
+      path_session(9, {E::SeatMap, E::HoldReservation, E::HoldReservation, E::HoldReservation})};
+  detect::BehaviorClassifier{}.analyze(loop, sink, 0.0);
+  std::vector<web::Session> clean;
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    clean.push_back(path_session(i, {E::Home, E::SearchFlights, E::FlightDetails, E::SeatMap,
+                                     E::HoldReservation, E::Payment}));
+  }
+  detect::NavigationModel navigation;
+  navigation.fit(clean);
+  navigation.analyze(loop, sink);
+
+  analytics::CategoricalHistogram<int> baseline;
+  for (int nip = 1; nip <= 6; ++nip) baseline.add(nip, nip == 1 ? 500 : 100);
+  detect::NipAnomalyDetector nip_detector;
+  nip_detector.fit_baseline(baseline);
+  std::vector<airline::Reservation> reservations;
+  for (int i = 0; i < 400; ++i) {
+    airline::Reservation r;
+    r.created = sim::minutes(i);
+    r.passengers.resize(i % 2 == 0 ? 6 : 1);
+    reservations.push_back(std::move(r));
+  }
+  nip_detector.analyze(reservations, 0, sim::days(1), sink);
+
+  for (const auto& alert : sink.alerts()) {
+    out << alert.detector << ": " << alert.explanation << "\n";
+  }
+  return out.str();
+}
+
+// Regression: std::to_string(double) formats through the C library's
+// LC_NUMERIC, so an embedding program that sets a decimal-comma locale
+// turned "12.500000" into "12,500000" in the overload CSV and in alert
+// explanations. Needs a compiled de_DE.UTF-8 (CI generates it).
+TEST(Locale, DecimalOutputsIgnoreCNumericLocale) {
+  const std::string classic = decimal_outputs();
+  ASSERT_NE(classic.find(",12.500000,250.125000,"), std::string::npos) << classic;
+  for (const char* detector : {"behavior.classifier: classifier score 0.000000",
+                               "behavior.navigation: navigation likelihood ",
+                               "nip.anomaly: NiP=6 volume far above baseline (chi2="}) {
+    ASSERT_NE(classic.find(detector), std::string::npos) << detector << "\n" << classic;
+  }
+  const ScopedNumericLocale comma("de_DE.UTF-8");
+  if (!comma.active()) GTEST_SKIP() << "locale de_DE.UTF-8 is not installed";
+  char probe[16];
+  std::snprintf(probe, sizeof(probe), "%.1f", 0.5);
+  ASSERT_STREQ(probe, "0,5");  // the hazard is live
+  EXPECT_EQ(decimal_outputs(), classic);
 }
 
 // Text classes come from no locale at all: name scoring must give the same

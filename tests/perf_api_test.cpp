@@ -90,7 +90,7 @@ struct AlertWorld {
 std::string checkpoint_bytes(const mitigate::SlidingWindowRateLimiter& limiter) {
   util::ByteWriter out;
   limiter.checkpoint(out);
-  return out.bytes();
+  return out.take();
 }
 
 // The limiter's contract written the obvious way: an ordered map from key
@@ -143,7 +143,7 @@ class ReferenceLimiter {
       out.u64(q.size());
       for (sim::SimTime t : q) out.i64(t);
     }
-    return out.bytes();
+    return out.take();
   }
 
  private:
@@ -244,7 +244,7 @@ TEST(InternTable, CheckpointRestoresExactIdAssignment) {
 
   util::ByteWriter out;
   table.checkpoint(out);
-  const std::string frame = out.bytes();
+  const std::string frame = out.take();
 
   util::InternTable restored;
   util::ByteReader in(frame);

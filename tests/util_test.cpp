@@ -5,15 +5,19 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/archive.hpp"
@@ -823,7 +827,7 @@ TEST(Archive, IntegersAreLittleEndianLiterals) {
   const auto written = [](auto write) {
     ByteWriter out;
     write(out);
-    return out.bytes();
+    return out.take();
   };
   EXPECT_EQ(written([](ByteWriter& w) { w.u8(0xAB); }), hex_bytes({0xAB}));
   EXPECT_EQ(written([](ByteWriter& w) { w.u16(0x0102); }), hex_bytes({0x02, 0x01}));
@@ -845,6 +849,324 @@ TEST(Archive, IntegersAreLittleEndianLiterals) {
             hex_bytes({0xAB, 0x02, 0x01, 0x04, 0x03, 0x02, 0x01, 0x08, 0x07, 0x06, 0x05,
                        0x04, 0x03, 0x02, 0x01, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
                        0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F}));
+}
+
+// The writer before it wrote through a pointer: one std::string::append per
+// value. Kept as the oracle the grow-in-place writer must match byte for byte.
+class StringAppendWriter {
+ public:
+  static constexpr bool reading = false;
+
+  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  void u16(std::uint16_t v) { put_le(v, 2); }
+  void u32(std::uint32_t v) { put_le(v, 4); }
+  void u64(std::uint64_t v) { put_le(v, 8); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void boolean(bool v) { u8(v ? 1 : 0); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    buf_.append(s.data(), s.size());
+  }
+  void raw(std::string_view s) { buf_.append(s.data(), s.size()); }
+
+  template <class... T>
+  void operator()(const T&... values) {
+    (put(values), ...);
+  }
+
+  [[nodiscard]] const std::string& bytes() const { return buf_; }
+
+ private:
+  void put_le(std::uint64_t v, int n) {
+    char le[8];
+    for (int i = 0; i < n; ++i) le[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    buf_.append(le, static_cast<std::size_t>(n));
+  }
+
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      boolean(v);
+    } else if constexpr (std::is_enum_v<T>) {
+      u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      f64(static_cast<double>(v));
+    } else if constexpr (std::is_unsigned_v<T>) {
+      put_le(v, sizeof(T));
+    } else if constexpr (std::is_integral_v<T>) {
+      i64(static_cast<std::int64_t>(v));
+    } else if constexpr (std::is_array_v<T>) {
+      for (const auto& e : v) put(e);
+    } else {
+      const_cast<T&>(v).visit(*this);
+    }
+  }
+  void put(const std::string& v) { str(v); }
+  template <class A, class B>
+  void put(const std::pair<A, B>& v) {
+    put(v.first);
+    put(v.second);
+  }
+  template <class T, std::size_t N>
+  void put(const std::array<T, N>& v) {
+    for (const auto& e : v) put(e);
+  }
+  template <class T>
+  void put(const std::optional<T>& v) {
+    boolean(v.has_value());
+    if (v) put(*v);
+  }
+  template <class T>
+  void put(const std::vector<T>& v) {
+    put_range(v);
+  }
+  template <class T>
+  void put(const std::deque<T>& v) {
+    put_range(v);
+  }
+  template <class K>
+  void put(const std::set<K>& v) {
+    put_range(v);
+  }
+  template <class K, class V>
+  void put(const std::map<K, V>& v) {
+    put_range(v);
+  }
+  template <class K>
+  void put(const std::unordered_set<K>& v) {
+    put_range(std::set<K>(v.begin(), v.end()));
+  }
+  template <class K, class V>
+  void put(const std::unordered_map<K, V>& v) {
+    put_range(std::map<K, V>(v.begin(), v.end()));
+  }
+  template <class R>
+  void put_range(const R& r) {
+    u64(r.size());
+    for (const auto& e : r) put(e);
+  }
+
+  std::string buf_;
+};
+
+// Writes one random value of a random archive type (or one named primitive)
+// to every writer in `writers`.
+template <class... W>
+void write_random_value(std::mt19937_64& rng, W&... writers) {
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  const auto bytes = [&](std::size_t max_len) {
+    std::string s(pick(max_len + 1), '\0');
+    for (char& c : s) c = static_cast<char>(rng());
+    return s;
+  };
+  const auto write = [&](const auto&... values) { (writers(values...), ...); };
+  switch (pick(24)) {
+    case 0: write(pick(2) == 1); break;
+    case 1: write(static_cast<std::uint8_t>(rng())); break;
+    case 2: write(static_cast<std::uint16_t>(rng())); break;
+    case 3: write(static_cast<std::uint32_t>(rng())); break;
+    case 4: write(static_cast<std::uint64_t>(rng())); break;
+    case 5: write(static_cast<int>(rng())); break;
+    case 6: write(static_cast<std::int64_t>(rng())); break;
+    case 7: write(static_cast<Color>(pick(3))); break;
+    case 8: write(static_cast<float>(rng()) / 7.0f); break;
+    case 9: write(std::bit_cast<double>(rng())); break;
+    case 10: write(bytes(pick(8) == 0 ? 5000 : 40)); break;
+    case 11: {
+      const int values[3] = {static_cast<int>(rng()), -1, static_cast<int>(pick(100))};
+      write(values);
+      break;
+    }
+    case 12: {
+      std::array<std::uint16_t, 4> values{};
+      for (auto& v : values) v = static_cast<std::uint16_t>(rng());
+      write(values);
+      break;
+    }
+    case 13:
+      write(std::pair<std::string, std::uint32_t>(bytes(9), static_cast<std::uint32_t>(rng())));
+      break;
+    case 14:
+      write(pick(2) == 0 ? std::optional<double>() : std::optional<double>(0.25 * pick(99)));
+      break;
+    case 15: {
+      std::vector<std::uint64_t> values(pick(30));
+      for (auto& v : values) v = rng();
+      write(values);
+      break;
+    }
+    case 16: {
+      std::deque<std::string> values(pick(6));
+      for (auto& v : values) v = bytes(12);
+      write(values);
+      break;
+    }
+    case 17: {
+      std::set<int> values;
+      for (std::uint64_t i = pick(20); i > 0; --i) values.insert(static_cast<int>(rng()));
+      write(values);
+      break;
+    }
+    case 18: {
+      std::map<std::string, std::optional<std::uint8_t>> values;
+      for (std::uint64_t i = pick(6); i > 0; --i) {
+        values[bytes(5)] = pick(2) == 0 ? std::nullopt : std::optional<std::uint8_t>(rng());
+      }
+      write(values);
+      break;
+    }
+    case 19: {
+      std::unordered_set<std::uint64_t> values;
+      for (std::uint64_t i = pick(20); i > 0; --i) values.insert(pick(1000));
+      write(values);
+      break;
+    }
+    case 20: {
+      std::unordered_map<std::string, std::vector<std::uint8_t>> values;
+      for (std::uint64_t i = pick(6); i > 0; --i) {
+        values[bytes(4)] = std::vector<std::uint8_t>(pick(5), static_cast<std::uint8_t>(rng()));
+      }
+      write(values);
+      break;
+    }
+    case 21: {
+      Sample sample;
+      sample.flag = pick(2) == 1;
+      sample.wide = static_cast<int>(rng());
+      sample.name = bytes(20);
+      sample.maybe = static_cast<std::uint32_t>(rng());
+      sample.times.assign(pick(8), static_cast<std::int64_t>(rng()));
+      sample.ordered[bytes(3)] = static_cast<std::uint8_t>(rng());
+      sample.hashed[rng()] = bytes(6);
+      sample.hashed[rng()] = bytes(6);
+      write(sample);
+      break;
+    }
+    case 22: {
+      const std::string blob = bytes(pick(4) == 0 ? 3000 : 20);
+      (writers.raw(blob), ...);
+      break;
+    }
+    default: {
+      const std::uint64_t v = rng();
+      const std::string s = bytes(30);
+      ((writers.u8(static_cast<std::uint8_t>(v)), writers.u16(static_cast<std::uint16_t>(v)),
+        writers.u32(static_cast<std::uint32_t>(v)), writers.u64(v),
+        writers.i64(static_cast<std::int64_t>(v)), writers.boolean(v % 2 == 0),
+        writers.f64(static_cast<double>(v)), writers.str(s)),
+       ...);
+      break;
+    }
+  }
+}
+
+TEST(Archive, WriterMatchesStringAppendOracle) {
+  std::mt19937_64 rng(20261018);
+  for (int round = 0; round < 300; ++round) {
+    StringAppendWriter oracle;
+    ByteWriter out;
+    const std::uint64_t values = rng() % (round % 10 == 0 ? 2000 : 40);
+    for (std::uint64_t i = 0; i < values; ++i) {
+      write_random_value(rng, oracle, out);
+      ASSERT_EQ(out.size(), oracle.bytes().size()) << "round " << round << " value " << i;
+    }
+    ASSERT_EQ(out.bytes(), oracle.bytes()) << "round " << round;
+
+    // A moved-to writer carries on; the moved-from one starts empty.
+    ByteWriter moved(std::move(out));
+    write_random_value(rng, oracle, moved);
+    ASSERT_EQ(moved.bytes(), oracle.bytes()) << "round " << round;
+    EXPECT_EQ(out.size(), 0u);  // NOLINT(bugprone-use-after-move): specified empty
+    StringAppendWriter fresh;
+    write_random_value(rng, fresh, out);
+    EXPECT_EQ(out.bytes(), fresh.bytes()) << "round " << round;
+
+    // take() hands over exactly the bytes and leaves the writer reusable.
+    ASSERT_EQ(moved.take(), oracle.bytes()) << "round " << round;
+    EXPECT_EQ(moved.size(), 0u);
+    StringAppendWriter again;
+    write_random_value(rng, again, moved);
+    EXPECT_EQ(moved.bytes(), again.bytes()) << "round " << round;
+  }
+}
+
+TEST(Archive, SmallWriterStaysInTheInlineBuffer) {
+  // Up to the inline capacity of std::string the bytes live inside the
+  // writer object itself: no heap allocation. One byte more must move out.
+  const std::size_t inline_bytes = std::string().capacity();
+  ByteWriter out;
+  const auto inside = [&out] {
+    const auto* at = reinterpret_cast<const char*>(&out);
+    return out.bytes().data() >= at && out.bytes().data() < at + sizeof(out);
+  };
+  for (std::size_t i = 0; i < inline_bytes; ++i) {
+    out.u8(static_cast<std::uint8_t>(i));
+    EXPECT_TRUE(inside()) << "after " << i + 1 << " bytes";
+  }
+  out.u8(0xFF);
+  EXPECT_FALSE(inside());
+  const std::string taken = out.take();
+  ASSERT_EQ(taken.size(), inline_bytes + 1);
+  EXPECT_EQ(static_cast<unsigned char>(taken.back()), 0xFFu);
+}
+
+TEST(Archive, EncodedPrefixEqualsFreshEncode) {
+  std::mt19937_64 rng(7);
+  std::vector<Sample> log;
+  EncodedPrefix prefix;
+  const auto fresh = [](const std::vector<Sample>& v) {
+    ByteWriter out;
+    out(v);
+    return out.take();
+  };
+  const auto via_prefix = [&prefix](const std::vector<Sample>& v) {
+    ByteWriter out;
+    out.u8(0x5A);  // the prefix lands mid-stream, as in a platform checkpoint
+    prefix.visit(out, v);
+    return out.take().substr(1);
+  };
+  const auto append = [&](std::uint64_t n) {
+    for (; n > 0; --n) {
+      Sample s;
+      s.wide = static_cast<int>(rng());
+      s.name = std::to_string(rng());
+      s.times.assign(rng() % 4, static_cast<std::int64_t>(rng()));
+      s.hashed[rng() % 50] = "h";
+      log.push_back(std::move(s));
+    }
+  };
+  // Batches of appends, empty batches included.
+  for (int batch = 0; batch < 20; ++batch) {
+    append(rng() % 12);
+    ASSERT_EQ(via_prefix(log), fresh(log)) << "batch " << batch;
+    ASSERT_EQ(via_prefix(log), fresh(log)) << "batch " << batch << " again";
+  }
+  const std::string before_restore = fresh(log);
+
+  // A restore drops the prefix: the restored log, here longer than the one
+  // the prefix was built from, encodes afresh and the prefix regrows from it.
+  std::vector<Sample> other(log.size() + 3);
+  other[1].name = "restored";
+  const std::string other_bytes = fresh(other);
+  ByteReader in(other_bytes);
+  prefix.visit(in, log);
+  ASSERT_TRUE(in.exhausted());
+  ASSERT_EQ(log.size(), other.size());
+  EXPECT_EQ(via_prefix(log), other_bytes);
+  append(5);
+  EXPECT_EQ(via_prefix(log), fresh(log));
+
+  // reset() after a change that is not an append: a longer, different log.
+  ByteReader back(before_restore);
+  back(log);
+  prefix.reset();
+  EXPECT_EQ(via_prefix(log), before_restore);
+  log.clear();
+  prefix.reset();
+  EXPECT_EQ(via_prefix(log), fresh(log));
+  append(2);
+  EXPECT_EQ(via_prefix(log), fresh(log));
 }
 
 TEST(File, ReadFileReturnsExactBytes) {
