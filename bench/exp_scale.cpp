@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,13 @@
 #include "sim/time.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
+
+#ifndef FRAUDSIM_COMPILER
+#define FRAUDSIM_COMPILER "unknown"
+#endif
+#ifndef FRAUDSIM_BUILD_TYPE
+#define FRAUDSIM_BUILD_TYPE "unknown"
+#endif
 
 using namespace fraudsim;
 
@@ -180,6 +188,9 @@ int run_gate(const bench::Options& options) {
   }
   out << "  },\n  \"meta\": {\n    \"smoke\": " << (smoke ? 1 : 0)
       << ",\n    \"users\": " << cfg.users << ",\n    \"threads\": " << cfg.threads
+      << ",\n    \"nproc\": " << std::thread::hardware_concurrency()
+      << ",\n    \"compiler\": \"" << FRAUDSIM_COMPILER << "\""
+      << ",\n    \"build_type\": \"" << FRAUDSIM_BUILD_TYPE << "\""
       << ",\n    \"wall_seconds\": " << util::format_fixed(seconds, 2) << "\n  }\n}\n";
   out.close();
 

@@ -28,6 +28,8 @@
 //                           the same for the platform's later restore
 //                           points, which re-encode only what the web log
 //                           and biometric log gained since the last one
+//   ns_exchange_per_message wall ns per message through a K=8 barrier
+//                           exchange of 1M queued messages plus replies
 //   ns_crc32_per_kib        wall ns per KiB for util::crc32 over 4 MiB
 //   ns_sessionize_per_request
 //                           wall ns per request to sessionize the 6 h gate
@@ -66,6 +68,7 @@
 #include "core/scenario/fleet.hpp"
 #include "core/scenario/replay_harness.hpp"
 #include "fingerprint/population.hpp"
+#include "sim/sharded_simulation.hpp"
 #include "util/format.hpp"
 #include "util/hash.hpp"
 #include "util/strings.hpp"
@@ -595,6 +598,42 @@ double measure_ns_checkpoint_repeat(bool smoke, int reps) {
   });
 }
 
+// Wall ns per delivered message through ShardedSimulation's barrier
+// exchange: K=8 shards, a fixed mix of 1M messages queued between random
+// shard pairs, and a handler that answers one in four with a reply delivered
+// in a second round. Sends are queued outside the timer; the timed barrier
+// drains empty shard queues, so the exchange is nearly all it measures. The
+// engine is reused across samples, as a run reuses it across barriers.
+double measure_ns_exchange_per_message(bool smoke, int reps) {
+  constexpr std::uint32_t kShards = 8;
+  const std::uint64_t messages = smoke ? 100'000 : 1'000'000;
+  sim::ShardedSimulation::Config config;
+  config.shards = kShards;
+  config.epoch = sim::kHour;
+  sim::ShardedSimulation engine(config);
+  std::uint64_t sink = 0;
+  engine.set_message_handler([&](std::uint32_t dst, const sim::ShardMessage& msg) {
+    sink += msg.a;
+    if (msg.type == 0 && (msg.a & 3) == 0) engine.send(dst, msg.src, 1, msg.a >> 2);
+  });
+  const auto sample = [&] {
+    for (std::uint64_t i = 0; i < messages; ++i) {
+      const std::uint64_t r = util::splitmix64(i);
+      engine.send(static_cast<std::uint32_t>(r % kShards),
+                  static_cast<std::uint32_t>((r >> 8) % kShards), 0, r >> 16, i);
+    }
+    const std::uint64_t before = engine.messages_delivered();
+    const auto t0 = GateClock::now();
+    engine.run_until(engine.now() + sim::kHour);
+    const auto t1 = GateClock::now();
+    return elapsed_ns(t0, t1) / static_cast<double>(engine.messages_delivered() - before);
+  };
+  (void)sample();  // warmup
+  const double ns = median_of(reps, sample);
+  benchmark::DoNotOptimize(sink);
+  return ns;
+}
+
 // Wall ns per KiB for util::crc32 over a 4 MiB buffer (journal frames are
 // checksummed whole, checkpoints being the large ones).
 double measure_ns_crc32(int reps) {
@@ -645,6 +684,9 @@ int run_gate(const bench::Options& options) {
   std::cerr << "[gate] checkpoint frame...\n";
   metrics.emplace_back("ns_checkpoint_frame_per_kib", measure_ns_checkpoint_frame(smoke, reps));
   metrics.emplace_back("ns_checkpoint_repeat_per_kib", measure_ns_checkpoint_repeat(smoke, reps));
+
+  std::cerr << "[gate] barrier exchange...\n";
+  metrics.emplace_back("ns_exchange_per_message", measure_ns_exchange_per_message(smoke, reps));
 
   std::cerr << "[gate] crc32...\n";
   metrics.emplace_back("ns_crc32_per_kib", measure_ns_crc32(reps));

@@ -565,7 +565,8 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
 // Restores one shard from its blob, re-registering pending events (activity
 // timers, hold expiries, pay decisions) under their ORIGINAL event ids so the
 // resumed queue drains in the exact order the uninterrupted run would have
-// used.
+// used. Ids the queue rejects (0, one already live, a next id at or below a
+// live one) fail the restore like any other malformed field.
 [[nodiscard]] bool restore_shard(World& w, sim::ShardedSimulation& engine, std::uint32_t k,
                                  const std::string& blob, std::uint64_t expect_index) {
   util::ByteReader in(blob);
@@ -596,8 +597,10 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
     h.expiry_at = in.i64();
     if (h.live) {
       const std::uint64_t packed = pack_expiry(k, i);
-      engine.shard(k).queue().restore_entry(h.expiry_at, h.expiry_event,
-                                            [wp, packed] { on_expiry(wp, packed); });
+      if (!engine.shard(k).queue().restore_entry(h.expiry_at, h.expiry_event,
+                                                 [wp, packed] { on_expiry(wp, packed); })) {
+        return false;
+      }
     }
   }
   ss.free_holds.assign(in.u64(), 0);
@@ -609,8 +612,10 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
     const std::uint64_t packed = in.u64();
     const std::uint64_t id = in.u64();
     const sim::SimTime at = in.i64();
-    engine.shard(k).queue().restore_entry(at, id,
-                                          [wp, packed] { on_pay_decision(wp, packed); });
+    if (!engine.shard(k).queue().restore_entry(at, id,
+                                               [wp, packed] { on_pay_decision(wp, packed); })) {
+      return false;
+    }
     ss.pending_pays.emplace(packed, std::make_pair(id, at));
   }
 
@@ -625,9 +630,10 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
     s.holds = in.u32();
     s.denials = in.u32();
     s.pays = in.u32();
-    if (s.pending_event != 0) {
-      engine.shard(k).queue().restore_entry(s.pending_at, s.pending_event,
-                                            [wp, u] { on_activity(wp, u); });
+    if (s.pending_event != 0 &&
+        !engine.shard(k).queue().restore_entry(s.pending_at, s.pending_event,
+                                               [wp, u] { on_activity(wp, u); })) {
+      return false;
     }
   }
   const std::uint64_t owned_flights = in.u64();
@@ -639,8 +645,7 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
   }
 
   ss.graph.restore(in);
-  engine.shard(k).queue().set_next_id(in.u64());
-  return in.ok();
+  return engine.shard(k).queue().set_next_id(in.u64()) && in.ok();
 }
 
 // --- Artifacts ---------------------------------------------------------------
@@ -909,16 +914,12 @@ ScaleArtifacts run_sharded_impl(const ScaleConfig& cfg, bool try_resume) {
                          std::istreambuf_iterator<char>());
         ok = file.good() && restore_shard(w, engine, k, blob, idx);
       }
-      if (ok) {
-        resumed = true;
-        resumed_index = idx;
-      } else {
-        // A blob failed to parse despite an intact manifest — start clean.
-        for (std::uint32_t k = 0; k < engine.shards(); ++k) {
-          w.shards[k] = std::make_unique<ShardState>(scale_graph_config(cfg));
-        }
-        init_static(w);
-      }
+      // A blob failed to parse despite an intact manifest. The shards before
+      // it already restored their queues and engine counters, so start clean
+      // from a fresh engine and world.
+      if (!ok) return run_sharded_impl(cfg, /*try_resume=*/false);
+      resumed = true;
+      resumed_index = idx;
     }
   }
   if (!resumed) init_schedule(w);

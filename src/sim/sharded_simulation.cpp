@@ -27,6 +27,7 @@ ShardedSimulation::ShardedSimulation(const Config& cfg)
     shard->outbox.resize(k);
     shards_.push_back(std::move(shard));
   }
+  staged_.resize(std::size_t{k} * k);
 }
 
 std::uint32_t ShardedSimulation::shard_of(std::uint64_t key) const {
@@ -100,30 +101,38 @@ void ShardedSimulation::exchange(SimTime barrier) {
   //
   // Handlers may themselves send() (e.g. a hold-granted reply), so delivery
   // runs in rounds: every queued message is staged before any handler runs,
-  // handler sends land in fresh outboxes, and the loop repeats until no
+  // handler sends land in the emptied outboxes, and the loop repeats until no
   // messages remain. Request/reply round-trips therefore complete within one
   // barrier, in an order that depends only on the message streams — never on
   // which box the staging loop happened to be visiting — and the barrier
   // always ends quiescent (messages_in_flight() == 0), which the checkpoint
   // and the shard-conservation invariant both rely on.
-  std::vector<ShardMessage> round;
-  while (messages_in_flight() > 0) {
-    round.clear();
-    for (std::uint32_t dst = 0; dst < shards(); ++dst) {
-      for (std::uint32_t src = 0; src < shards(); ++src) {
-        auto& box = shards_[src]->outbox[dst];
-        round.insert(round.end(), box.begin(), box.end());
-        box.clear();
+  //
+  // Staging is a swap per (src, dst) box, so no message is copied; the
+  // outbox takes over the staging box's capacity for the next round.
+  const std::uint32_t k = shards();
+  for (;;) {
+    std::size_t staged = 0;
+    for (std::uint32_t src = 0; src < k; ++src) {
+      auto& outbox = shards_[src]->outbox;
+      for (std::uint32_t dst = 0; dst < k; ++dst) {
+        auto& box = staged_[std::size_t{dst} * k + src];
+        box.swap(outbox[dst]);
+        staged += box.size();
       }
     }
-    for (const ShardMessage& msg : round) {
-      if (drop_next_) {
-        drop_next_ = false;
-        ++dropped_;
-        continue;
+    if (staged == 0) return;
+    for (auto& box : staged_) {
+      for (const ShardMessage& msg : box) {
+        if (drop_next_) {
+          drop_next_ = false;
+          ++dropped_;
+          continue;
+        }
+        if (handler_) handler_(msg.dst, msg);
+        ++delivered_;
       }
-      if (handler_) handler_(msg.dst, msg);
-      ++delivered_;
+      box.clear();
     }
   }
 }

@@ -144,6 +144,10 @@ class ShardedSimulation : public util::Checkpointed<ShardedSimulation> {
   void exchange(SimTime barrier);
 
   std::vector<std::unique_ptr<Shard>> shards_;  // unique_ptr: stable addresses
+  // K*K staging boxes, indexed dst * K + src, kept for the engine's life: a
+  // round swaps each outbox with its empty staging box, delivers from the
+  // staging boxes in drain order, then clears them with their capacity kept.
+  std::vector<std::vector<ShardMessage>> staged_;
   SimDuration epoch_;
   unsigned threads_;
   SimTime now_ = 0;

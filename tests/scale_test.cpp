@@ -8,13 +8,18 @@
 //     single behavioural byte.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/fault/fault.hpp"
+#include "core/recover/manifest.hpp"
 #include "core/scenario/scale_scenario.hpp"
 #include "sim/time.hpp"
+#include "util/hash.hpp"
+#include "util/file.hpp"
 
 namespace fraudsim {
 namespace {
@@ -169,6 +174,59 @@ TEST(Scale, ResumeRollsBackWhenOneShardCheckpointIsCorrupt) {
                            "checkpoint-6.fsc",
                        std::ios::binary | std::ios::trunc);
     torn << "torn";
+  }
+  const auto resumed = scenario::resume_scale_sharded(cfg);
+  expect_identical(full, resumed);
+}
+
+// A checkpoint that passes its manifest audit but names one live event id
+// twice must be refused, and the resume must then start clean. Here two live
+// hold expiries of shard 1 share an id: the queue refuses the second, so
+// shard 1's restore fails after shard 0 has already restored its queue and
+// the engine counters. Starting clean therefore means a fresh engine too; a
+// fallback that kept them would re-run from barrier 6 on top of shard 0's
+// restored events and diverge from the uninterrupted run.
+TEST(Scale, ResumeRefusesACheckpointThatQueuesOneEventIdTwice) {
+  ScopedDir dir("fraudsim_scale_dup_event");
+  auto cfg = small_config();
+  cfg.shards = 3;
+  cfg.checkpoint_every = 2;
+  cfg.out_dir = dir.path();
+  const auto full = scenario::run_scale_sharded(cfg);
+
+  const std::filesystem::path shard = std::filesystem::path(dir.path()) / "shards" / "shard-001";
+  const std::string rel = "checkpoint-6.fsc";
+  std::string blob = util::read_file((shard / rel).string()).value();
+  const auto load_u64 = [&blob](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(blob[at + i]);
+    return v;
+  };
+  // checkpoint_shard's layout: magic, config digest, barrier index, barrier
+  // time and seven counters (shard 1 carries no engine blob), then the hold
+  // count and 37-byte hold records {live u8, gen u32, user u64, flight u64,
+  // expiry_event u64, expiry_at i64}.
+  constexpr std::size_t kHolds = 11 * 8;
+  constexpr std::size_t kRecord = 37;
+  constexpr std::size_t kExpiryEvent = 1 + 4 + 8 + 8;
+  std::vector<std::size_t> live;
+  for (std::uint64_t i = 0; i < load_u64(kHolds); ++i) {
+    const std::size_t at = kHolds + 8 + i * kRecord;
+    if (blob[at] != 0) live.push_back(at + kExpiryEvent);
+  }
+  ASSERT_GE(live.size(), 2u);
+  blob.replace(live[1], 8, blob, live[0], 8);
+
+  auto manifest = recover::Manifest::load((shard / recover::kManifestFilename).string()).value();
+  for (auto& entry : manifest.artifacts) {
+    if (entry.path != rel) continue;
+    entry.size = blob.size();
+    entry.crc = util::crc32(blob);
+  }
+  ASSERT_TRUE(manifest.write(shard.string()).is_ok());
+  {
+    std::ofstream out(shard / rel, std::ios::binary | std::ios::trunc);
+    out << blob;
   }
   const auto resumed = scenario::resume_scale_sharded(cfg);
   expect_identical(full, resumed);

@@ -4,7 +4,9 @@
 // checkpoint/restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 #include "util/archive.hpp"
+#include "util/hash.hpp"
 
 namespace fraudsim {
 namespace {
@@ -195,6 +198,171 @@ TEST(ShardedSim, StablePartitionIsThreadAndCallIndependent) {
   for (std::uint64_t key = 0; key < 1000; ++key) {
     EXPECT_EQ(a.shard_of(key), b.shard_of(key));
     EXPECT_LT(a.shard_of(key), 4u);
+  }
+}
+
+// The copying exchange the engine used before swap staging, kept as an
+// oracle: K serial shard loops and outboxes, and a barrier that copies every
+// queued message into a round vector built afresh, delivering dst-major,
+// src-minor, FIFO, in rounds until no message is left.
+class CopyingEngine {
+ public:
+  CopyingEngine(std::uint32_t shards, sim::SimDuration epoch)
+      : epoch_(epoch), sims_(shards), outbox_(shards), sent_(shards, 0) {
+    for (auto& row : outbox_) row.resize(shards);
+  }
+  [[nodiscard]] std::uint32_t shards() const { return static_cast<std::uint32_t>(sims_.size()); }
+  [[nodiscard]] sim::Simulation& shard(std::uint32_t k) { return sims_[k]; }
+  [[nodiscard]] sim::SimTime now() const { return now_; }
+  void send(std::uint32_t src, std::uint32_t dst, std::uint32_t type, std::uint64_t a = 0,
+            std::uint64_t b = 0, std::uint64_t c = 0, std::uint64_t d = 0) {
+    outbox_[src][dst].push_back(
+        sim::ShardMessage{src, dst, sent_[src]++, sims_[src].now(), type, a, b, c, d});
+  }
+  void set_message_handler(sim::ShardedSimulation::MessageHandler h) { handler_ = std::move(h); }
+  void add_barrier_hook(sim::ShardedSimulation::BarrierHook h) { hooks_.push_back(std::move(h)); }
+  void test_drop_next_message() { drop_next_ = true; }
+  [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
+  [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
+
+  void run_until(sim::SimTime end) {
+    while (now_ < end) {
+      const sim::SimTime barrier = std::min<sim::SimTime>(now_ + epoch_, end);
+      for (auto& s : sims_) s.run_before(barrier);
+      exchange();
+      now_ = barrier;
+      for (const auto& hook : hooks_) hook(barrier);
+    }
+  }
+
+ private:
+  [[nodiscard]] std::size_t in_flight() const {
+    std::size_t total = 0;
+    for (const auto& row : outbox_) {
+      for (const auto& box : row) total += box.size();
+    }
+    return total;
+  }
+  void exchange() {
+    std::vector<sim::ShardMessage> round;
+    while (in_flight() > 0) {
+      round.clear();
+      for (std::uint32_t dst = 0; dst < shards(); ++dst) {
+        for (std::uint32_t src = 0; src < shards(); ++src) {
+          auto& box = outbox_[src][dst];
+          round.insert(round.end(), box.begin(), box.end());
+          box.clear();
+        }
+      }
+      for (const sim::ShardMessage& msg : round) {
+        if (drop_next_) {
+          drop_next_ = false;
+          ++dropped_;
+          continue;
+        }
+        if (handler_) handler_(msg.dst, msg);
+        ++delivered_;
+      }
+    }
+  }
+
+  sim::SimDuration epoch_;
+  std::vector<sim::Simulation> sims_;
+  std::vector<std::vector<std::vector<sim::ShardMessage>>> outbox_;  // [src][dst]
+  std::vector<std::uint64_t> sent_;
+  sim::SimTime now_ = 0;
+  sim::ShardedSimulation::MessageHandler handler_;
+  std::vector<sim::ShardedSimulation::BarrierHook> hooks_;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t dropped_ = 0;
+  bool drop_next_ = false;
+};
+
+struct Delivery {
+  sim::SimTime barrier;
+  sim::ShardMessage msg;
+  bool operator==(const Delivery& o) const {
+    return barrier == o.barrier && msg.src == o.msg.src && msg.dst == o.msg.dst &&
+           msg.seq == o.msg.seq && msg.sent_at == o.msg.sent_at && msg.type == o.msg.type &&
+           msg.a == o.msg.a && msg.b == o.msg.b && msg.c == o.msg.c && msg.d == o.msg.d;
+  }
+};
+
+// A seeded workload that reads only its own shard's state from event
+// callbacks. Each shard ticks at random intervals and sends 0-3 messages to
+// random shards. A handler answers a type-t message (t < 3) with a type t+1
+// reply, so one barrier runs up to four delivery rounds, and sometimes
+// schedules a follow-up send on the receiving shard for the next epoch. The
+// barrier before the fourth drops the next message.
+template <class Engine>
+std::vector<Delivery> drive_exchange(Engine& eng, std::uint64_t seed) {
+  const std::uint32_t k = eng.shards();
+  struct Ticker {
+    std::uint64_t state;
+    std::uint64_t next() { return state = util::splitmix64(state); }
+  };
+  auto tickers = std::make_shared<std::vector<Ticker>>();
+  for (std::uint32_t s = 0; s < k; ++s) tickers->push_back({seed * 1000 + s});
+  std::vector<Delivery> log;
+  const auto tick = [&eng, tickers, k](std::uint32_t s, auto&& self) -> void {
+    Ticker& t = (*tickers)[s];
+    const std::uint64_t sends = t.next() % 4;
+    for (std::uint64_t i = 0; i < sends; ++i) {
+      const std::uint64_t r = t.next();
+      eng.send(s, static_cast<std::uint32_t>(r % k), 0, r >> 8, i, r & 0xff, 0);
+    }
+    eng.shard(s).schedule_in(static_cast<sim::SimDuration>(1 + t.next() % sim::seconds(30)),
+                             [s, self] { self(s, self); });
+  };
+  for (std::uint32_t s = 0; s < k; ++s) {
+    eng.shard(s).schedule_at(static_cast<sim::SimTime>(s), [s, tick] { tick(s, tick); });
+  }
+  eng.set_message_handler([&eng, &log](std::uint32_t dst, const sim::ShardMessage& msg) {
+    log.push_back({eng.now(), msg});
+    const std::uint64_t mix = util::splitmix64(msg.a ^ (msg.seq << 20) ^ msg.type);
+    if (msg.type < 3 && mix % 3 != 0) {
+      eng.send(dst, msg.src, msg.type + 1, mix >> 4, msg.seq, msg.src, msg.type);
+    }
+    if (mix % 7 == 0) {
+      eng.shard(dst).schedule_in(static_cast<sim::SimDuration>(mix % 5000), [&eng, dst, mix] {
+        eng.send(dst, static_cast<std::uint32_t>(mix % eng.shards()), 9, mix, 0, 0, 1);
+      });
+    }
+  });
+  int barriers = 0;
+  eng.add_barrier_hook([&eng, &barriers](sim::SimTime) {
+    if (++barriers == 3) eng.test_drop_next_message();
+  });
+  eng.run_until(sim::hours(2));
+  return log;
+}
+
+// The swap-staged exchange delivers exactly what the copying exchange did:
+// same messages, same order, same rounds, the planted drop at the same
+// position, for K in {1, 2, 3, 8} and 1 or 3 worker threads.
+TEST(ShardedSim, SwapStagedExchangeMatchesCopyingOracle) {
+  for (const std::uint32_t k : {1u, 2u, 3u, 8u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "K=" << k << " seed=" << seed);
+      CopyingEngine oracle(k, sim::minutes(10));
+      const std::vector<Delivery> want = drive_exchange(oracle, seed);
+      ASSERT_EQ(oracle.messages_dropped(), 1u);
+      std::uint32_t deepest = 0;
+      for (const Delivery& d : want) deepest = std::max(deepest, d.msg.type == 9 ? 0 : d.msg.type);
+      EXPECT_EQ(deepest, 3u);  // reply chains span four delivery rounds
+      EXPECT_GT(want.size(), 200u);
+      for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        sim::ShardedSimulation::Config cfg = config(k, sim::minutes(10));
+        cfg.threads = threads;
+        sim::ShardedSimulation eng(cfg);
+        const std::vector<Delivery> got = drive_exchange(eng, seed);
+        EXPECT_TRUE(got == want);
+        EXPECT_EQ(eng.messages_dropped(), 1u);
+        EXPECT_EQ(eng.messages_delivered(), oracle.messages_delivered());
+        EXPECT_EQ(eng.messages_in_flight(), 0u);
+      }
+    }
   }
 }
 

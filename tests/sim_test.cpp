@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -408,16 +411,332 @@ TEST(EventQueue, RestoreEntryReproducesOrderAndIdSequence) {
   // Rebuild in scrambled order, as a restore iterating workload state might.
   EventQueue restored;
   for (int i : {3, 0, 5, 2, 4, 1}) {
-    restored.restore_entry(100, static_cast<EventId>(i + 1),
-                           [&fired, i] { fired.push_back(i); });
+    ASSERT_TRUE(restored.restore_entry(100, static_cast<EventId>(i + 1),
+                                       [&fired, i] { fired.push_back(i); }));
   }
-  restored.set_next_id(next);
+  ASSERT_TRUE(restored.set_next_id(next));
   EXPECT_EQ(restored.next_id(), next);
   EXPECT_EQ(restored.pending(), 6u);
   while (!restored.empty()) restored.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   // Fresh handles continue where the original left off.
   EXPECT_EQ(restored.schedule(200, [] {}), next);
+}
+
+// Regression: restore_entry accepted an id that was already live, leaving two
+// heap entries under one id with pending() == 1. After one pop, empty() was
+// true while the second entry was still queued.
+TEST(EventQueue, RestoreEntryRejectsALiveId) {
+  EventQueue q;
+  std::vector<int> fired;
+  const EventId id = q.schedule(100, [&fired] { fired.push_back(1); });
+  EXPECT_FALSE(q.restore_entry(200, id, [&fired] { fired.push_back(2); }));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.heap_size(), 1u);
+  q.pop().fn();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.heap_size(), 0u);
+  EXPECT_EQ(fired, std::vector<int>{1});
+}
+
+TEST(EventQueue, RestoreEntryRejectsIdZero) {
+  EventQueue q;
+  EXPECT_FALSE(q.restore_entry(100, 0, [] {}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_id(), 1u);
+  EXPECT_FALSE(q.set_next_id(0));
+}
+
+// Regression: set_next_id below a restored id let schedule() hand that live
+// id out a second time, so cancelling one handle cancelled the other.
+TEST(EventQueue, SetNextIdRejectsValuesAtOrBelowTheNewestLiveId) {
+  EventQueue q;
+  ASSERT_TRUE(q.restore_entry(100, 7, [] {}));
+  ASSERT_TRUE(q.restore_entry(100, 3, [] {}));
+  EXPECT_FALSE(q.set_next_id(3));
+  EXPECT_FALSE(q.set_next_id(7));
+  EXPECT_EQ(q.next_id(), 8u);
+  EXPECT_TRUE(q.set_next_id(9));
+  EXPECT_EQ(q.schedule(50, [] {}), 9u);
+  EXPECT_EQ(q.pending(), 3u);
+}
+
+// A cancelled entry stays in the heap until it surfaces or a compaction runs.
+// Reviving its id by restore must not let the dead closure fire in the new
+// entry's place, at the dead entry's earlier time.
+TEST(EventQueue, RestoredIdNeverFiresItsCancelledPredecessor) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(100, [&fired] { fired.push_back(1); });
+  const EventId doomed = q.schedule(150, [&fired] { fired.push_back(-1); });
+  q.schedule(300, [&fired] { fired.push_back(3); });
+  ASSERT_TRUE(q.cancel(doomed));
+  ASSERT_EQ(q.cancelled_count(), 1u);
+  ASSERT_TRUE(q.restore_entry(200, doomed, [&fired] { fired.push_back(2); }));
+  EXPECT_EQ(q.pending(), 3u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+}
+
+// Ids decoded from a damaged checkpoint must not size the liveness window.
+TEST(EventQueue, RestoreRejectsIdsThatWouldWidenTheWindowPastItsLimit) {
+  EventQueue q;
+  ASSERT_TRUE(q.restore_entry(100, 5, [] {}));
+  const EventId far = 5 + EventQueue::kMaxRestoreSpan;
+  EXPECT_FALSE(q.restore_entry(100, far, [] {}));
+  EXPECT_FALSE(q.set_next_id(far + 1));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_id(), 6u);
+  EXPECT_LE(q.liveness_words(), 1u);
+  // The same ids are fine once nothing older is live.
+  q.pop();
+  EXPECT_TRUE(q.set_next_id(far + 1));
+  EXPECT_EQ(q.schedule(100, [] {}), far + 1);
+  EXPECT_LE(q.liveness_words(), 1u);
+}
+
+// Restored ids stay below 2^63, so the id sequence can never wrap to 0.
+TEST(EventQueue, RestoreRejectsIdsPastTheIdLimit) {
+  EventQueue q;
+  EXPECT_FALSE(q.set_next_id(EventQueue::kMaxRestoredId + 1));
+  EXPECT_FALSE(q.restore_entry(100, EventQueue::kMaxRestoredId + 1, [] {}));
+  EXPECT_FALSE(q.restore_entry(100, std::numeric_limits<EventId>::max(), [] {}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_id(), 1u);
+  EXPECT_TRUE(q.restore_entry(100, EventQueue::kMaxRestoredId, [] {}));
+  EXPECT_EQ(q.next_id(), EventQueue::kMaxRestoredId + 1);
+  EXPECT_EQ(q.schedule(200, [] {}), EventQueue::kMaxRestoredId + 1);
+  EXPECT_EQ(q.pop().id, EventQueue::kMaxRestoredId);
+  EXPECT_EQ(q.pop().id, EventQueue::kMaxRestoredId + 1);
+}
+
+// The node-set queue the flat queue replaced, kept as an oracle: liveness in
+// two hash sets, closures inside 48-byte heap entries. It follows the same
+// restore contract (the rejections, and the dead-entry purge before an id can
+// be issued again) so every observable — including heap_size() — must match.
+class NodeSetQueue {
+ public:
+  EventId schedule(SimTime at, EventFn fn) {
+    const EventId id = next_id_++;
+    push(at, id, std::move(fn));
+    return id;
+  }
+  bool restore_entry(SimTime at, EventId id, EventFn fn) {
+    if (id == 0 || id > EventQueue::kMaxRestoredId || pending_.contains(id)) return false;
+    const EventId lo = pending_.empty() ? id : std::min(min_pending(), id);
+    if (std::max(next_id_, id + 1) - lo > EventQueue::kMaxRestoreSpan) return false;
+    if (id < next_id_ && !cancelled_.empty()) compact();
+    push(at, id, std::move(fn));
+    if (id >= next_id_) next_id_ = id + 1;
+    return true;
+  }
+  bool set_next_id(EventId id) {
+    if (id == 0 || id > EventQueue::kMaxRestoredId) return false;
+    if (!pending_.empty() &&
+        (id <= max_pending() || id - min_pending() > EventQueue::kMaxRestoreSpan)) {
+      return false;
+    }
+    if (id < next_id_ && !cancelled_.empty()) compact();
+    next_id_ = id;
+    return true;
+  }
+  bool cancel(EventId id) {
+    const auto it = pending_.find(id);
+    if (it == pending_.end()) return false;
+    pending_.erase(it);
+    cancelled_.insert(id);
+    if (cancelled_.size() * 2 > heap_.size()) compact();
+    return true;
+  }
+  [[nodiscard]] bool empty() const { return pending_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
+  [[nodiscard]] std::size_t cancelled_count() const { return cancelled_.size(); }
+  [[nodiscard]] EventId next_id() const { return next_id_; }
+  SimTime next_time() {
+    drain_cancelled_top();
+    return heap_.front().time;
+  }
+  EventQueue::Fired pop() {
+    drain_cancelled_top();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry& top = heap_.back();
+    EventQueue::Fired fired{top.time, top.id, std::move(top.fn)};
+    heap_.pop_back();
+    pending_.erase(fired.id);
+    return fired;
+  }
+
+ private:
+  struct Entry {
+    SimTime time;
+    EventId id;
+    EventFn fn;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.id > b.id;
+    }
+  };
+  void push(SimTime at, EventId id, EventFn fn) {
+    heap_.push_back(Entry{at, id, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    pending_.insert(id);
+  }
+  void compact() {
+    std::erase_if(heap_, [this](const Entry& e) { return cancelled_.contains(e.id); });
+    cancelled_.clear();
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  void drain_cancelled_top() {
+    while (!heap_.empty() && cancelled_.contains(heap_.front().id)) {
+      cancelled_.erase(heap_.front().id);
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
+  }
+  [[nodiscard]] EventId min_pending() const {
+    return *std::min_element(pending_.begin(), pending_.end());
+  }
+  [[nodiscard]] EventId max_pending() const {
+    return *std::max_element(pending_.begin(), pending_.end());
+  }
+
+  std::vector<Entry> heap_;
+  std::unordered_set<EventId> pending_;
+  std::unordered_set<EventId> cancelled_;
+  EventId next_id_ = 1;
+};
+
+// Seeded churn through the flat queue and the oracle: schedule (near and far
+// future), cancel (live, fired, cancelled, never-issued ids), pop, next_time,
+// restore_entry and set_next_id (accepted and rejected), with the compaction
+// each cancel may trigger. Every return value, the fired (time, id, closure)
+// order, pending(), heap_size() and cancelled_count() must agree after every
+// operation.
+TEST(EventQueue, MatchesNodeSetOracleUnderSeededChurn) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue flat;
+    NodeSetQueue oracle;
+    std::vector<std::uint64_t> flat_log;
+    std::vector<std::uint64_t> oracle_log;
+    SimTime now = 0;
+    std::uint64_t tag = 0;
+    int restores_taken = 0, restores_refused = 0, next_ids_taken = 0, next_ids_refused = 0;
+    const auto any_id = [&] {
+      return static_cast<EventId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(oracle.next_id()) + 3));
+    };
+    const auto at = [&] {
+      return rng.bernoulli(0.1) ? now + rng.uniform_int(10'000, 1'000'000)
+                                : now + rng.uniform_int(0, 50);
+    };
+    for (int step = 0; step < 40'000; ++step) {
+      const double op = rng.uniform();
+      if (op < 0.35) {
+        const SimTime t = at();
+        ++tag;
+        const EventId a = flat.schedule(t, [&flat_log, tag] { flat_log.push_back(tag); });
+        const EventId b = oracle.schedule(t, [&oracle_log, tag] { oracle_log.push_back(tag); });
+        ASSERT_EQ(a, b);
+      } else if (op < 0.60) {
+        const EventId id = any_id();
+        ASSERT_EQ(flat.cancel(id), oracle.cancel(id)) << "cancel " << id;
+      } else if (op < 0.85) {
+        ASSERT_EQ(flat.empty(), oracle.empty());
+        if (!oracle.empty()) {
+          auto a = flat.pop();
+          auto b = oracle.pop();
+          ASSERT_EQ(a.time, b.time);
+          ASSERT_EQ(a.id, b.id);
+          now = a.time;
+          a.fn();
+          b.fn();
+        }
+      } else if (op < 0.90) {
+        if (!oracle.empty()) {
+          ASSERT_EQ(flat.next_time(), oracle.next_time());
+        }
+      } else if (op < 0.96) {
+        const EventId id = any_id();
+        const SimTime t = at();
+        ++tag;
+        const bool a =
+            flat.restore_entry(t, id, [&flat_log, tag] { flat_log.push_back(tag); });
+        const bool b =
+            oracle.restore_entry(t, id, [&oracle_log, tag] { oracle_log.push_back(tag); });
+        ASSERT_EQ(a, b) << "restore_entry " << id;
+        ++(a ? restores_taken : restores_refused);
+      } else {
+        // Mostly near next_id, where lowering it past dead keys is legal.
+        const EventId id =
+            rng.bernoulli(0.3)
+                ? any_id()
+                : static_cast<EventId>(std::max<std::int64_t>(
+                      0, static_cast<std::int64_t>(oracle.next_id()) + rng.uniform_int(-8, 8)));
+        const bool a = flat.set_next_id(id);
+        ASSERT_EQ(a, oracle.set_next_id(id)) << "set_next_id " << id;
+        ++(a ? next_ids_taken : next_ids_refused);
+      }
+      ASSERT_EQ(flat.pending(), oracle.pending());
+      ASSERT_EQ(flat.heap_size(), oracle.heap_size());
+      ASSERT_EQ(flat.cancelled_count(), oracle.cancelled_count());
+      ASSERT_EQ(flat.next_id(), oracle.next_id());
+    }
+    while (!oracle.empty()) {
+      auto a = flat.pop();
+      auto b = oracle.pop();
+      ASSERT_EQ(a.id, b.id);
+      a.fn();
+      b.fn();
+    }
+    EXPECT_TRUE(flat.empty());
+    EXPECT_EQ(flat_log, oracle_log);
+    EXPECT_GT(flat_log.size(), 1'000u);
+    EXPECT_GT(restores_taken, 100);
+    EXPECT_GT(restores_refused, 100);
+    EXPECT_GT(next_ids_taken, 100);
+    EXPECT_GT(next_ids_refused, 100);
+  }
+}
+
+// Memory bound: the liveness window holds at most one bit per id issued since
+// the oldest live one. A far-future event pinned while 1M short events churn
+// keeps the whole span (and no more); once it goes, the window collapses. The
+// heap never holds more than the live entries plus bounded dead mass.
+TEST(EventQueue, PinnedEventBoundsTheLivenessWindow) {
+  EventQueue q;
+  const EventId pinned = q.schedule(std::numeric_limits<SimTime>::max() / 2, [] {});
+  std::size_t max_heap = 0;
+  std::size_t max_words = 0;
+  for (SimTime t = 0; t < 1'000'000; ++t) {
+    q.schedule(t, [] {});
+    const EventId doomed = q.schedule(t + 5, [] {});
+    ASSERT_TRUE(q.cancel(doomed));
+    ASSERT_EQ(q.pop().time, t);
+    max_heap = std::max(max_heap, q.heap_size());
+    max_words = std::max(max_words, q.liveness_words());
+  }
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_LE(max_heap, 4u);
+  const std::size_t issued = static_cast<std::size_t>(q.next_id() - pinned);
+  EXPECT_LE(max_words, issued / 64 + 1);
+  EXPECT_GE(max_words, issued / 64);  // the pinned id really holds the span
+
+  ASSERT_TRUE(q.cancel(pinned));
+  EXPECT_TRUE(q.empty());
+  EXPECT_LE(q.liveness_words(), 1u);
+  // Without a pinned event, the same churn keeps the window a few words wide.
+  for (SimTime t = 0; t < 100'000; ++t) {
+    q.schedule(t, [] {});
+    ASSERT_TRUE(q.cancel(q.schedule(t + 5, [] {})));
+    q.pop();
+    max_words = q.liveness_words();
+    ASSERT_LE(max_words, 2u);
+  }
 }
 
 // --- Simulation ------------------------------------------------------------------
