@@ -29,7 +29,11 @@
 //                           points, which re-encode only what the web log
 //                           and biometric log gained since the last one
 //   ns_exchange_per_message wall ns per message through a K=8 barrier
-//                           exchange of 1M queued messages plus replies
+//                           exchange of 1M queued messages plus replies,
+//                           delivered on one thread
+//   ns_exchange_parallel_per_message
+//                           the same exchange delivered per destination on
+//                           min(4, nproc) worker threads
 //   ns_crc32_per_kib        wall ns per KiB for util::crc32 over 4 MiB
 //   ns_sessionize_per_request
 //                           wall ns per request to sessionize the 6 h gate
@@ -52,6 +56,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -603,17 +608,23 @@ double measure_ns_checkpoint_repeat(bool smoke, int reps) {
 // shard pairs, and a handler that answers one in four with a reply delivered
 // in a second round. Sends are queued outside the timer; the timed barrier
 // drains empty shard queues, so the exchange is nearly all it measures. The
-// engine is reused across samples, as a run reuses it across barriers.
-double measure_ns_exchange_per_message(bool smoke, int reps) {
+// engine is reused across samples, as a run reuses it across barriers, and
+// the handler touches only its destination's sink, as the engine's handler
+// contract requires once destinations are delivered on several threads.
+double measure_ns_exchange_per_message(bool smoke, int reps, unsigned threads) {
   constexpr std::uint32_t kShards = 8;
   const std::uint64_t messages = smoke ? 100'000 : 1'000'000;
   sim::ShardedSimulation::Config config;
   config.shards = kShards;
   config.epoch = sim::kHour;
+  config.threads = threads;
   sim::ShardedSimulation engine(config);
-  std::uint64_t sink = 0;
+  struct alignas(64) Sink {
+    std::uint64_t sum = 0;
+  };
+  std::vector<Sink> sink(kShards);
   engine.set_message_handler([&](std::uint32_t dst, const sim::ShardMessage& msg) {
-    sink += msg.a;
+    sink[dst].sum += msg.a;
     if (msg.type == 0 && (msg.a & 3) == 0) engine.send(dst, msg.src, 1, msg.a >> 2);
   });
   const auto sample = [&] {
@@ -630,7 +641,7 @@ double measure_ns_exchange_per_message(bool smoke, int reps) {
   };
   (void)sample();  // warmup
   const double ns = median_of(reps, sample);
-  benchmark::DoNotOptimize(sink);
+  benchmark::DoNotOptimize(sink.data());
   return ns;
 }
 
@@ -686,7 +697,11 @@ int run_gate(const bench::Options& options) {
   metrics.emplace_back("ns_checkpoint_repeat_per_kib", measure_ns_checkpoint_repeat(smoke, reps));
 
   std::cerr << "[gate] barrier exchange...\n";
-  metrics.emplace_back("ns_exchange_per_message", measure_ns_exchange_per_message(smoke, reps));
+  metrics.emplace_back("ns_exchange_per_message",
+                       measure_ns_exchange_per_message(smoke, reps, /*threads=*/1));
+  const unsigned exchange_threads = std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  metrics.emplace_back("ns_exchange_parallel_per_message",
+                       measure_ns_exchange_per_message(smoke, reps, exchange_threads));
 
   std::cerr << "[gate] crc32...\n";
   metrics.emplace_back("ns_crc32_per_kib", measure_ns_crc32(reps));

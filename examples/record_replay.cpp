@@ -64,6 +64,17 @@ scenario::RecordedScenarioConfig smoke_config(std::uint64_t seed) {
   return config;
 }
 
+// Creates `dir` and any missing parents.
+bool make_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::cerr << "error: cannot create " << dir << ": " << ec.message() << "\n";
+    return false;
+  }
+  return true;
+}
+
 bool write_artifact(const std::string& dir, const std::string& name,
                     const std::string& content) {
   const std::string path = dir + "/" + name;
@@ -98,7 +109,7 @@ int usage() {
                "       record_replay record-dir <run-dir> [seed]\n"
                "       record_replay crash <run-dir> <point>[@hit] [seed]\n"
                "       record_replay recover <run-dir> [seed]\n"
-               "(<out-dir> must already exist; <run-dir> is created;\n"
+               "(<out-dir> and <run-dir> are created if missing;\n"
                " crash points: journal-frame journal-checkpoint artifact-body\n"
                " artifact-rename manifest)\n";
   return 2;
@@ -116,12 +127,7 @@ int run_dir_mode(const std::string& mode, int argc, char** argv) {
   const std::uint64_t seed = argc == seed_arg + 1 ? std::stoull(argv[seed_arg]) : 2024;
   const auto config = smoke_config(seed);
 
-  std::error_code ec;
-  std::filesystem::create_directories(run_dir, ec);
-  if (ec) {
-    std::cerr << "error: cannot create " << run_dir << ": " << ec.message() << "\n";
-    return 1;
-  }
+  if (!make_dir(run_dir)) return 1;
 
   if (mode == "recover") {
     const auto outcome = scenario::recover_run(config, run_dir);
@@ -180,6 +186,9 @@ int main(int argc, char** argv) {
   const std::string out_dir = argv[3];
   const std::uint64_t seed = argc == 5 ? std::stoull(argv[4]) : 2024;
   const auto config = smoke_config(seed);
+  // Before the run: with the usual layout (out/run.journal beside
+  // out/recorded) this also makes the journal's directory.
+  if (!make_dir(out_dir)) return 1;
 
   util::Result<scenario::RunArtifacts> result = [&] {
     if (mode == "record") return scenario::record_run(config, journal_path);

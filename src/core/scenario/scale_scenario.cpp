@@ -31,7 +31,7 @@ namespace {
 
 // Cross-shard message types.
 constexpr std::uint32_t kMsgHoldRequest = 1;  // a=user, b=flight, c=intent_pay
-constexpr std::uint32_t kMsgHoldGranted = 2;  // a=user, b=hold idx, c=intent_pay (src=owner)
+constexpr std::uint32_t kMsgHoldGranted = 2;  // a=user, b=hold idx, c=intent_pay, d=gen; src=owner
 constexpr std::uint32_t kMsgHoldDenied = 3;   // a=user
 constexpr std::uint32_t kMsgPayRequest = 4;   // a=hold idx, b=hold generation
 
@@ -61,7 +61,10 @@ struct UserState {
   std::uint32_t pays = 0;
 };
 
-struct FlightState {
+// Aligned so flights owned by different shards never share a cache line
+// (64 B per flight: 16 KB at the default 256 flights). UserState is left
+// unpadded: padding it bought ~2% throughput for ~13% more peak memory.
+struct alignas(64) FlightState {
   std::uint32_t held = 0;
   std::uint32_t paid = 0;
   std::uint32_t capacity = 0;
@@ -110,6 +113,10 @@ struct ShardState {
   // the main thread at the barrier (the graph consults the thread_local
   // fault registry, so ingest must never run on a worker).
   std::vector<GraphOp> graph_ops;
+  // Users (owned by other shards) whose pay this shard applied from a
+  // message; their per-user pay counts are bumped on the main thread at the
+  // barrier, before any checkpoint, so the list is empty in every checkpoint.
+  std::vector<std::uint64_t> remote_pays;
   detect::graph::EntityGraph graph;
 };
 
@@ -124,7 +131,7 @@ class Transport {
   virtual bool cancel(std::uint32_t shard, sim::EventId id) = 0;
   [[nodiscard]] virtual sim::SimTime now(std::uint32_t shard) const = 0;
   virtual void send(std::uint32_t src, std::uint32_t dst, std::uint32_t type, std::uint64_t a,
-                    std::uint64_t b, std::uint64_t c) = 0;
+                    std::uint64_t b, std::uint64_t c, std::uint64_t d) = 0;
   [[nodiscard]] virtual std::uint32_t user_shard(std::uint64_t user) const = 0;
   [[nodiscard]] virtual std::uint32_t flight_shard(std::uint64_t flight) const = 0;
 };
@@ -137,7 +144,7 @@ class SerialTransport final : public Transport {
   bool cancel(std::uint32_t, sim::EventId id) override { return sim_.cancel(id); }
   [[nodiscard]] sim::SimTime now(std::uint32_t) const override { return sim_.now(); }
   void send(std::uint32_t, std::uint32_t, std::uint32_t, std::uint64_t, std::uint64_t,
-            std::uint64_t) override {
+            std::uint64_t, std::uint64_t) override {
     assert(false && "serial run owns every flight locally — nothing to send");
   }
   [[nodiscard]] std::uint32_t user_shard(std::uint64_t) const override { return 0; }
@@ -160,8 +167,8 @@ class ShardedTransport final : public Transport {
     return engine_.shard(shard).now();
   }
   void send(std::uint32_t src, std::uint32_t dst, std::uint32_t type, std::uint64_t a,
-            std::uint64_t b, std::uint64_t c) override {
-    engine_.send(src, dst, type, a, b, c);
+            std::uint64_t b, std::uint64_t c, std::uint64_t d) override {
+    engine_.send(src, dst, type, a, b, c, d);
   }
   // Disjoint key domains (2u vs 2f+1) so a user and a flight with the same
   // numeric id land on independently-hashed shards.
@@ -239,7 +246,9 @@ void free_hold(ShardState& ss, std::uint64_t idx) {
   ss.free_holds.push_back(static_cast<std::uint32_t>(idx));
 }
 
-void apply_pay(World* w, std::uint32_t fs, std::uint64_t hidx, std::uint32_t gen) {
+// `remote`: the pay came as a message, so the paying user lives on another
+// shard and its count is bumped at the barrier (see ShardState::remote_pays).
+void apply_pay(World* w, std::uint32_t fs, std::uint64_t hidx, std::uint32_t gen, bool remote) {
   ShardState& ss = *w->shards[fs];
   if (hidx >= ss.holds.size()) return;
   HoldRec& h = ss.holds[hidx];
@@ -255,7 +264,11 @@ void apply_pay(World* w, std::uint32_t fs, std::uint64_t hidx, std::uint32_t gen
   --fl.held;
   ++fl.paid;
   ++ss.counters.pays;
-  ++w->users[h.user].pays;
+  if (remote) {
+    ss.remote_pays.push_back(h.user);
+  } else {
+    ++w->users[h.user].pays;
+  }
   if (w->sampled(h.user)) {
     ss.graph_ops.push_back({h.user, h.flight, w->transport->now(fs), 1});
   }
@@ -269,9 +282,9 @@ void on_pay_decision(World* w, std::uint64_t packed) {
   const auto gen = static_cast<std::uint32_t>(packed & 0xFFFFF);
   w->shards[us]->pending_pays.erase(packed);
   if (us == fs) {
-    apply_pay(w, fs, hidx, gen);
+    apply_pay(w, fs, hidx, gen, /*remote=*/false);
   } else {
-    w->transport->send(us, fs, kMsgPayRequest, hidx, gen, 0);
+    w->transport->send(us, fs, kMsgPayRequest, hidx, gen, 0, 0);
   }
 }
 
@@ -304,7 +317,7 @@ void apply_hold(World* w, std::uint32_t fs, sim::SimTime now, std::uint64_t u, s
   if (fl.held + fl.paid >= fl.capacity) {
     ++ss.counters.denials;
     if (remote) {
-      w->transport->send(fs, w->transport->user_shard(u), kMsgHoldDenied, u, 0, 0);
+      w->transport->send(fs, w->transport->user_shard(u), kMsgHoldDenied, u, 0, 0, 0);
     } else {
       ++w->users[u].denials;
     }
@@ -324,13 +337,10 @@ void apply_hold(World* w, std::uint32_t fs, sim::SimTime now, std::uint64_t u, s
   if (w->sampled(u)) ss.graph_ops.push_back({u, f, now, 0});
   if (remote) {
     w->transport->send(fs, w->transport->user_shard(u), kMsgHoldGranted, u, hidx,
-                       intent_pay ? 1 : 0);
+                       intent_pay ? 1 : 0, h.gen);
   } else {
     ++w->users[u].holds;
-    if (intent_pay) {
-      schedule_pay(w, now + w->cfg->pay_delay,
-                   pack_pay(fs, fs, hidx, w->shards[fs]->holds[hidx].gen));
-    }
+    if (intent_pay) schedule_pay(w, now + w->cfg->pay_delay, pack_pay(fs, fs, hidx, h.gen));
   }
 }
 
@@ -357,11 +367,14 @@ void on_activity(World* w, std::uint64_t u) {
   if (fs == us) {
     apply_hold(w, fs, now, u, f, intent_pay, /*remote=*/false);
   } else {
-    w->transport->send(us, fs, kMsgHoldRequest, u, f, intent_pay ? 1 : 0);
+    w->transport->send(us, fs, kMsgHoldRequest, u, f, intent_pay ? 1 : 0, 0);
   }
 }
 
-// Main-thread message handler (barrier exchange).
+// Barrier message handler. It runs on the worker that owns `dst`, in
+// parallel with the other destinations, so it touches only `dst`'s shard,
+// users and flights. The grant carries the hold's generation: its slot cannot
+// be reused before the grant is delivered, since its expiry fires next epoch.
 void on_message(World* w, std::uint32_t dst, const sim::ShardMessage& msg) {
   switch (msg.type) {
     case kMsgHoldRequest:
@@ -370,11 +383,8 @@ void on_message(World* w, std::uint32_t dst, const sim::ShardMessage& msg) {
     case kMsgHoldGranted: {
       ++w->users[msg.a].holds;
       if (msg.c != 0) {
-        const std::uint32_t us = dst;
-        const std::uint32_t fs = msg.src;
-        const std::uint32_t gen = w->shards[fs]->holds[msg.b].gen;
-        schedule_pay(w, w->transport->now(us) + w->cfg->pay_delay,
-                     pack_pay(us, fs, msg.b, gen));
+        schedule_pay(w, w->transport->now(dst) + w->cfg->pay_delay,
+                     pack_pay(dst, msg.src, msg.b, static_cast<std::uint32_t>(msg.d)));
       }
       break;
     }
@@ -382,7 +392,7 @@ void on_message(World* w, std::uint32_t dst, const sim::ShardMessage& msg) {
       ++w->users[msg.a].denials;
       break;
     case kMsgPayRequest:
-      apply_pay(w, dst, msg.a, static_cast<std::uint32_t>(msg.b));
+      apply_pay(w, dst, msg.a, static_cast<std::uint32_t>(msg.b), /*remote=*/true);
       break;
     default:
       assert(false && "unknown shard message type");
@@ -424,6 +434,15 @@ void init_schedule(World& w) {
 }
 
 // --- Barrier work ------------------------------------------------------------
+
+// Credits the pays that shards applied from messages to their users, in
+// shard order, on the main thread at the barrier.
+void apply_remote_pays(World& w) {
+  for (auto& shard : w.shards) {
+    for (const std::uint64_t u : shard->remote_pays) ++w.users[u].pays;
+    shard->remote_pays.clear();
+  }
+}
 
 // Applies the epoch's collected graph ops to each shard's private graph, in
 // shard order — on the main thread, where the thread_local fault registry
@@ -935,6 +954,7 @@ ScaleArtifacts run_sharded_impl(const ScaleConfig& cfg, bool try_resume) {
   }
 
   engine.add_barrier_hook([&](sim::SimTime barrier) {
+    apply_remote_pays(w);
     apply_graph_ops(w);
     rebuild_merged(merged, w, barrier);
     registry.check_all(barrier);

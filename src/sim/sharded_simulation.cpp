@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "util/archive.hpp"
@@ -18,6 +21,87 @@ constexpr int kMaxExchangeRetries = 8;
 
 }  // namespace
 
+// A persistent fork-join pool: `workers - 1` parked threads plus the calling
+// thread as worker 0. run(job) has every worker w run job(w) and returns once
+// all have finished, rethrowing the first exception any of them raised; the
+// mutex hand-offs order each phase's writes before the next phase, on
+// whichever thread it runs.
+class ShardedSimulation::Pool {
+ public:
+  explicit Pool(unsigned workers) {
+    threads_.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) threads_.emplace_back([this, w] { loop(w); });
+  }
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  ~Pool() {
+    {
+      const std::lock_guard lock(mu_);
+      stop_ = true;
+    }
+    start_.notify_all();
+    for (auto& t : threads_) t.join();
+  }
+
+  void run(const std::function<void(unsigned)>& job) {
+    {
+      const std::lock_guard lock(mu_);
+      job_ = &job;
+      busy_ = threads_.size();
+      ++generation_;
+    }
+    start_.notify_all();
+    // The other workers still hold `job`, so even a throwing share waits for
+    // them before its exception leaves this frame.
+    std::exception_ptr error;
+    try {
+      job(0);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::unique_lock lock(mu_);
+    done_.wait(lock, [this] { return busy_ == 0; });
+    if (!error) error = error_;
+    error_ = nullptr;
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  void loop(unsigned w) {
+    std::uint64_t seen = 0;
+    for (;;) {
+      const std::function<void(unsigned)>* job = nullptr;
+      {
+        std::unique_lock lock(mu_);
+        start_.wait(lock, [&] { return stop_ || generation_ != seen; });
+        if (stop_) return;
+        seen = generation_;
+        job = job_;
+      }
+      std::exception_ptr error;
+      try {
+        (*job)(w);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      const std::lock_guard lock(mu_);
+      if (error && !error_) error_ = error;
+      if (--busy_ == 0) done_.notify_one();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable start_;
+  std::condition_variable done_;
+  const std::function<void(unsigned)>* job_ = nullptr;
+  std::uint64_t generation_ = 0;
+  std::size_t busy_ = 0;
+  std::exception_ptr error_;  // first exception a worker raised this phase
+  bool stop_ = false;
+  std::vector<std::thread> threads_;
+};
+
 ShardedSimulation::ShardedSimulation(const Config& cfg)
     : epoch_(std::max<SimDuration>(cfg.epoch, 1)), threads_(std::max(cfg.threads, 1u)) {
   const std::uint32_t k = std::max(cfg.shards, 1u);
@@ -25,10 +109,12 @@ ShardedSimulation::ShardedSimulation(const Config& cfg)
   for (std::uint32_t i = 0; i < k; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->outbox.resize(k);
+    shard->staged.resize(k);
     shards_.push_back(std::move(shard));
   }
-  staged_.resize(std::size_t{k} * k);
 }
+
+ShardedSimulation::~ShardedSimulation() = default;
 
 std::uint32_t ShardedSimulation::shard_of(std::uint64_t key) const {
   // splitmix64 scrambles sequential ids (user 0, 1, 2, ...) into an even
@@ -53,28 +139,24 @@ void ShardedSimulation::send(std::uint32_t src, std::uint32_t dst, std::uint32_t
   s.outbox[dst].push_back(msg);
 }
 
+void ShardedSimulation::for_each_shard(const std::function<void(std::uint32_t)>& fn) {
+  const std::uint32_t k = shards();
+  const unsigned workers = std::min<unsigned>(threads_, k);
+  const std::function<void(unsigned)> job = [&fn, k, workers](unsigned w) {
+    for (std::uint32_t s = w; s < k; s += workers) fn(s);
+  };
+  if (workers <= 1) return job(0);
+  if (!pool_) pool_ = std::make_unique<Pool>(workers);
+  pool_->run(job);
+}
+
 void ShardedSimulation::run_until(SimTime end) {
   while (now_ < end) {
     const SimTime barrier = std::min<SimTime>(now_ + epoch_, end);
-    // Epoch drain: shards are independent until the barrier, so the static
-    // shard->worker assignment below is purely a wall-clock choice — each
-    // shard's event stream is sequential and self-contained either way.
-    if (threads_ <= 1 || shards_.size() == 1) {
-      for (auto& shard : shards_) shard->sim.run_before(barrier);
-    } else {
-      const unsigned workers =
-          std::min<unsigned>(threads_, static_cast<unsigned>(shards_.size()));
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([this, w, workers, barrier] {
-          for (std::size_t k = w; k < shards_.size(); k += workers) {
-            shards_[k]->sim.run_before(barrier);
-          }
-        });
-      }
-      for (auto& t : pool) t.join();
-    }
+    // Epoch drain: shards are independent until the barrier, so which worker
+    // drains a shard is purely a wall-clock choice — each shard's event
+    // stream is sequential and self-contained either way.
+    for_each_shard([this, barrier](std::uint32_t k) { shards_[k]->sim.run_before(barrier); });
     exchange(barrier);
     // Advance the engine clock BEFORE the hooks: a hook that checkpoints must
     // capture now_ == barrier, so a resumed run continues with the next epoch
@@ -109,30 +191,47 @@ void ShardedSimulation::exchange(SimTime barrier) {
   // and the shard-conservation invariant both rely on.
   //
   // Staging is a swap per (src, dst) box, so no message is copied; the
-  // outbox takes over the staging box's capacity for the next round.
+  // outbox takes over the staging box's capacity for the next round. Each
+  // destination's handlers touch only that destination and send only from
+  // it, so destinations are delivered in parallel: each sees its messages in
+  // the same order, and sends them on in the same order, as it would in the
+  // one-thread drain order above.
   const std::uint32_t k = shards();
   for (;;) {
     std::size_t staged = 0;
     for (std::uint32_t src = 0; src < k; ++src) {
       auto& outbox = shards_[src]->outbox;
       for (std::uint32_t dst = 0; dst < k; ++dst) {
-        auto& box = staged_[std::size_t{dst} * k + src];
+        auto& box = shards_[dst]->staged[src];
         box.swap(outbox[dst]);
         staged += box.size();
       }
     }
     if (staged == 0) return;
-    for (auto& box : staged_) {
-      for (const ShardMessage& msg : box) {
-        if (drop_next_) {
-          drop_next_ = false;
-          ++dropped_;
-          continue;
+    if (drop_next_) {
+      drop_first_staged();
+      --staged;
+    }
+    for_each_shard([this](std::uint32_t dst) {
+      for (auto& box : shards_[dst]->staged) {
+        if (handler_) {
+          for (const ShardMessage& msg : box) handler_(dst, msg);
         }
-        if (handler_) handler_(msg.dst, msg);
-        ++delivered_;
+        box.clear();
       }
-      box.clear();
+    });
+    delivered_ += staged;
+  }
+}
+
+void ShardedSimulation::drop_first_staged() {
+  for (auto& shard : shards_) {
+    for (auto& box : shard->staged) {
+      if (box.empty()) continue;
+      box.erase(box.begin());
+      drop_next_ = false;
+      ++dropped_;
+      return;
     }
   }
 }

@@ -14,24 +14,32 @@
 //     (Simulation::run_before). Shards are mutually independent within an
 //     epoch, so any number of worker threads — and any interleaving — yields
 //     the same per-shard byte stream.
-//   * Barriers. At T_e the main thread delivers every message queued during
-//     the epoch in a fixed drain order — destination-major, source-minor,
-//     FIFO within each (src, dst) stream — then runs the registered barrier
-//     hooks (graph merges, invariant sweeps, checkpoints). Handlers run with
-//     every shard clock parked at exactly T_e; anything they schedule fires
-//     in the next epoch.
+//   * Barriers. At T_e the main thread swaps every message queued during the
+//     epoch into per-destination staging boxes; each destination then
+//     receives its messages source-minor, FIFO within each (src, dst) stream.
+//     Destinations are independent, so they are delivered in parallel, and
+//     the global drain order — destination-major, source-minor, FIFO — is
+//     what one thread delivering them one after another would see. The main
+//     thread then runs the registered barrier hooks (graph merges, invariant
+//     sweeps, checkpoints). Handlers run with every shard clock parked at
+//     exactly T_e; anything they schedule fires in the next epoch.
 //
 // With K=1 the single outbox drains in send order — precisely the order a
 // serial engine delivering a global message bus at the same instants would
 // use — so a one-shard run is byte-identical to the serial engine, and a
 // fixed-K run is byte-identical across 1/2/N worker threads.
 //
-// Threading contract: event callbacks run on worker threads. They must only
-// touch their own shard's state plus send(); in particular they must not
-// consult fault::FaultRegistry::global() (it is thread_local — each worker
-// would see a private, unarmed registry). Fault-sensitive work (graph
-// ingest, chaos points) belongs in message handlers and barrier hooks, which
-// always run on the main thread.
+// Threading contract: the epoch drains and the message deliveries run on a
+// persistent pool of min(threads, K) workers, the calling thread being worker
+// 0; shard k always runs on worker k % workers, so its queue, outboxes and
+// workload state stay on one core. The pool starts at the first parallel
+// phase (a run that never advances spawns nothing) and is joined when the
+// engine is destroyed. Event callbacks on shard k, and message handlers for
+// destination k, must only touch shard k's state plus send() from k. In
+// particular they must not consult fault::FaultRegistry::global() (it is
+// thread_local — each worker would see a private, unarmed registry).
+// Fault-sensitive work (graph ingest, chaos points) belongs in barrier hooks
+// and the exchange guard, which always run on the main thread.
 #pragma once
 
 #include <cstdint>
@@ -66,13 +74,16 @@ class ShardedSimulation : public util::Checkpointed<ShardedSimulation> {
   struct Config {
     std::uint32_t shards = 1;
     SimDuration epoch = kHour;
-    // Worker threads for the epoch drains. 1 runs shards inline on the
-    // calling thread. Never affects results — only wall-clock.
+    // Worker threads for the epoch drains and message deliveries. 1 runs
+    // shards inline on the calling thread. Never affects results — only
+    // wall-clock.
     unsigned threads = 1;
   };
 
-  // Runs on the MAIN thread at a barrier, once per delivered message, with
-  // every shard clock equal to the barrier time. `dst` is the owning shard.
+  // Runs at a barrier, once per delivered message, on the worker that owns
+  // `dst`, with every shard clock equal to the barrier time. It may touch only
+  // `dst`'s state and may send() only from `dst`; other destinations are
+  // being delivered concurrently.
   using MessageHandler = std::function<void(std::uint32_t dst, const ShardMessage&)>;
   // Runs on the MAIN thread after message delivery at each barrier.
   using BarrierHook = std::function<void(SimTime barrier)>;
@@ -84,6 +95,9 @@ class ShardedSimulation : public util::Checkpointed<ShardedSimulation> {
   using ExchangeGuard = std::function<bool(SimTime barrier)>;
 
   explicit ShardedSimulation(const Config& cfg);
+  ~ShardedSimulation();  // joins the worker pool
+  ShardedSimulation(const ShardedSimulation&) = delete;
+  ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
   [[nodiscard]] std::uint32_t shards() const { return static_cast<std::uint32_t>(shards_.size()); }
   [[nodiscard]] Simulation& shard(std::uint32_t k) { return shards_[k]->sim; }
@@ -94,8 +108,10 @@ class ShardedSimulation : public util::Checkpointed<ShardedSimulation> {
   [[nodiscard]] std::uint32_t shard_of(std::uint64_t key) const;
 
   // Queues a message from `src` to `dst` for delivery at the next barrier.
-  // Callable from `src`'s event callbacks (worker threads): each shard only
-  // appends to its own outbox row, so sends never contend.
+  // Callable from `src`'s event callbacks and from handlers delivering to
+  // `src` (worker threads): each shard only appends to its own outbox row, so
+  // sends never contend. A handler's send is delivered in the next round of
+  // the same barrier.
   void send(std::uint32_t src, std::uint32_t dst, std::uint32_t type, std::uint64_t a = 0,
             std::uint64_t b = 0, std::uint64_t c = 0, std::uint64_t d = 0);
 
@@ -121,8 +137,10 @@ class ShardedSimulation : public util::Checkpointed<ShardedSimulation> {
   [[nodiscard]] std::uint64_t exchange_retries() const { return exchange_retries_; }
   [[nodiscard]] std::uint64_t barriers_run() const { return barriers_; }
 
-  // Test hook: silently drop the next exchanged message, planting exactly the
-  // lost-message fault the shard-conservation invariant must detect.
+  // Test hook: silently drop the next exchanged message (the first one in
+  // drain order of the next round that has any), planting exactly the
+  // lost-message fault the shard-conservation invariant must detect. Call it
+  // from the main thread: between run_until calls or from a barrier hook.
   void test_drop_next_message() { drop_next_ = true; }
 
   // --- Checkpoint (engine bookkeeping only) ----------------------------------
@@ -135,19 +153,28 @@ class ShardedSimulation : public util::Checkpointed<ShardedSimulation> {
   void visit(Ar& ar);
 
  private:
-  struct Shard {
+  class Pool;
+
+  // Aligned so no two shards share a cache line: each is written by its own
+  // worker during the drain and the delivery.
+  struct alignas(64) Shard {
     Simulation sim;
     std::vector<std::vector<ShardMessage>> outbox;  // indexed by dst
+    // Indexed by src, kept for the engine's life: a round swaps each outbox
+    // box with its empty staging box, delivers from the staging boxes, then
+    // clears them with their capacity kept.
+    std::vector<std::vector<ShardMessage>> staged;
     std::uint64_t sent = 0;  // messages this shard has queued, ever
   };
 
   void exchange(SimTime barrier);
+  // Removes the first staged message in drain order (test_drop_next_message).
+  void drop_first_staged();
+  // Runs fn(k) for every shard, shard k on worker k % workers: inline when
+  // there is one worker, otherwise on the pool (started on first use).
+  void for_each_shard(const std::function<void(std::uint32_t)>& fn);
 
   std::vector<std::unique_ptr<Shard>> shards_;  // unique_ptr: stable addresses
-  // K*K staging boxes, indexed dst * K + src, kept for the engine's life: a
-  // round swaps each outbox with its empty staging box, delivers from the
-  // staging boxes in drain order, then clears them with their capacity kept.
-  std::vector<std::vector<ShardMessage>> staged_;
   SimDuration epoch_;
   unsigned threads_;
   SimTime now_ = 0;
@@ -159,6 +186,7 @@ class ShardedSimulation : public util::Checkpointed<ShardedSimulation> {
   std::uint64_t exchange_retries_ = 0;
   std::uint64_t barriers_ = 0;
   bool drop_next_ = false;
+  std::unique_ptr<Pool> pool_;
 };
 
 }  // namespace fraudsim::sim

@@ -113,6 +113,29 @@ TEST(Scale, FixedKIsByteIdenticalAcrossThreadCounts) {
   expect_identical(one, scenario::run_scale_sharded(cfg));
 }
 
+// Absolute pin: the tests above compare the engine only with itself, so a
+// changed hold generation or a lost pay count would pass them. These
+// constants were captured before per-destination delivery landed; the config
+// is large enough that remote grants, remote pays and late pays all occur.
+TEST(Scale, K8DigestIsPinnedAcrossThreadCounts) {
+  auto cfg = small_config();
+  cfg.users = 3000;
+  cfg.flights = 64;
+  cfg.seats_per_flight = 32;
+  cfg.hold_ttl = sim::minutes(40);  // remote pays land after their hold expired
+  cfg.shards = 8;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    cfg.threads = threads;
+    const auto art = scenario::run_scale_sharded(cfg);
+    EXPECT_EQ(art.state_digest, 14820377383367836687u);
+    EXPECT_EQ(art.messages_sent, 208644u);
+    EXPECT_EQ(art.pays, 2047u);
+    EXPECT_EQ(art.pay_late, 452u);
+    EXPECT_EQ(util::crc32(art.report), 4041443219u);
+  }
+}
+
 TEST(Scale, ShardedRunIsRerunStable) {
   auto cfg = small_config();
   cfg.shards = 3;

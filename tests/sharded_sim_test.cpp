@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -288,14 +289,47 @@ struct Delivery {
   }
 };
 
-// A seeded workload that reads only its own shard's state from event
-// callbacks. Each shard ticks at random intervals and sends 0-3 messages to
-// random shards. A handler answers a type-t message (t < 3) with a type t+1
-// reply, so one barrier runs up to four delivery rounds, and sometimes
-// schedules a follow-up send on the receiving shard for the next epoch. The
-// barrier before the fourth drops the next message.
+// What one drive_exchange run delivered. `per_dst[k]` is destination k's
+// deliveries in order, which the engine guarantees at any thread count;
+// `global` is the single delivery sequence, recorded only for one-thread
+// engines, where it is well defined.
+struct ExchangeLog {
+  std::vector<Delivery> global;
+  std::vector<std::vector<Delivery>> per_dst;
+  std::vector<std::uint64_t> sent;  // messages sent per source shard
+
+  // (src, seq) of every message sent but never delivered.
+  [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint64_t>> lost() const {
+    std::vector<std::vector<bool>> seen(sent.size());
+    for (std::size_t s = 0; s < sent.size(); ++s) seen[s].assign(sent[s], false);
+    for (const auto& log : per_dst) {
+      for (const Delivery& d : log) seen[d.msg.src][d.msg.seq] = true;
+    }
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+    for (std::size_t s = 0; s < seen.size(); ++s) {
+      for (std::uint64_t q = 0; q < seen[s].size(); ++q) {
+        if (!seen[s][q]) out.emplace_back(static_cast<std::uint32_t>(s), q);
+      }
+    }
+    return out;
+  }
+  [[nodiscard]] std::uint32_t deepest_reply() const {
+    std::uint32_t deepest = 0;
+    for (const auto& log : per_dst) {
+      for (const Delivery& d : log) deepest = std::max(deepest, d.msg.type == 9 ? 0 : d.msg.type);
+    }
+    return deepest;
+  }
+};
+
+// A seeded workload that touches only the acting shard's state, from event
+// callbacks and from handlers alike. Each shard ticks at random intervals and
+// sends 0-3 messages to random shards. A handler answers a type-t message
+// (t < 3) with a type t+1 reply, so one barrier runs up to four delivery
+// rounds, and sometimes schedules a follow-up send on the receiving shard for
+// the next epoch. The barrier before the fourth drops the next message.
 template <class Engine>
-std::vector<Delivery> drive_exchange(Engine& eng, std::uint64_t seed) {
+ExchangeLog drive_exchange(Engine& eng, std::uint64_t seed, bool global) {
   const std::uint32_t k = eng.shards();
   struct Ticker {
     std::uint64_t state;
@@ -303,13 +337,21 @@ std::vector<Delivery> drive_exchange(Engine& eng, std::uint64_t seed) {
   };
   auto tickers = std::make_shared<std::vector<Ticker>>();
   for (std::uint32_t s = 0; s < k; ++s) tickers->push_back({seed * 1000 + s});
-  std::vector<Delivery> log;
-  const auto tick = [&eng, tickers, k](std::uint32_t s, auto&& self) -> void {
+  ExchangeLog log;
+  log.per_dst.resize(k);
+  log.sent.assign(k, 0);
+  const auto send = [&eng, &log](std::uint32_t src, std::uint32_t dst, std::uint32_t type,
+                                 std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                                 std::uint64_t d) {
+    ++log.sent[src];
+    eng.send(src, dst, type, a, b, c, d);
+  };
+  const auto tick = [&eng, send, tickers, k](std::uint32_t s, auto&& self) -> void {
     Ticker& t = (*tickers)[s];
     const std::uint64_t sends = t.next() % 4;
     for (std::uint64_t i = 0; i < sends; ++i) {
       const std::uint64_t r = t.next();
-      eng.send(s, static_cast<std::uint32_t>(r % k), 0, r >> 8, i, r & 0xff, 0);
+      send(s, static_cast<std::uint32_t>(r % k), 0, r >> 8, i, r & 0xff, 0);
     }
     eng.shard(s).schedule_in(static_cast<sim::SimDuration>(1 + t.next() % sim::seconds(30)),
                              [s, self] { self(s, self); });
@@ -317,15 +359,18 @@ std::vector<Delivery> drive_exchange(Engine& eng, std::uint64_t seed) {
   for (std::uint32_t s = 0; s < k; ++s) {
     eng.shard(s).schedule_at(static_cast<sim::SimTime>(s), [s, tick] { tick(s, tick); });
   }
-  eng.set_message_handler([&eng, &log](std::uint32_t dst, const sim::ShardMessage& msg) {
-    log.push_back({eng.now(), msg});
+  eng.set_message_handler([&eng, &log, send, global](std::uint32_t dst,
+                                                     const sim::ShardMessage& msg) {
+    const Delivery delivery{eng.now(), msg};
+    log.per_dst[dst].push_back(delivery);
+    if (global) log.global.push_back(delivery);
     const std::uint64_t mix = util::splitmix64(msg.a ^ (msg.seq << 20) ^ msg.type);
     if (msg.type < 3 && mix % 3 != 0) {
-      eng.send(dst, msg.src, msg.type + 1, mix >> 4, msg.seq, msg.src, msg.type);
+      send(dst, msg.src, msg.type + 1, mix >> 4, msg.seq, msg.src, msg.type);
     }
     if (mix % 7 == 0) {
-      eng.shard(dst).schedule_in(static_cast<sim::SimDuration>(mix % 5000), [&eng, dst, mix] {
-        eng.send(dst, static_cast<std::uint32_t>(mix % eng.shards()), 9, mix, 0, 0, 1);
+      eng.shard(dst).schedule_in(static_cast<sim::SimDuration>(mix % 5000), [&eng, send, dst, mix] {
+        send(dst, static_cast<std::uint32_t>(mix % eng.shards()), 9, mix, 0, 0, 1);
       });
     }
   });
@@ -338,31 +383,117 @@ std::vector<Delivery> drive_exchange(Engine& eng, std::uint64_t seed) {
 }
 
 // The swap-staged exchange delivers exactly what the copying exchange did:
-// same messages, same order, same rounds, the planted drop at the same
-// position, for K in {1, 2, 3, 8} and 1 or 3 worker threads.
+// same messages, same rounds, the planted drop at the same position, for K in
+// {1, 2, 3, 8}. On one thread the whole delivery sequence matches; on three,
+// where destinations are delivered concurrently, each destination's sequence
+// does.
 TEST(ShardedSim, SwapStagedExchangeMatchesCopyingOracle) {
   for (const std::uint32_t k : {1u, 2u, 3u, 8u}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       SCOPED_TRACE(testing::Message() << "K=" << k << " seed=" << seed);
       CopyingEngine oracle(k, sim::minutes(10));
-      const std::vector<Delivery> want = drive_exchange(oracle, seed);
+      const ExchangeLog want = drive_exchange(oracle, seed, /*global=*/true);
       ASSERT_EQ(oracle.messages_dropped(), 1u);
-      std::uint32_t deepest = 0;
-      for (const Delivery& d : want) deepest = std::max(deepest, d.msg.type == 9 ? 0 : d.msg.type);
-      EXPECT_EQ(deepest, 3u);  // reply chains span four delivery rounds
-      EXPECT_GT(want.size(), 200u);
+      EXPECT_EQ(want.deepest_reply(), 3u);  // reply chains span four delivery rounds
+      EXPECT_GT(want.global.size(), 200u);
       for (const unsigned threads : {1u, 3u}) {
         SCOPED_TRACE(threads);
         sim::ShardedSimulation::Config cfg = config(k, sim::minutes(10));
         cfg.threads = threads;
         sim::ShardedSimulation eng(cfg);
-        const std::vector<Delivery> got = drive_exchange(eng, seed);
-        EXPECT_TRUE(got == want);
+        const ExchangeLog got = drive_exchange(eng, seed, /*global=*/threads == 1);
+        if (threads == 1) {
+          EXPECT_TRUE(got.global == want.global);
+        }
+        EXPECT_TRUE(got.per_dst == want.per_dst);
+        EXPECT_EQ(got.lost(), want.lost());
         EXPECT_EQ(eng.messages_dropped(), 1u);
         EXPECT_EQ(eng.messages_delivered(), oracle.messages_delivered());
         EXPECT_EQ(eng.messages_in_flight(), 0u);
       }
     }
+  }
+}
+
+// Per-destination delivery on 1-4 workers: each destination's sequence, the
+// totals and the planted drop are the same whatever the thread count,
+// including K=3 on 2 workers (uneven shard->worker split) and K=2 on 4
+// (fewer shards than threads).
+TEST(ShardedSim, PerDestinationDeliveryIsThreadCountIndependent) {
+  for (const std::uint32_t k : {2u, 3u, 8u}) {
+    for (const std::uint64_t seed : {4u, 5u, 6u}) {
+      SCOPED_TRACE(testing::Message() << "K=" << k << " seed=" << seed);
+      sim::ShardedSimulation serial(config(k, sim::minutes(10)));
+      const ExchangeLog want = drive_exchange(serial, seed, /*global=*/false);
+      EXPECT_GE(want.deepest_reply(), 3u);
+      ASSERT_EQ(serial.messages_dropped(), 1u);
+      ASSERT_EQ(want.lost().size(), 1u);
+      for (const unsigned threads : {2u, 3u, 4u}) {
+        SCOPED_TRACE(threads);
+        sim::ShardedSimulation::Config cfg = config(k, sim::minutes(10));
+        cfg.threads = threads;
+        sim::ShardedSimulation eng(cfg);
+        const ExchangeLog got = drive_exchange(eng, seed, /*global=*/false);
+        EXPECT_TRUE(got.per_dst == want.per_dst);
+        EXPECT_EQ(got.lost(), want.lost());
+        EXPECT_EQ(eng.messages_delivered(), serial.messages_delivered());
+        EXPECT_EQ(eng.messages_dropped(), 1u);
+        EXPECT_EQ(eng.messages_sent(), serial.messages_sent());
+      }
+    }
+  }
+}
+
+sim::ShardedSimulation::Config threaded(std::uint32_t shards, unsigned threads) {
+  sim::ShardedSimulation::Config cfg = config(shards, sim::minutes(10));
+  cfg.threads = threads;
+  return cfg;
+}
+
+// The worker pool's life cycle: an engine that never runs, a run that does
+// not advance, many runs on one engine and many engines in a row must all
+// finish and join their workers (the thread sanitizer job runs these).
+TEST(ShardedSim, PoolEngineDestroyedWithoutRunning) {
+  sim::ShardedSimulation eng(threaded(4, 4));
+  EXPECT_EQ(eng.barriers_run(), 0u);
+}
+
+TEST(ShardedSim, PoolRunUntilNowIsANoOp) {
+  sim::ShardedSimulation eng(threaded(4, 4));
+  eng.run_until(eng.now());
+  EXPECT_EQ(eng.barriers_run(), 0u);
+  EXPECT_EQ(eng.now(), 0);
+}
+
+TEST(ShardedSim, PoolSurvivesManyRunsOnOneEngine) {
+  sim::ShardedSimulation eng(threaded(3, 2));
+  std::vector<std::uint64_t> received(3, 0);
+  eng.set_message_handler([&](std::uint32_t dst, const sim::ShardMessage&) { ++received[dst]; });
+  for (int i = 0; i < 200; ++i) {
+    const auto src = static_cast<std::uint32_t>(i % 3);
+    eng.shard(src).schedule_at(eng.now() + 1, [&eng, src] { eng.send(src, (src + 1) % 3, 1); });
+    eng.run_until(eng.now() + sim::minutes(10));
+  }
+  EXPECT_EQ(eng.barriers_run(), 200u);
+  EXPECT_EQ(eng.messages_delivered(), 200u);
+  EXPECT_EQ(received, (std::vector<std::uint64_t>{66, 67, 67}));
+}
+
+TEST(ShardedSim, PoolRethrowsAWorkersExceptionOnTheCallingThread) {
+  sim::ShardedSimulation eng(threaded(4, 4));
+  eng.set_message_handler([](std::uint32_t dst, const sim::ShardMessage&) {
+    if (dst == 3) throw std::runtime_error("handler failed");
+  });
+  eng.shard(0).schedule_at(1, [&eng] { eng.send(0, 3, 1); });
+  EXPECT_THROW(eng.run_until(sim::minutes(10)), std::runtime_error);
+}
+
+TEST(ShardedSim, PoolEnginesBuiltAndTornDownInALoop) {
+  for (int i = 0; i < 50; ++i) {
+    sim::ShardedSimulation eng(threaded(4, 3));
+    eng.shard(0).schedule_at(1, [&eng] { eng.send(0, 3, 1); });
+    eng.run_until(sim::minutes(20));
+    EXPECT_EQ(eng.messages_delivered(), 1u);
   }
 }
 
