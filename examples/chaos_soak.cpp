@@ -47,6 +47,10 @@ scenario::RecordedScenarioConfig soak_config(sim::SimTime horizon) {
       "hold-per-ip", web::Endpoint::HoldReservation, mitigate::RateKey::ByIp, 20, sim::kHour});
   config.checkpoint_every = sim::minutes(30);
   config.invariant_barrier_every = sim::minutes(15);
+  // Graph and overload control on, so every catalogue point has code to
+  // fault: "graph.ingest" the graph tap, "app.request.latency" admission.
+  config.graph.enabled = true;
+  config.overload.enabled = true;
   return config;
 }
 

@@ -186,9 +186,13 @@ int main(int argc, char** argv) {
   const std::string out_dir = argv[3];
   const std::uint64_t seed = argc == 5 ? std::stoull(argv[4]) : 2024;
   const auto config = smoke_config(seed);
-  // Before the run: with the usual layout (out/run.journal beside
-  // out/recorded) this also makes the journal's directory.
+  // Before the run: the artifact directory and, when recording, the
+  // journal's own directory (it need not sit beside the artifacts).
   if (!make_dir(out_dir)) return 1;
+  if (mode == "record") {
+    const auto journal_dir = std::filesystem::path(journal_path).parent_path();
+    if (!journal_dir.empty() && !make_dir(journal_dir.string())) return 1;
+  }
 
   util::Result<scenario::RunArtifacts> result = [&] {
     if (mode == "record") return scenario::record_run(config, journal_path);

@@ -58,19 +58,18 @@ void arm_schedule(const ChaosSchedule& schedule, bool include_crash) {
 ChaosGeneratorConfig default_generator_config(sim::SimTime horizon) {
   ChaosGeneratorConfig config;
   config.horizon = horizon;
-  // Every error-guarded dependency the platform registers today.
-  // "detect.batch.run" demotes detection runs to the scalar adapter path —
-  // an execution-mode fault with byte-identical verdicts by contract.
-  // "graph.ingest" drops events at the entity graph's admit-path tap — the
-  // graph invariants must hold (and replay stay clean) through the outage.
-  // "shard.exchange" injects transient barrier-exchange failures into the
-  // sharded engine — charged as retries, never losses, so shard-conservation
-  // must hold through it.
-  config.error_points = {"sms.carrier.send",  "detect.sweep.run",  "otp.deliver",
-                         "fp.store.record",   "app.policy.evaluate", "detect.batch.run",
-                         "graph.ingest",      "shard.exchange"};
+  // Every error-guarded dependency a recorded scenario run consults — the
+  // only run a chaos job executes (record, recover, replay) — given a base
+  // config with the graph and overload control on, as the campaigns use
+  // (ChaosTest.EveryCataloguePointIsConsulted). "graph.ingest" drops events
+  // at the entity graph's admit-path tap — the graph invariants must hold
+  // (and replay stay clean) through the outage. "shard.exchange" is not here:
+  // only the sharded scale engine consults it, and its tests arm it directly.
+  config.error_points = {"sms.carrier.send", "detect.sweep.run",    "otp.deliver",
+                         "fp.store.record",  "app.policy.evaluate", "graph.ingest"};
   // Latency-capable sites: the request path charges it into the admission
-  // model; the gateway charges it against the caller's deadline budget.
+  // model (so it is consulted only with overload control on); the gateway
+  // charges it against the caller's deadline budget.
   config.latency_points = {"app.request.latency", "sms.carrier.send"};
   config.crash_points = {fault::kCrashJournalFrame, fault::kCrashJournalCheckpoint,
                          fault::kCrashArtifactBody, fault::kCrashArtifactRename,

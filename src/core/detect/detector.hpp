@@ -6,11 +6,11 @@
 // branches. The interface layer (DetectionPipeline::run) owns everything a
 // family used to hand-roll: fault-point guarding, analysis-budget accounting,
 // skip-reason bookkeeping, brownout stride-sampling, per-family metrics and
-// trace spans.
+// trace spans. A family has one entry point, `evaluate`, which the pipeline
+// calls once per run on the run's single window view.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/detect/alert.hpp"
@@ -51,15 +51,6 @@ struct RequestView {
   }
 };
 
-// Per-epoch outcome of a batched evaluation: how many sessions the family
-// actually analysed in that epoch's view and how many alerts it emitted for
-// it. The base-class adapter fills this from the scalar path; a vectorized
-// override must report the same numbers.
-struct BatchScore {
-  std::uint64_t sessions_scored = 0;
-  std::uint64_t alerts = 0;
-};
-
 class Detector {
  public:
   virtual ~Detector() = default;
@@ -74,17 +65,6 @@ class Detector {
   // and records the family as skipped — one faulting family never takes the
   // run down.
   virtual void evaluate(const RequestView& view, AlertSink& alerts) = 0;
-
-  // Batched entry point: scores every epoch view in one call, filling one
-  // BatchScore per view. The base implementation is an adapter that loops
-  // `evaluate` over the views, so an existing scalar detector works
-  // unmodified; hot families override it with a vectorized pass that shares
-  // work across epochs. Contract: alert bytes and order must be identical to
-  // the adapter's (evaluate on views[0], then views[1], ...) — the pipeline's
-  // scalar mode IS the adapter, and the two modes are diffed byte-for-byte.
-  // `scores.size()` must equal `views.size()`.
-  virtual void score_batch(std::span<const RequestView> views, std::span<BatchScore> scores,
-                           AlertSink& alerts);
 };
 
 }  // namespace fraudsim::detect

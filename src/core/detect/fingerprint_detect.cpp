@@ -33,40 +33,6 @@ void emit_fp_alert(AlertSink& sink, const std::string& detector, const std::stri
   sink.emit(std::move(alert));
 }
 
-// The memoized half of the batched artifact/consistency path: judge every
-// stored fingerprint once (in for_each order — the order analyze emits in),
-// keeping only the flagged ones.
-struct FlaggedFp {
-  fp::FpHash hash;
-  std::string reason;
-};
-
-template <typename IsBot>
-std::vector<FlaggedFp> flag_store(const app::FingerprintStore& store, const IsBot& is_bot) {
-  std::vector<FlaggedFp> out;
-  store.for_each([&](fp::FpHash hash, const fp::Fingerprint& fingerprint, std::uint64_t) {
-    std::string reason;
-    if (!is_bot(fingerprint, &reason)) return;
-    out.push_back(FlaggedFp{hash, std::move(reason)});
-  });
-  return out;
-}
-
-// Replays one flagged-fingerprint list against each session set in order.
-void emit_flagged(const std::vector<FlaggedFp>& flagged, const std::string& detector,
-                  SessionSets session_sets, AlertSink& sink,
-                  std::vector<std::size_t>* alerts_per_set) {
-  if (alerts_per_set != nullptr) alerts_per_set->assign(session_sets.size(), 0);
-  for (std::size_t i = 0; i < session_sets.size(); ++i) {
-    const auto by_fp = sessions_by_fp(*session_sets[i]);
-    for (const auto& f : flagged) {
-      const auto it = by_fp.find(f.hash);
-      emit_fp_alert(sink, detector, f.reason, f.hash, it == by_fp.end() ? nullptr : it->second);
-    }
-    if (alerts_per_set != nullptr) (*alerts_per_set)[i] = flagged.size();
-  }
-}
-
 }  // namespace
 
 bool ArtifactDetector::is_bot(const fp::Fingerprint& fingerprint, std::string* reason) const {
@@ -91,14 +57,6 @@ void ArtifactDetector::analyze(const app::FingerprintStore& store,
     emit_fp_alert(sink, "fingerprint.artifact", reason, hash,
                   it == by_fp.end() ? nullptr : it->second);
   });
-}
-
-void ArtifactDetector::analyze_many(const app::FingerprintStore& store, SessionSets session_sets,
-                                    AlertSink& sink,
-                                    std::vector<std::size_t>* alerts_per_set) const {
-  const auto flagged = flag_store(
-      store, [this](const fp::Fingerprint& f, std::string* r) { return is_bot(f, r); });
-  emit_flagged(flagged, "fingerprint.artifact", session_sets, sink, alerts_per_set);
 }
 
 ConsistencyDetector::ConsistencyDetector(double min_score) : min_score_(min_score) {}
@@ -126,14 +84,6 @@ void ConsistencyDetector::analyze(const app::FingerprintStore& store,
   });
 }
 
-void ConsistencyDetector::analyze_many(const app::FingerprintStore& store,
-                                       SessionSets session_sets, AlertSink& sink,
-                                       std::vector<std::size_t>* alerts_per_set) const {
-  const auto flagged = flag_store(
-      store, [this](const fp::Fingerprint& f, std::string* r) { return is_bot(f, r); });
-  emit_flagged(flagged, "fingerprint.consistency", session_sets, sink, alerts_per_set);
-}
-
 RarityDetector::RarityDetector(double rare_frequency, std::uint64_t min_observations)
     : rare_frequency_(rare_frequency), min_observations_(min_observations) {}
 
@@ -154,33 +104,6 @@ void RarityDetector::analyze(const app::FingerprintStore& store, AlertSink& sink
     alert.fingerprint = hash;
     sink.emit(std::move(alert));
   });
-}
-
-void RarityDetector::analyze_repeated(const app::FingerprintStore& store, std::size_t repeats,
-                                      AlertSink& sink,
-                                      std::vector<std::size_t>* alerts_per_repeat) const {
-  if (alerts_per_repeat != nullptr) alerts_per_repeat->assign(repeats, 0);
-  if (repeats == 0) return;
-  // One scan; the verdict list has no window dependence, so later epochs
-  // replay it verbatim.
-  std::vector<std::pair<fp::FpHash, std::uint64_t>> rare;
-  store.for_each([&](fp::FpHash hash, const fp::Fingerprint&, std::uint64_t count) {
-    if (count < min_observations_) return;
-    if (store.frequency(hash) >= rare_frequency_) return;
-    rare.emplace_back(hash, count);
-  });
-  for (std::size_t i = 0; i < repeats; ++i) {
-    for (const auto& [hash, count] : rare) {
-      Alert alert;
-      alert.detector = "fingerprint.rarity";
-      alert.severity = Severity::Info;
-      alert.explanation =
-          "busy but rare fingerprint (" + std::to_string(count) + " observations)";
-      alert.fingerprint = hash;
-      sink.emit(std::move(alert));
-    }
-    if (alerts_per_repeat != nullptr) (*alerts_per_repeat)[i] = rare.size();
-  }
 }
 
 void FingerprintBlocklist::block(fp::FpHash hash, sim::SimTime when, std::string reason) {

@@ -8,7 +8,6 @@
 //                            the thing rotation defeats
 #pragma once
 
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -21,21 +20,11 @@
 
 namespace fraudsim::detect {
 
-// Session sets of a multi-epoch batch: one session list per epoch view. The
-// fingerprint-knowledge verdict of a hash is epoch-independent, so the
-// batched analyzers judge every stored fingerprint once and replay the
-// verdict against each epoch's sessions.
-using SessionSets = std::span<const std::vector<web::Session>* const>;
-
 class ArtifactDetector {
  public:
   [[nodiscard]] bool is_bot(const fp::Fingerprint& fingerprint, std::string* reason) const;
   void analyze(const app::FingerprintStore& store, const std::vector<web::Session>& sessions,
                AlertSink& sink) const;
-  // Batched: one is_bot pass over the store serves every session set. Alerts
-  // are byte-identical to calling analyze once per set in order.
-  void analyze_many(const app::FingerprintStore& store, SessionSets session_sets,
-                    AlertSink& sink, std::vector<std::size_t>* alerts_per_set = nullptr) const;
 };
 
 class ConsistencyDetector {
@@ -44,11 +33,6 @@ class ConsistencyDetector {
   [[nodiscard]] bool is_bot(const fp::Fingerprint& fingerprint, std::string* reason) const;
   void analyze(const app::FingerprintStore& store, const std::vector<web::Session>& sessions,
                AlertSink& sink) const;
-  // Batched: the consistency rule set runs once per stored fingerprint
-  // instead of once per (fingerprint, epoch). Byte-identical to per-set
-  // analyze calls.
-  void analyze_many(const app::FingerprintStore& store, SessionSets session_sets,
-                    AlertSink& sink, std::vector<std::size_t>* alerts_per_set = nullptr) const;
 
  private:
   fp::ConsistencyChecker checker_;
@@ -62,11 +46,6 @@ class RarityDetector {
  public:
   RarityDetector(double rare_frequency = 1e-4, std::uint64_t min_observations = 30);
   void analyze(const app::FingerprintStore& store, AlertSink& sink) const;
-  // Batched: rarity is entirely window-independent, so the store is scanned
-  // once and the identical alert list is replayed `repeats` times (one per
-  // epoch view), matching per-epoch analyze calls byte-for-byte.
-  void analyze_repeated(const app::FingerprintStore& store, std::size_t repeats, AlertSink& sink,
-                        std::vector<std::size_t>* alerts_per_repeat = nullptr) const;
   [[nodiscard]] bool is_rare(const app::FingerprintStore& store, fp::FpHash hash) const;
 
  private:

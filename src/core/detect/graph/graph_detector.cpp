@@ -41,7 +41,7 @@ std::vector<GraphDetector::ComponentVerdict> GraphDetector::scored_components(
   return out;
 }
 
-void GraphDetector::evaluate_view(const RequestView& view, AlertSink& alerts) const {
+void GraphDetector::evaluate(const RequestView& view, AlertSink& alerts) {
   // Verdicts once per view; membership lookups are then O(1) per session.
   std::unordered_map<std::uint32_t, const ComponentVerdict*> flagged;
   const auto verdicts = scored_components(view.to);
@@ -69,25 +69,6 @@ void GraphDetector::evaluate_view(const RequestView& view, AlertSink& alerts) co
     alert.session = s.id;
     alert.actor = s.actor;
     alerts.emit(std::move(alert));
-  }
-}
-
-void GraphDetector::evaluate(const RequestView& view, AlertSink& alerts) {
-  evaluate_view(view, alerts);
-}
-
-void GraphDetector::score_batch(std::span<const RequestView> views, std::span<BatchScore> scores,
-                                AlertSink& alerts) {
-  // Vectorized pass: the union-find partition rebuild is shared across every
-  // epoch (the graph's lazy partition cache), only the time-dependent signal
-  // decay re-evaluates per view. Alert bytes and BatchScore numbers are
-  // identical to the scalar adapter by construction (same per-view body, in
-  // view order).
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    const std::size_t before = alerts.alerts().size();
-    evaluate_view(views[i], alerts);
-    scores[i].sessions_scored = views[i].sessions_for(cost()).size();
-    scores[i].alerts = static_cast<std::uint64_t>(alerts.alerts().size() - before);
   }
 }
 

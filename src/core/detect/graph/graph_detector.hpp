@@ -10,9 +10,8 @@
 //
 // A first-class detect::Detector: registered by DetectionPipeline::
 // build_detectors() once a graph is attached (enable_graph), guarded by the
-// "detect.graph.run" fault point, with a vectorized score_batch override
-// that shares the partition rebuild and component scoring across epoch views
-// while staying byte-identical to the scalar adapter.
+// "detect.graph.run" fault point. `evaluate` scores the components once at
+// the view's end and alerts every session of a flagged component.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +48,6 @@ class GraphDetector final : public Detector {
   [[nodiscard]] DetectorCost cost() const override { return DetectorCost::Cheap; }
 
   void evaluate(const RequestView& view, AlertSink& alerts) override;
-  void score_batch(std::span<const RequestView> views, std::span<BatchScore> scores,
-                   AlertSink& alerts) override;
 
   // Component verdicts at `at` (signals decayed to that instant), ordered by
   // canonical component id. Exposed for the SOC report, the bench and tests.
@@ -67,8 +64,6 @@ class GraphDetector final : public Detector {
   [[nodiscard]] const EntityGraph& graph() const { return graph_; }
 
  private:
-  void evaluate_view(const RequestView& view, AlertSink& alerts) const;
-
   const EntityGraph& graph_;
   GraphDetectorConfig config_;
 };

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/detect/alert.hpp"
@@ -32,15 +30,9 @@ class IpReputationDetector {
  public:
   IpReputationDetector(const net::GeoDb& geo, IpReputationConfig config = {});
 
-  // Emits one alert per offending session.
+  // Emits one alert per offending session. Classifies each distinct address
+  // once: GeoDb::is_datacenter walks every country's blocks.
   void analyze(const std::vector<web::Session>& sessions, AlertSink& sink) const;
-
-  // Batched multi-epoch analysis: the datacenter classification of an
-  // address is epoch-independent, so one geo lookup per distinct address
-  // serves the whole batch; the shared-address count stays per-epoch. Alert
-  // bytes and order are identical to calling analyze once per set in order.
-  void analyze_many(std::span<const std::vector<web::Session>* const> session_sets,
-                    AlertSink& sink, std::vector<std::size_t>* alerts_per_set = nullptr) const;
 
   [[nodiscard]] bool is_datacenter(net::IpV4 ip) const;
 

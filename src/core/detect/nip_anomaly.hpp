@@ -7,7 +7,6 @@
 // average week.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "airline/inventory.hpp"
@@ -45,29 +44,16 @@ class NipAnomalyDetector {
       const std::vector<airline::Reservation>& reservations, sim::SimTime from,
       sim::SimTime to) const;
 
-  // Verdict from an already-binned window histogram (the batched path bins
-  // every window in one pass and judges each from its histogram).
+  // Verdict from an already-binned window histogram (analyze bins the window
+  // and collects its members in one pass, then judges the histogram).
   [[nodiscard]] NipWindowVerdict evaluate_window(
       const analytics::CategoricalHistogram<int>& observed) const;
 
   // Emits alerts (one per anomalous NiP value) and flags the reservations at
-  // those NiP values inside the window.
+  // those NiP values inside the window, in log order.
   void analyze(const std::vector<airline::Reservation>& reservations, sim::SimTime from,
                sim::SimTime to, AlertSink& sink) const;
 
-  // Vectorized multi-window analysis: one pass over the reservation log bins
-  // every window's histogram and reservation index list, then each window is
-  // judged and alerted exactly as `analyze` would have — alert bytes and
-  // order are identical to calling `analyze` once per window in order. When
-  // `alerts_per_window` is non-null it receives one emitted-alert count per
-  // window.
-  struct Window {
-    sim::SimTime from = 0;
-    sim::SimTime to = 0;
-  };
-  void analyze_windows(const std::vector<airline::Reservation>& reservations,
-                       std::span<const Window> windows, AlertSink& sink,
-                       std::vector<std::size_t>* alerts_per_window = nullptr) const;
 
   [[nodiscard]] const analytics::CategoricalHistogram<int>& baseline() const { return baseline_; }
 

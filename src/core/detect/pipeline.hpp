@@ -53,15 +53,6 @@ struct PipelineConfig {
   // `analysis_cost_expensive`.
   sim::SimDuration analysis_cost_cheap = 1;
   sim::SimDuration analysis_cost_expensive = 5;
-  // Batched evaluation epochs. 0 (the default) evaluates the whole [from,to)
-  // window as ONE epoch — verdicts identical to the pre-batching pipeline.
-  // A positive duration slices the window into bounded epoch batches (at
-  // most `max_batch_epochs`; wider slices if needed) and every detector
-  // scores all epochs through one score_batch call. Window statistics are
-  // then per-epoch, so this is an opt-in analysis granularity, not a pure
-  // execution detail.
-  sim::SimDuration batch_epoch = 0;
-  std::size_t max_batch_epochs = 16;
 };
 
 struct DetectorReport {
@@ -91,18 +82,13 @@ struct PipelineResult {
 };
 
 // Batch-accounting totals a pipeline has recorded into its bound metrics
-// registry. Path-independent by construction: a run demoted to the scalar
-// adapter by the "detect.batch.run" fault point ticks the same values as a
-// batched run (plus batch_fallbacks). Conservation law (checked by the
-// "detect-batch-conservation" platform invariant): sessions_in ==
-// sessions_scored + sessions_skipped.
+// registry. Conservation law (checked by the "detect-batch-conservation"
+// platform invariant): sessions_in == sessions_scored + sessions_skipped.
 struct PipelineStats {
   std::uint64_t runs = 0;              // pipeline run() calls
-  std::uint64_t epochs = 0;            // epoch views evaluated across runs
   std::uint64_t sessions_in = 0;       // per-family session-views offered
   std::uint64_t sessions_scored = 0;   // ... actually analysed
   std::uint64_t sessions_skipped = 0;  // ... skipped (budget/fault/exception)
-  std::uint64_t batch_fallbacks = 0;   // runs forced onto the scalar adapter
 };
 
 // Typed read-only accessor over the pipeline counters in a MetricsRegistry.
@@ -161,11 +147,8 @@ class DetectionPipeline {
   // completes with the remaining families. Never throws for a single
   // detector failure.
   //
-  // Every family scores through its score_batch entry point. A firing
-  // "detect.batch.run" fault point demotes the whole run to the base-class
-  // scalar adapter (verdicts, artifacts and metrics unchanged, plus one
-  // detect.batch.fallbacks tick) — the one way to reach the scalar
-  // reference path, which tests use as the batched path's oracle.
+  // The run builds one RequestView over the whole window and calls each
+  // family's `evaluate` on it once, in build_detectors() order.
   //
   // `analysis_budget` is a deadline on the modeled analysis clock (which
   // starts at `to` and advances per family by its per-session cost):
@@ -185,7 +168,7 @@ class DetectionPipeline {
 
   // Attach the platform's observability context (non-owning; nullptr
   // detaches). When bound, every run records per-family counters
-  // ("detect.<family>.{runs,skipped,alerts}") and the path-independent batch
+  // ("detect.<family>.{runs,skipped,alerts}") and the batch accounting
   // counters ("detect.batch.*") in the registry, and one "detect.pipeline"
   // trace with a child span per detector family.
   void bind_obs(obs::Observability* obs) {
@@ -217,11 +200,9 @@ class DetectionPipeline {
   };
   struct BatchHandles {
     obs::Counter runs;
-    obs::Counter epochs;
     obs::Counter sessions_in;
     obs::Counter sessions_scored;
     obs::Counter sessions_skipped;
-    obs::Counter fallbacks;
     bool bound = false;
   };
   FamilyHandles& family_handles(const char* family) const;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -66,23 +65,6 @@ class SmsAnomalyDetector {
   void analyze(const sms::SmsGateway& gateway, sim::SimTime baseline_from,
                sim::SimTime baseline_to, sim::SimTime during_from, sim::SimTime during_to,
                AlertSink& sink) const;
-
-  // Vectorized multi-window analysis. The two rate monitors scan the whole
-  // gateway log and take no window parameters, so the batched path computes
-  // each trip time ONCE and replays it per window instead of rescanning the
-  // log window-count times; surges stay per-window. Alert bytes and order are
-  // identical to calling `analyze` once per window in order. When
-  // `alerts_per_window` is non-null it receives one emitted-alert count per
-  // window.
-  struct Window {
-    sim::SimTime baseline_from = 0;
-    sim::SimTime baseline_to = 0;
-    sim::SimTime during_from = 0;
-    sim::SimTime during_to = 0;
-  };
-  void analyze_windows(const sms::SmsGateway& gateway, std::span<const Window> windows,
-                       AlertSink& sink,
-                       std::vector<std::size_t>* alerts_per_window = nullptr) const;
 
   [[nodiscard]] const SmsAnomalyConfig& config() const { return config_; }
 

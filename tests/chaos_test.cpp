@@ -55,6 +55,18 @@ scenario::RecordedScenarioConfig small_config(std::uint64_t seed = 4242) {
   return config;
 }
 
+// The campaign base: small_config over 4 h with the entity graph and
+// overload control on, so the catalogue's "graph.ingest" point has an
+// admit-path tap to fault and "app.request.latency" an admission model to
+// charge.
+scenario::RecordedScenarioConfig campaign_base() {
+  auto config = small_config();
+  config.horizon = sim::hours(4);
+  config.graph.enabled = true;
+  config.overload.enabled = true;
+  return config;
+}
+
 chaos::ChaosEntry error_entry(const std::string& point, fault::FaultScenario scenario) {
   chaos::ChaosEntry e;
   e.point = point;
@@ -106,6 +118,25 @@ TEST_F(ChaosTest, GeneratorDrawsAtMostOneCrashAndRespectsCatalogues) {
       EXPECT_FALSE(e.point.empty());
     }
     EXPECT_LE(crashes, 1);
+  }
+}
+
+// Every point the generator can draw is consulted by the run a chaos job
+// executes, so no schedule entry arms dead code. The run is recorded
+// directly: run_chaos_job's ScopedFaultReset zeroes the hit counters on exit.
+TEST_F(ChaosTest, EveryCataloguePointIsConsulted) {
+  const auto base = campaign_base();
+  const auto generator = chaos::default_generator_config(base.horizon);
+  const auto recorded = scenario::record_run_dir(base, (dir_ / "run").string());
+  ASSERT_TRUE(recorded.has_value()) << recorded.error();
+
+  const auto& registry = fault::FaultRegistry::global();
+  for (const auto* points : {&generator.error_points, &generator.latency_points}) {
+    for (const std::string& name : *points) {
+      const fault::FaultPoint* point = registry.find(name);
+      ASSERT_NE(point, nullptr) << name << " was never consulted";
+      EXPECT_GT(point->hits(), 0u) << name;
+    }
   }
 }
 
@@ -336,8 +367,7 @@ TEST_F(ChaosTest, ChaosOffRunsAreByteIdenticalWithAndWithoutTheOracle) {
 
 TEST_F(ChaosTest, SmallCampaignPassesAndReportsDeterministically) {
   chaos::ChaosCampaignConfig campaign;
-  campaign.base = small_config();
-  campaign.base.horizon = sim::hours(4);
+  campaign.base = campaign_base();
   campaign.generator = chaos::default_generator_config(campaign.base.horizon);
   campaign.generator.max_entries = 3;
   campaign.schedule_seeds = {1, 2};
