@@ -39,6 +39,13 @@ struct ClientContext {
   // Policies must not read it raw; the entity graph links sessions that
   // re-use one token — the strongest structural tie a ring exposes.
   std::string payment_token;
+
+  // Wire field list (journal records; util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ip, session, fingerprint, actor, captcha_solved, loyalty_member, pointer_biometrics,
+       payment_token);
+  }
 };
 
 enum class PolicyAction : std::uint8_t {

@@ -1,6 +1,7 @@
 #include "core/journal/journal.hpp"
 
 #include <filesystem>
+#include <iterator>
 #include <optional>
 
 #include "core/fault/crash.hpp"
@@ -10,41 +11,16 @@
 namespace fraudsim::journal {
 
 const char* to_string(RecordKind k) {
-  switch (k) {
-    case RecordKind::Header:
-      return "header";
-    case RecordKind::ActorRegistered:
-      return "actor-registered";
-    case RecordKind::Browse:
-      return "browse";
-    case RecordKind::Hold:
-      return "hold";
-    case RecordKind::QuoteFare:
-      return "quote-fare";
-    case RecordKind::Pay:
-      return "pay";
-    case RecordKind::RequestOtp:
-      return "request-otp";
-    case RecordKind::VerifyOtp:
-      return "verify-otp";
-    case RecordKind::RetrieveBooking:
-      return "retrieve-booking";
-    case RecordKind::BoardingSms:
-      return "boarding-sms";
-    case RecordKind::BoardingEmail:
-      return "boarding-email";
-    case RecordKind::ExpirySweep:
-      return "expiry-sweep";
-    case RecordKind::MitigationSweep:
-      return "mitigation-sweep";
-    case RecordKind::ControllerFit:
-      return "controller-fit";
-    case RecordKind::MitigationAction:
-      return "mitigation-action";
-    case RecordKind::Checkpoint:
-      return "checkpoint";
-  }
-  return "?";
+  static constexpr const char* kKindNames[] = {
+      "header",           "actor-registered", "browse",
+      "hold",             "quote-fare",       "pay",
+      "request-otp",      "verify-otp",       "retrieve-booking",
+      "boarding-sms",     "boarding-email",   "expiry-sweep",
+      "mitigation-sweep", "controller-fit",   "mitigation-action",
+      "checkpoint"};
+  static_assert(std::size(kKindNames) == static_cast<std::size_t>(RecordKind::Checkpoint));
+  const auto i = static_cast<std::size_t>(k);
+  return i >= 1 && i <= std::size(kKindNames) ? kKindNames[i - 1] : "?";
 }
 
 util::Status JournalWriter::open(const std::string& path, std::uint64_t seed,
@@ -59,9 +35,7 @@ util::Status JournalWriter::open(const std::string& path, std::uint64_t seed,
   frames_ = 0;
   out_.write(kMagic, sizeof(kMagic));
   util::ByteWriter header;
-  header.u32(kFormatVersion);
-  header.u64(seed);
-  header.u64(config_digest);
+  header(Header{kFormatVersion, seed, config_digest});
   return append(RecordKind::Header, 0, header);
 }
 
@@ -138,133 +112,127 @@ util::Status JournalWriter::close() {
   return util::Status::ok();
 }
 
+namespace {
+
+constexpr std::size_t kFrameHeader = 8;  // u32 payload_len | u32 crc32(payload)
+constexpr std::size_t kRecordPrefix = 9;  // u8 kind | i64 sim_time_ms
+
+// A journal's frames as walked: the scan, the header and every record after
+// it (views into the walked bytes), and what is wrong where the walk stopped
+// on corruption.
+struct Walk {
+  JournalScan scan;
+  Header header;
+  std::vector<Record> records;
+  std::string damage;
+};
+
+// Takes one checksummed payload into `walk`; returns why it is no record, or
+// "" when it is one.
+std::string take_record(std::string_view payload, Walk& walk) {
+  if (payload.size() < kRecordPrefix) return "short payload";
+  util::ByteReader prefix(payload);
+  Record record;
+  record.kind = static_cast<RecordKind>(prefix.u8());
+  record.time = prefix.i64();
+  record.fields = payload.substr(kRecordPrefix);
+  if (record.kind < RecordKind::Header || record.kind > RecordKind::Checkpoint) {
+    return "unknown record kind " + std::to_string(static_cast<int>(record.kind));
+  }
+  const bool first = walk.scan.frames == 0;
+  if (!first) {
+    if (record.kind == RecordKind::Header) return "second header";
+    walk.records.push_back(record);
+    return {};
+  }
+  if (record.kind != RecordKind::Header) return "first frame is not a header";
+  util::ByteReader fields(record.fields);
+  fields(walk.header);
+  if (!fields.ok() || walk.header.version != kFormatVersion) {
+    return "unsupported header (version " + std::to_string(walk.header.version) + ")";
+  }
+  walk.scan.has_header = true;
+  return {};
+}
+
+// The one frame walk: reads `path` into `bytes`, checks the magic, then takes
+// frames until the first bad one. Torn-tail rule: a frame cut short by
+// end-of-file, or a final frame failing its CRC, is the crash residue of the
+// last append. A CRC failure anywhere earlier is damage inside the file, and
+// so is a checksummed frame that is no record, wherever it sits.
+util::Result<Walk> walk_journal(const std::string& path, std::string& bytes) {
+  using R = util::Result<Walk>;
+  std::optional<std::string> file = util::read_file(path);
+  if (!file) return R::fail(util::ErrorCode::kNotFound, "journal: cannot open " + path);
+  bytes = std::move(*file);
+  const std::string_view all(bytes);
+  if (all.substr(0, sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
+    return R::fail(util::ErrorCode::kJournalCorrupt, "journal: bad magic in " + path);
+  }
+
+  Walk walk;
+  std::size_t pos = sizeof(kMagic);
+  while (pos < all.size()) {
+    const std::string_view rest = all.substr(pos);
+    util::ByteReader head(rest.substr(0, kFrameHeader));
+    const std::uint32_t len = head.u32();
+    const std::uint32_t crc = head.u32();
+    if (!head.ok() || rest.size() - kFrameHeader < len) break;
+    const std::string_view payload = rest.substr(kFrameHeader, len);
+    if (util::crc32(payload) != crc) {
+      if (rest.size() != kFrameHeader + len) walk.damage = "CRC mismatch mid-file";
+      break;
+    }
+    walk.damage = take_record(payload, walk);
+    if (!walk.damage.empty()) break;
+    ++walk.scan.frames;
+    pos += kFrameHeader + len;
+  }
+  walk.scan.total_bytes = all.size();
+  walk.scan.intact_bytes = pos;
+  walk.scan.corrupt_mid_file = !walk.damage.empty();
+  walk.scan.torn_tail = !walk.scan.corrupt_mid_file && pos < all.size();
+  if (walk.scan.corrupt_mid_file) {
+    walk.damage = "journal: " + walk.damage + " at offset " + std::to_string(pos);
+  }
+  return R::ok(std::move(walk));
+}
+
+}  // namespace
+
 util::Status JournalReader::open(const std::string& path) {
   recovered_ = false;
   records_.clear();
-
-  const std::optional<std::string> file = util::read_file(path);
-  if (!file) {
-    return util::Status::fail(util::ErrorCode::kNotFound, "journal: cannot open " + path);
+  auto walked = walk_journal(path, bytes_);
+  if (!walked) return util::Status::fail(walked.code(), walked.error());
+  Walk& walk = walked.value();
+  if (walk.scan.corrupt_mid_file) {
+    return util::Status::fail(util::ErrorCode::kJournalCorrupt, walk.damage);
   }
-  const std::string& bytes = *file;
-
-  if (bytes.size() < sizeof(kMagic) ||
-      std::string_view(bytes.data(), sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
-    return util::Status::fail(util::ErrorCode::kJournalCorrupt,
-                              "journal: bad magic in " + path);
-  }
-
-  constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
-  std::size_t pos = sizeof(kMagic);
-  bool saw_header = false;
-  while (pos < bytes.size()) {
-    // Torn-tail rule: anything that cannot be a complete, checksummed frame
-    // at end-of-file is the crash residue of the last append — drop it. The
-    // same defect anywhere earlier means the middle of the file was damaged.
-    if (bytes.size() - pos < kFrameHeader) {
-      recovered_ = true;
-      break;
-    }
-    util::ByteReader prefix(std::string_view(bytes).substr(pos, kFrameHeader));
-    const std::uint32_t len = prefix.u32();
-    const std::uint32_t crc = prefix.u32();
-    if (bytes.size() - pos - kFrameHeader < len) {
-      recovered_ = true;
-      break;
-    }
-    const std::string_view payload = std::string_view(bytes).substr(pos + kFrameHeader, len);
-    if (util::crc32(payload) != crc) {
-      if (pos + kFrameHeader + len == bytes.size()) {
-        recovered_ = true;
-        break;
-      }
-      return util::Status::fail(
-          util::ErrorCode::kJournalCorrupt,
-          "journal: CRC mismatch mid-file at offset " + std::to_string(pos));
-    }
-    util::ByteReader body(payload);
-    Record record;
-    record.kind = static_cast<RecordKind>(body.u8());
-    record.time = body.i64();
-    record.fields = std::string(payload.substr(payload.size() - body.remaining()));
-    if (!body.ok()) {
-      return util::Status::fail(util::ErrorCode::kJournalCorrupt,
-                                "journal: short payload at offset " + std::to_string(pos));
-    }
-    if (!saw_header) {
-      if (record.kind != RecordKind::Header) {
-        return util::Status::fail(util::ErrorCode::kJournalCorrupt,
-                                  "journal: first frame is not a header");
-      }
-      util::ByteReader header(record.fields);
-      version_ = header.u32();
-      seed_ = header.u64();
-      config_digest_ = header.u64();
-      if (!header.ok() || version_ != kFormatVersion) {
-        return util::Status::fail(util::ErrorCode::kJournalCorrupt,
-                                  "journal: unsupported header (version " +
-                                      std::to_string(version_) + ")");
-      }
-      saw_header = true;
-    } else {
-      records_.push_back(std::move(record));
-    }
-    pos += kFrameHeader + len;
-  }
-  if (!saw_header) {
+  if (!walk.scan.has_header) {
     return util::Status::fail(util::ErrorCode::kJournalCorrupt,
                               "journal: no intact header frame in " + path);
   }
+  header_ = walk.header;
+  recovered_ = walk.scan.torn_tail;
+  records_ = std::move(walk.records);
   return util::Status::ok();
 }
 
 util::Result<JournalScan> scan_journal(const std::string& path) {
-  using R = util::Result<JournalScan>;
-  const std::optional<std::string> file = util::read_file(path);
-  if (!file) {
-    return R::fail(util::ErrorCode::kNotFound, "journal: cannot open " + path);
-  }
-  const std::string& bytes = *file;
-
-  if (bytes.size() < sizeof(kMagic) ||
-      std::string_view(bytes.data(), sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
-    return R::fail(util::ErrorCode::kJournalCorrupt, "journal: bad magic in " + path);
-  }
-
-  JournalScan scan;
-  scan.total_bytes = bytes.size();
-  constexpr std::size_t kFrameHeader = 8;
-  std::size_t pos = sizeof(kMagic);
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeader) break;
-    util::ByteReader prefix(std::string_view(bytes).substr(pos, kFrameHeader));
-    const std::uint32_t len = prefix.u32();
-    const std::uint32_t crc = prefix.u32();
-    if (bytes.size() - pos - kFrameHeader < len) break;
-    const std::string_view payload = std::string_view(bytes).substr(pos + kFrameHeader, len);
-    if (util::crc32(payload) != crc) {
-      // CRC-bad frame that is not the file tail = damage inside the file.
-      scan.corrupt_mid_file = pos + kFrameHeader + len != bytes.size();
-      break;
-    }
-    if (scan.frames == 0 && !payload.empty() &&
-        static_cast<RecordKind>(static_cast<std::uint8_t>(payload[0])) == RecordKind::Header) {
-      scan.has_header = true;
-    }
-    ++scan.frames;
-    pos += kFrameHeader + len;
-  }
-  scan.intact_bytes = pos;
-  scan.torn_tail = !scan.corrupt_mid_file && scan.intact_bytes < scan.total_bytes;
-  return R::ok(scan);
+  std::string bytes;
+  auto walked = walk_journal(path, bytes);
+  if (!walked) return util::Result<JournalScan>::fail(walked.code(), walked.error());
+  return util::Result<JournalScan>::ok(walked.value().scan);
 }
 
 util::Result<JournalScan> truncate_torn_tail(const std::string& path,
                                              const std::string& quarantine_path) {
   using R = util::Result<JournalScan>;
-  auto scanned = scan_journal(path);
-  if (!scanned) return scanned;
-  JournalScan scan = scanned.value();
+  std::string bytes;
+  auto walked = walk_journal(path, bytes);
+  if (!walked) return R::fail(walked.code(), walked.error());
+  const JournalScan scan = walked.value().scan;
   if (scan.corrupt_mid_file) {
     return R::fail(util::ErrorCode::kJournalCorrupt,
                    "journal: mid-file corruption in " + path + " — tail truncation cannot help");
@@ -272,12 +240,9 @@ util::Result<JournalScan> truncate_torn_tail(const std::string& path,
   if (!scan.torn_tail) return R::ok(scan);
 
   {
-    std::ifstream in(path, std::ios::binary);
-    in.seekg(static_cast<std::streamoff>(scan.intact_bytes));
-    std::string tail(static_cast<std::size_t>(scan.tail_bytes()), '\0');
-    in.read(tail.data(), static_cast<std::streamsize>(tail.size()));
+    const std::string_view tail = std::string_view(bytes).substr(scan.intact_bytes);
     std::ofstream out(quarantine_path, std::ios::binary | std::ios::app);
-    if (!in.good() || !out.is_open()) {
+    if (!out.is_open()) {
       return R::fail(util::ErrorCode::kIoWriteFailed,
                      "journal: cannot quarantine tail to " + quarantine_path);
     }

@@ -16,7 +16,13 @@
 // leaves at most one torn frame at the tail: any prefix of the last frame.
 // On open the reader drops a final frame that is truncated or fails its CRC
 // and reports `recovered_torn_tail()`; a bad CRC anywhere *before* the tail
-// is real corruption and fails the open with kJournalCorrupt.
+// is real corruption and fails the open with kJournalCorrupt. So does a frame
+// whose CRC holds but which is no record (a kind byte outside RecordKind, a
+// payload shorter than its kind/time prefix, a first frame that is not a
+// supported Header, a second Header), wherever it sits: a checksummed frame
+// was written whole, so it is not the residue of a crash. scan_journal and
+// JournalReader::open walk the frames with one function and apply this rule
+// identically.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +41,17 @@ inline constexpr char kMagic[4] = {'F', 'S', 'J', '1'};
 // v2: ClientContext frames carry the payment token (entity-graph linking).
 inline constexpr std::uint32_t kFormatVersion = 2;
 
+// The first frame's fields.
+struct Header {
+  std::uint32_t version = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t config_digest = 0;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(version, seed, config_digest);
+  }
+};
+
 enum class RecordKind : std::uint8_t {
   Header = 1,
   ActorRegistered,   // ground-truth registry growth (id + kind)
@@ -51,17 +68,19 @@ enum class RecordKind : std::uint8_t {
   MitigationSweep,
   ControllerFit,     // NiP-baseline fit window
   MitigationAction,  // informational enforcement ledger entry (not replayed)
-  Checkpoint,        // full platform state blob (restore point)
+  Checkpoint,        // full platform state blob (restore point); the last kind
 };
 
 [[nodiscard]] const char* to_string(RecordKind k);
 
-// One decoded record: `fields` is the payload after the kind/time prefix,
-// ready to wrap in a util::ByteReader.
+// One framed record. `fields` is the payload after the kind/time prefix, a
+// view into the file its JournalReader holds: valid while that reader lives
+// and until its next open(). Wrap it in a util::ByteReader and read the
+// kind's field list (recording.hpp).
 struct Record {
   RecordKind kind = RecordKind::Header;
   sim::SimTime time = 0;
-  std::string fields;
+  std::string_view fields;
 };
 
 // Appends frames to a journal file. Every path returns a typed Status; once
@@ -106,9 +125,11 @@ struct JournalScan {
   std::uint64_t total_bytes = 0;   // file size
   std::uint64_t intact_bytes = 0;  // magic + intact frames; == total_bytes when clean
   std::uint64_t frames = 0;        // intact frames, including the Header
-  bool has_header = false;         // first frame parsed as a Header record
+  bool has_header = false;         // first frame parsed as a supported Header
   bool torn_tail = false;          // crash residue after the intact prefix at EOF
-  bool corrupt_mid_file = false;   // CRC-bad frame *before* EOF: unrecoverable damage
+  // Unrecoverable damage: a CRC-bad frame *before* EOF, or a checksummed
+  // frame that is no record (see the file comment).
+  bool corrupt_mid_file = false;
   [[nodiscard]] std::uint64_t tail_bytes() const { return total_bytes - intact_bytes; }
 };
 
@@ -125,17 +146,22 @@ struct JournalScan {
 [[nodiscard]] util::Result<JournalScan> truncate_torn_tail(const std::string& path,
                                                            const std::string& quarantine_path);
 
-// Reads and validates a whole journal on open.
+// Reads and validates a whole journal on open, and keeps the file: its
+// records are views into it.
 class JournalReader {
  public:
+  JournalReader() = default;
+  JournalReader(const JournalReader&) = delete;
+  JournalReader& operator=(const JournalReader&) = delete;
+
   // Loads `path`, verifies the magic, every frame's CRC and the Header
   // record. A torn tail (truncated or CRC-bad *final* frame) is dropped and
   // flagged; corruption anywhere else fails with kJournalCorrupt.
   util::Status open(const std::string& path);
 
-  [[nodiscard]] std::uint32_t version() const { return version_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] std::uint64_t config_digest() const { return config_digest_; }
+  [[nodiscard]] std::uint32_t version() const { return header_.version; }
+  [[nodiscard]] std::uint64_t seed() const { return header_.seed; }
+  [[nodiscard]] std::uint64_t config_digest() const { return header_.config_digest; }
   // True when a torn final frame was dropped during open().
   [[nodiscard]] bool recovered_torn_tail() const { return recovered_; }
 
@@ -143,9 +169,8 @@ class JournalReader {
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
 
  private:
-  std::uint32_t version_ = 0;
-  std::uint64_t seed_ = 0;
-  std::uint64_t config_digest_ = 0;
+  std::string bytes_;  // the file; records_ view into it
+  Header header_;
   bool recovered_ = false;
   std::vector<Record> records_;
 };

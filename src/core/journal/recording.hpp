@@ -1,9 +1,16 @@
-// Record payload codecs + the recording CallJournal.
+// Record field lists + the recording CallJournal.
 //
 // Every facade call is journalled as (client context, arguments, observed
-// outcome). Encode and decode live side by side here so the wire layout has
-// exactly one definition; the replay engine decodes with the same functions
-// the recorder encoded with.
+// outcome). Each record kind lists its fields exactly once, in a visit()
+// over the archive (util/archive.hpp): RecordingJournal writes a record
+// through it, and the replay engine reads the same record back through it
+// (`util::ByteReader in(record.fields); BrowseRecord r{}; in(r);`), so the
+// wire layout has one definition per kind.
+//
+// A record is a template over how it holds its fields. The recorder
+// instantiates it with Ref, whose members point at the call's arguments and
+// outcome, so journalling a call copies none of them; a decoded record takes
+// the default, Own, and holds its values.
 //
 // The client context is recorded in full — including the complete
 // fingerprint, not just its hash — because replay must re-present the same
@@ -20,96 +27,165 @@
 
 namespace fraudsim::journal {
 
-// --- ClientContext ---------------------------------------------------------
-void encode_context(util::ByteWriter& out, const app::ClientContext& ctx);
-[[nodiscard]] app::ClientContext decode_context(util::ByteReader& in);
+template <class T>
+using Own = T;
+template <class T>
+using Ref = const T&;
 
-// --- Decoded record bodies -------------------------------------------------
+// --- Facade calls: context, arguments, outcome -------------------------------
+template <template <class> class F = Own>
 struct BrowseRecord {
-  app::ClientContext ctx;
-  web::Endpoint endpoint = web::Endpoint::Home;
-  web::HttpMethod method = web::HttpMethod::Get;
-  app::CallStatus result = app::CallStatus::Ok;
+  F<app::ClientContext> ctx;
+  F<web::Endpoint> endpoint;
+  F<web::HttpMethod> method;
+  F<app::CallStatus> result;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, endpoint, method, result);
+  }
 };
-[[nodiscard]] BrowseRecord decode_browse(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct HoldRecord {
-  app::ClientContext ctx;
-  airline::FlightId flight;
-  std::vector<airline::Passenger> passengers;
+  F<app::ClientContext> ctx;
+  F<airline::FlightId> flight;
+  F<std::vector<airline::Passenger>> passengers;
   // Outcome (rejection detail is derivable on replay and not verified).
-  app::CallStatus status = app::CallStatus::Ok;
-  std::string pnr;
-  bool decoy = false;
+  F<app::CallStatus> status;
+  F<std::string> pnr;
+  F<bool> decoy;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, flight, passengers, status, pnr, decoy);
+  }
 };
-[[nodiscard]] HoldRecord decode_hold(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct QuoteFareRecord {
-  app::ClientContext ctx;
-  airline::FlightId flight;
-  util::Money fare;
+  F<app::ClientContext> ctx;
+  F<airline::FlightId> flight;
+  F<util::Money> fare;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, flight, fare);
+  }
 };
-[[nodiscard]] QuoteFareRecord decode_quote_fare(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct PayRecord {
-  app::ClientContext ctx;
-  std::string pnr;
-  app::CallStatus result = app::CallStatus::Ok;
+  F<app::ClientContext> ctx;
+  F<std::string> pnr;
+  F<app::CallStatus> result;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, pnr, result);
+  }
 };
-[[nodiscard]] PayRecord decode_pay(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct RequestOtpRecord {
-  app::ClientContext ctx;
-  std::string account;
-  sms::PhoneNumber number;
-  app::CallStatus status = app::CallStatus::Ok;
-  std::string code;
+  F<app::ClientContext> ctx;
+  F<std::string> account;
+  F<sms::PhoneNumber> number;
+  F<app::CallStatus> status;
+  F<std::string> code;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, account, number, status, code);
+  }
 };
-[[nodiscard]] RequestOtpRecord decode_request_otp(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct VerifyOtpRecord {
-  app::ClientContext ctx;
-  std::string account;
-  std::string code;
-  bool result = false;
+  F<app::ClientContext> ctx;
+  F<std::string> account;
+  F<std::string> code;
+  F<bool> result;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, account, code, result);
+  }
 };
-[[nodiscard]] VerifyOtpRecord decode_verify_otp(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct RetrieveBookingRecord {
-  app::ClientContext ctx;
-  std::string pnr;
-  app::Application::BookingView result;
+  F<app::ClientContext> ctx;
+  F<std::string> pnr;
+  // The booking view.
+  F<bool> found;
+  F<bool> held;
+  F<bool> ticketed;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, pnr, found, held, ticketed);
+  }
 };
-[[nodiscard]] RetrieveBookingRecord decode_retrieve_booking(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct BoardingSmsRecord {
-  app::ClientContext ctx;
-  std::string pnr;
-  sms::PhoneNumber number;
-  app::CallStatus status = app::CallStatus::Ok;
-  airline::BoardingPassService::SmsResult detail =
-      airline::BoardingPassService::SmsResult::Sent;
+  F<app::ClientContext> ctx;
+  F<std::string> pnr;
+  F<sms::PhoneNumber> number;
+  F<app::CallStatus> status;
+  F<airline::BoardingPassService::SmsResult> detail;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, pnr, number, status, detail);
+  }
 };
-[[nodiscard]] BoardingSmsRecord decode_boarding_sms(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct BoardingEmailRecord {
-  app::ClientContext ctx;
-  std::string pnr;
-  app::CallStatus result = app::CallStatus::Ok;
+  F<app::ClientContext> ctx;
+  F<std::string> pnr;
+  F<app::CallStatus> result;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(ctx, pnr, result);
+  }
 };
-[[nodiscard]] BoardingEmailRecord decode_boarding_email(util::ByteReader& in);
 
+// --- Harness records ---------------------------------------------------------
+template <template <class> class F = Own>
 struct ActorRecord {
-  web::ActorId id;
-  app::ActorKind kind = app::ActorKind::Human;
+  F<web::ActorId> id;
+  F<app::ActorKind> kind;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(id, kind);
+  }
 };
-[[nodiscard]] ActorRecord decode_actor(util::ByteReader& in);
 
+template <template <class> class F = Own>
 struct ControllerFitRecord {
-  sim::SimTime from = 0;
-  sim::SimTime to = 0;
+  F<sim::SimTime> from;
+  F<sim::SimTime> to;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(from, to);
+  }
 };
-[[nodiscard]] ControllerFitRecord decode_controller_fit(util::ByteReader& in);
+
+template <template <class> class F = Own>
+struct MitigationActionRecord {
+  F<std::string> kind;
+  F<std::string> detail;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(kind, detail);
+  }
+};
+
+// A restore point: the platform state blob, read as a view into the record.
+// The recorder streams the blob as the frame's tail instead of copying it
+// into the fields (RecordingJournal::checkpoint_blob).
+struct CheckpointRecord {
+  std::string_view blob;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(blob);
+  }
+};
 
 // --- Recording journal -----------------------------------------------------
 // app::CallJournal implementation that frames every hook into the writer.
@@ -154,6 +230,9 @@ class RecordingJournal final : public app::CallJournal {
   void checkpoint_blob(sim::SimTime time, std::string_view blob);
 
  private:
+  // Writes `fields` through its visit() and frames it as a `kind` record.
+  template <class Fields>
+  void write(RecordKind kind, sim::SimTime time, const Fields& fields);
   void append(RecordKind kind, sim::SimTime time, const util::ByteWriter& fields,
               std::string_view tail = {});
 

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "app/export.hpp"
@@ -194,38 +193,34 @@ void schedule_mitigation(Env& env, mitigate::MitigationController& controller,
   });
 }
 
-// Full platform state, in a fixed order shared with replay's restore path.
-// The fault registry rides along so armed chaos schedules (and their EveryNth
-// / OnNth / Burst cursors) survive a checkpoint-anchored restore exactly like
-// every other piece of platform state.
-std::string checkpoint_state(Platform& p) {
-  util::ByteWriter state;
-  Env& env = *p.env;
-  env.actors.checkpoint(state);
-  env.app.checkpoint(state);
-  env.engine.checkpoint(state);
-  p.controller->checkpoint(state);
-  fault::FaultRegistry::global().checkpoint(state);
+// Full platform state, in one fixed order for the checkpoints a recording
+// embeds and the restore replay anchors on. The fault registry rides along
+// so armed chaos schedules (and their EveryNth / OnNth / Burst cursors)
+// survive a checkpoint-anchored restore exactly like every other piece of
+// platform state.
+template <class Ar>
+void visit_platform(Platform& p, Ar& ar) {
+  ar(p.env->actors, p.env->app, p.env->engine, *p.controller, fault::FaultRegistry::global());
   // Graph state rides last, and ONLY when the subsystem is enabled: the
   // default-off blob layout stays byte-identical to pre-graph journals.
-  if (p.graph != nullptr) p.graph->checkpoint(state);
-  return state.take();
+  if (p.graph != nullptr) ar(*p.graph);
 }
 
-// `on_checkpoint` (optional) runs after the blob is journalled — the hook
-// record_run_dir uses to duplicate each checkpoint as an atomic sidecar.
-void schedule_checkpoint_loop(Platform& p, const RecordedScenarioConfig& config,
-                              journal::RecordingJournal& recording,
-                              const std::function<void(sim::SimTime, const std::string&)>&
-                                  on_checkpoint = nullptr) {
+// `on_checkpoint` runs after the blob is journalled — the hook record_run_dir
+// uses to duplicate each checkpoint as an atomic sidecar.
+void schedule_checkpoint_loop(
+    Platform& p, const RecordedScenarioConfig& config, journal::RecordingJournal& recording,
+    const std::function<void(sim::SimTime, const std::string&)>& on_checkpoint) {
   Env& env = *p.env;
   if (config.checkpoint_every <= 0) return;
   if (env.sim.now() + config.checkpoint_every > config.horizon) return;
   env.sim.schedule_in(config.checkpoint_every,
                       [&p, &env, &config, &recording, on_checkpoint] {
-                        const std::string blob = checkpoint_state(p);
+                        util::ByteWriter state;
+                        visit_platform(p, state);
+                        const std::string blob = state.take();
                         recording.checkpoint_blob(env.sim.now(), blob);
-                        if (on_checkpoint) on_checkpoint(env.sim.now(), blob);
+                        on_checkpoint(env.sim.now(), blob);
                         schedule_checkpoint_loop(p, config, recording, on_checkpoint);
                       });
 }
@@ -353,91 +348,121 @@ void start_traffic(Platform& p, const RecordedScenarioConfig& config,
          status == app::CallStatus::RateLimited || status == app::CallStatus::Overloaded;
 }
 
-// Replays one record against the live platform, verifying the outcome. The
-// caller has already advanced sim time to record.time. Shared by replay_run
-// and the salvaged-prefix verification pass in recover_run so both modes
-// apply exactly the same semantics per record kind.
-util::Status replay_record(Platform& p, const journal::Record& record, std::size_t index) {
+// What replaying one record saw: the actor; for a call that was served or
+// denied (a verdict), whether the recording and the replay denied it; and
+// the first outcome field that differs from the recording ("" when none).
+struct Replayed {
+  web::ActorId actor;
+  bool verdict = false;
+  bool was_denied = false;
+  bool now_denied = false;
+  std::string mismatch;
+};
+
+// The one replay dispatcher: decodes `record`, re-invokes the platform as the
+// live run did and reports what it saw in `seen`; false when the payload does
+// not decode. The caller has already advanced sim time to record.time.
+// replay_run (and through it recover_run) fails on a mismatch;
+// shadow_rescore scores the verdicts.
+[[nodiscard]] bool replay_record(Platform& p, const journal::Record& record, Replayed& seen) {
   Env& env = *p.env;
   util::ByteReader in(record.fields);
-  const auto mismatch = [&](const std::string& what) {
-    return util::Status::fail(util::ErrorCode::kCheckpointMismatch,
-                              "replay diverged at record " + std::to_string(index) + " (" +
-                                  journal::to_string(record.kind) + ", t=" +
-                                  std::to_string(record.time) + "): " + what);
+  const auto read = [&in](auto& fields) {
+    in(fields);
+    return in.ok();
+  };
+  const auto verdict = [&seen](web::ActorId actor, bool was_denied, bool now_denied) {
+    seen.actor = actor;
+    seen.verdict = true;
+    seen.was_denied = was_denied;
+    seen.now_denied = now_denied;
   };
   switch (record.kind) {
     case journal::RecordKind::ActorRegistered: {
-      const auto r = journal::decode_actor(in);
+      journal::ActorRecord r{};
+      if (!read(r)) break;
+      seen.actor = r.id;
       if (const auto id = env.actors.register_actor(r.kind); id != r.id) {
-        return mismatch("actor id " + id.str() + " != recorded " + r.id.str());
+        seen.mismatch = "actor id " + id.str() + " != recorded " + r.id.str();
       }
       break;
     }
     case journal::RecordKind::Browse: {
-      const auto r = journal::decode_browse(in);
-      if (env.app.browse(r.ctx, r.endpoint, r.method) != r.result) {
-        return mismatch("browse status differs");
-      }
+      journal::BrowseRecord r{};
+      if (!read(r)) break;
+      const auto status = env.app.browse(r.ctx, r.endpoint, r.method);
+      verdict(r.ctx.actor, denied(r.result), denied(status));
+      if (status != r.result) seen.mismatch = "browse status differs";
       break;
     }
     case journal::RecordKind::Hold: {
-      auto r = journal::decode_hold(in);
+      journal::HoldRecord r{};
+      if (!read(r)) break;
       const auto result = env.app.hold(r.ctx, r.flight, std::move(r.passengers));
+      // A decoyed hold is neutralised even though the caller saw success.
+      verdict(r.ctx.actor, denied(r.status) || r.decoy, denied(result.status) || result.decoy);
       if (result.status != r.status || result.pnr != r.pnr || result.decoy != r.decoy) {
-        return mismatch("hold outcome differs (pnr " + result.pnr + " vs " + r.pnr + ")");
+        seen.mismatch = "hold outcome differs (pnr " + result.pnr + " vs " + r.pnr + ")";
       }
       break;
     }
     case journal::RecordKind::QuoteFare: {
-      const auto r = journal::decode_quote_fare(in);
-      if (env.app.quote_fare(r.ctx, r.flight) != r.fare) {
-        return mismatch("fare quote differs");
-      }
+      journal::QuoteFareRecord r{};
+      if (!read(r)) break;
+      if (env.app.quote_fare(r.ctx, r.flight) != r.fare) seen.mismatch = "fare quote differs";
       break;
     }
     case journal::RecordKind::Pay: {
-      const auto r = journal::decode_pay(in);
-      if (env.app.pay(r.ctx, r.pnr) != r.result) return mismatch("pay status differs");
+      journal::PayRecord r{};
+      if (!read(r)) break;
+      const auto status = env.app.pay(r.ctx, r.pnr);
+      verdict(r.ctx.actor, denied(r.result), denied(status));
+      if (status != r.result) seen.mismatch = "pay status differs";
       break;
     }
     case journal::RecordKind::RequestOtp: {
-      const auto r = journal::decode_request_otp(in);
+      journal::RequestOtpRecord r{};
+      if (!read(r)) break;
       const auto result = env.app.request_otp(r.ctx, r.account, r.number);
+      verdict(r.ctx.actor, denied(r.status), denied(result.status));
       if (result.status != r.status || result.code != r.code) {
-        return mismatch("otp request differs");
+        seen.mismatch = "otp request differs";
       }
       break;
     }
     case journal::RecordKind::VerifyOtp: {
-      const auto r = journal::decode_verify_otp(in);
+      journal::VerifyOtpRecord r{};
+      if (!read(r)) break;
       if (env.app.verify_otp(r.ctx, r.account, r.code) != r.result) {
-        return mismatch("otp verify differs");
+        seen.mismatch = "otp verify differs";
       }
       break;
     }
     case journal::RecordKind::RetrieveBooking: {
-      const auto r = journal::decode_retrieve_booking(in);
+      journal::RetrieveBookingRecord r{};
+      if (!read(r)) break;
       const auto view = env.app.retrieve_booking(r.ctx, r.pnr);
-      if (view.found != r.result.found || view.held != r.result.held ||
-          view.ticketed != r.result.ticketed) {
-        return mismatch("booking view differs");
+      if (view.found != r.found || view.held != r.held || view.ticketed != r.ticketed) {
+        seen.mismatch = "booking view differs";
       }
       break;
     }
     case journal::RecordKind::BoardingSms: {
-      const auto r = journal::decode_boarding_sms(in);
+      journal::BoardingSmsRecord r{};
+      if (!read(r)) break;
       const auto result = env.app.request_boarding_sms(r.ctx, r.pnr, r.number);
+      verdict(r.ctx.actor, denied(r.status), denied(result.status));
       if (result.status != r.status || result.detail != r.detail) {
-        return mismatch("boarding sms differs");
+        seen.mismatch = "boarding sms differs";
       }
       break;
     }
     case journal::RecordKind::BoardingEmail: {
-      const auto r = journal::decode_boarding_email(in);
-      if (env.app.request_boarding_email(r.ctx, r.pnr) != r.result) {
-        return mismatch("boarding email differs");
-      }
+      journal::BoardingEmailRecord r{};
+      if (!read(r)) break;
+      const auto status = env.app.request_boarding_email(r.ctx, r.pnr);
+      verdict(r.ctx.actor, denied(r.result), denied(status));
+      if (status != r.result) seen.mismatch = "boarding email differs";
       break;
     }
     case journal::RecordKind::ExpirySweep:
@@ -447,7 +472,8 @@ util::Status replay_record(Platform& p, const journal::Record& record, std::size
       run_recorded_sweep(env, *p.controller, nullptr);
       break;
     case journal::RecordKind::ControllerFit: {
-      const auto r = journal::decode_controller_fit(in);
+      journal::ControllerFitRecord r{};
+      if (!read(r)) break;
       p.controller->fit_nip_baseline(r.from, r.to);
       break;
     }
@@ -456,11 +482,56 @@ util::Status replay_record(Platform& p, const journal::Record& record, std::size
     case journal::RecordKind::Header:
       break;
   }
-  if (!in.ok()) {
-    return util::Status::fail(util::ErrorCode::kJournalCorrupt,
-                              "replay: undecodable payload in record " + std::to_string(index));
+  return in.ok();
+}
+
+// The live-recording body record_run and record_run_dir share: runs `config`
+// with every call journalled to `journal_path` and hands each embedded
+// checkpoint to `on_checkpoint` (may be null). Fails with the first failure
+// the hook returned, after the journal is closed and before any artifact is
+// made.
+using CheckpointHook = std::function<util::Status(sim::SimTime, const std::string&)>;
+
+util::Result<RunArtifacts> record_live(const RecordedScenarioConfig& config,
+                                       const std::string& journal_path,
+                                       const CheckpointHook& on_checkpoint) {
+  using R = util::Result<RunArtifacts>;
+  Platform p = build_platform(config);
+  begin_live_invariants(p, config);
+  Env& env = *p.env;
+
+  journal::JournalWriter writer;
+  if (auto s = writer.open(journal_path, config.seed, config_digest(config)); !s.is_ok()) {
+    return R::fail(s.code(), s.error());
   }
-  return util::Status::ok();
+  journal::RecordingJournal recording(writer);
+  env.app.set_journal(&recording);
+  env.actors.set_observer([&env, &recording](web::ActorId id, app::ActorKind kind) {
+    recording.actor_registered(env.sim.now(), id, kind);
+  });
+
+  std::unique_ptr<SeatSpinScript> attacker;
+  start_traffic(p, config, attacker, &recording);
+  util::Status hook_status = util::Status::ok();
+  schedule_checkpoint_loop(p, config, recording,
+                           [&on_checkpoint, &hook_status](sim::SimTime now,
+                                                          const std::string& blob) {
+                             if (!on_checkpoint) return;
+                             util::Status s = on_checkpoint(now, blob);
+                             if (hook_status.is_ok()) hook_status = std::move(s);
+                           });
+  env.run_until(config.horizon);
+
+  env.app.set_journal(nullptr);
+  env.actors.set_observer(nullptr);
+  if (!recording.status().is_ok()) {
+    return R::fail(recording.status().code(), recording.status().error());
+  }
+  if (auto s = writer.close(); !s.is_ok()) return R::fail(s.code(), s.error());
+  if (!hook_status.is_ok()) return R::fail(hook_status.code(), hook_status.error());
+  RunArtifacts artifacts = make_artifacts(p, config);
+  finish_live_invariants(p, config, artifacts);
+  return R::ok(std::move(artifacts));
 }
 
 }  // namespace
@@ -578,35 +649,7 @@ RunArtifacts baseline_run(const RecordedScenarioConfig& config) {
 
 util::Result<RunArtifacts> record_run(const RecordedScenarioConfig& config,
                                       const std::string& journal_path) {
-  using R = util::Result<RunArtifacts>;
-  Platform p = build_platform(config);
-  begin_live_invariants(p, config);
-  Env& env = *p.env;
-
-  journal::JournalWriter writer;
-  if (auto s = writer.open(journal_path, config.seed, config_digest(config)); !s.is_ok()) {
-    return R::fail(s.code(), s.error());
-  }
-  journal::RecordingJournal recording(writer);
-  env.app.set_journal(&recording);
-  env.actors.set_observer([&env, &recording](web::ActorId id, app::ActorKind kind) {
-    recording.actor_registered(env.sim.now(), id, kind);
-  });
-
-  std::unique_ptr<SeatSpinScript> attacker;
-  start_traffic(p, config, attacker, &recording);
-  schedule_checkpoint_loop(p, config, recording);
-  env.run_until(config.horizon);
-
-  env.app.set_journal(nullptr);
-  env.actors.set_observer(nullptr);
-  if (!recording.status().is_ok()) {
-    return R::fail(recording.status().code(), recording.status().error());
-  }
-  if (auto s = writer.close(); !s.is_ok()) return R::fail(s.code(), s.error());
-  RunArtifacts artifacts = make_artifacts(p, config);
-  finish_live_invariants(p, config, artifacts);
-  return R::ok(std::move(artifacts));
+  return record_live(config, journal_path, nullptr);
 }
 
 util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
@@ -623,27 +666,12 @@ util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
   const std::uint64_t digest = config_digest(config);
 
   try {
-    Platform p = build_platform(config);
-    begin_live_invariants(p, config);
-    Env& env = *p.env;
-
-    journal::JournalWriter writer;
-    if (auto s = writer.open(journal_path, config.seed, digest); !s.is_ok()) {
-      return R::fail(s.code(), s.error());
-    }
-    journal::RecordingJournal recording(writer);
-    env.app.set_journal(&recording);
-    env.actors.set_observer([&env, &recording](web::ActorId id, app::ActorKind kind) {
-      recording.actor_registered(env.sim.now(), id, kind);
-    });
-
     // Each journalled checkpoint is duplicated as an atomic sidecar so
     // recovery can anchor on it even when the crash tore the journal frame
     // that embedded the very same blob.
     std::vector<std::pair<std::string, recover::WrittenArtifact>> sidecars;
-    util::Status sidecar_status = util::Status::ok();
-    const auto write_sidecar = [&run_dir, &config, digest, &sidecars,
-                                &sidecar_status](sim::SimTime now, const std::string& blob) {
+    const auto write_sidecar = [&run_dir, &config, digest, &sidecars](
+                                   sim::SimTime now, const std::string& blob) -> util::Status {
       recover::SidecarCheckpoint cp;
       cp.seed = config.seed;
       cp.config_digest = digest;
@@ -651,32 +679,15 @@ util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
       cp.blob = blob;
       const std::string path = recover::checkpoint_sidecar_path(run_dir, now);
       auto written = recover::write_checkpoint_sidecar(path, cp);
-      if (!written) {
-        if (sidecar_status.is_ok()) {
-          sidecar_status = util::Status::fail(written.code(), written.error());
-        }
-        return;
-      }
+      if (!written) return util::Status::fail(written.code(), written.error());
       const std::string rel = std::string(recover::kCheckpointDir) + "/" +
                               fs::path(path).filename().string();
       sidecars.emplace_back(rel, written.value());
+      return util::Status::ok();
     };
-
-    std::unique_ptr<SeatSpinScript> attacker;
-    start_traffic(p, config, attacker, &recording);
-    schedule_checkpoint_loop(p, config, recording, write_sidecar);
-    env.run_until(config.horizon);
-
-    env.app.set_journal(nullptr);
-    env.actors.set_observer(nullptr);
-    if (!recording.status().is_ok()) {
-      return R::fail(recording.status().code(), recording.status().error());
-    }
-    if (auto s = writer.close(); !s.is_ok()) return R::fail(s.code(), s.error());
-    if (!sidecar_status.is_ok()) return R::fail(sidecar_status.code(), sidecar_status.error());
-
-    RunArtifacts artifacts = make_artifacts(p, config);
-    finish_live_invariants(p, config, artifacts);
+    auto recorded = record_live(config, journal_path, write_sidecar);
+    if (!recorded) return recorded;
+    RunArtifacts& artifacts = recorded.value();
 
     // Manifest entries in layout order: journal, sidecars, then artifacts.
     recover::Manifest manifest;
@@ -692,21 +703,15 @@ util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
     }
     for (const auto& [rel, written] : sidecars) manifest.add(written, rel);
 
-    const auto emit = [&](const char* rel, const std::string& content) -> util::Status {
-      auto written = recover::AtomicFile::write((fs::path(run_dir) / rel).string(), content,
+    const std::pair<const char*, const std::string*> outputs[] = {
+        {"metrics.csv", &artifacts.metrics_csv},
+        {"weblog.csv", &artifacts.weblog_csv},
+        {"soc_report.txt", &artifacts.soc_report}};
+    for (const auto& [rel, content] : outputs) {
+      auto written = recover::AtomicFile::write((fs::path(run_dir) / rel).string(), *content,
                                                 config.horizon);
-      if (!written) return util::Status::fail(written.code(), written.error());
+      if (!written) return R::fail(written.code(), written.error());
       manifest.add(written.value(), rel);
-      return util::Status::ok();
-    };
-    if (auto s = emit("metrics.csv", artifacts.metrics_csv); !s.is_ok()) {
-      return R::fail(s.code(), s.error());
-    }
-    if (auto s = emit("weblog.csv", artifacts.weblog_csv); !s.is_ok()) {
-      return R::fail(s.code(), s.error());
-    }
-    if (auto s = emit("soc_report.txt", artifacts.soc_report); !s.is_ok()) {
-      return R::fail(s.code(), s.error());
     }
 
     // The commit point: only now does the directory count as a complete run.
@@ -795,8 +800,10 @@ util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
               record.time != cp.value().time) {
             continue;
           }
-          util::ByteReader fields(record.fields);
-          if (fields.str() != cp.value().blob) {
+          journal::CheckpointRecord embedded{};
+          util::ByteReader in(record.fields);
+          in(embedded);
+          if (embedded.blob != cp.value().blob) {
             return R::fail(util::ErrorCode::kCheckpointMismatch,
                            "recover: sidecar and embedded checkpoint blobs differ at t=" +
                                std::to_string(record.time));
@@ -845,15 +852,11 @@ util::Result<RunArtifacts> replay_run(const RecordedScenarioConfig& config,
     for (std::size_t i = records.size(); i-- > 0;) {
       if (records[i].kind != journal::RecordKind::Checkpoint) continue;
       env.sim.run_until(records[i].time);
+      journal::CheckpointRecord checkpoint{};
       util::ByteReader fields(records[i].fields);
-      const std::string blob = fields.str();
-      util::ByteReader state(blob);
-      env.actors.restore(state);
-      env.app.restore(state);
-      env.engine.restore(state);
-      p.controller->restore(state);
-      fault::FaultRegistry::global().restore(state);
-      if (p.graph != nullptr) p.graph->restore(state);
+      fields(checkpoint);
+      util::ByteReader state(checkpoint.blob);
+      visit_platform(p, state);
       if (!state.ok()) {
         return R::fail(util::ErrorCode::kJournalCorrupt, "replay: checkpoint blob truncated");
       }
@@ -865,7 +868,17 @@ util::Result<RunArtifacts> replay_run(const RecordedScenarioConfig& config,
   for (std::size_t i = start; i < records.size(); ++i) {
     const auto& record = records[i];
     env.sim.run_until(record.time);
-    if (auto s = replay_record(p, record, i); !s.is_ok()) return R::fail(s.code(), s.error());
+    Replayed seen;
+    if (!replay_record(p, record, seen)) {
+      return R::fail(util::ErrorCode::kJournalCorrupt,
+                     "replay: undecodable payload in record " + std::to_string(i));
+    }
+    if (!seen.mismatch.empty()) {
+      return R::fail(util::ErrorCode::kCheckpointMismatch,
+                     "replay diverged at record " + std::to_string(i) + " (" +
+                         journal::to_string(record.kind) + ", t=" + std::to_string(record.time) +
+                         "): " + seen.mismatch);
+    }
   }
   env.sim.run_until(config.horizon);
   return R::ok(make_artifacts(p, config));
@@ -885,101 +898,23 @@ util::Result<RescoreReport> shadow_rescore(const RecordedScenarioConfig& config,
   Platform p = build_platform(config, &candidate);
   Env& env = *p.env;
   RescoreReport report;
-  std::unordered_map<std::uint64_t, app::ActorKind> kinds;  // journalled ground truth
-
-  const auto score = [&](web::ActorId actor, bool was_denied, bool now_denied) {
+  for (const auto& record : reader.records()) {
+    env.sim.run_until(record.time);
+    Replayed seen;
+    if (!replay_record(p, record, seen)) {
+      return R::fail(util::ErrorCode::kJournalCorrupt, "rescore: undecodable record payload");
+    }
+    if (!seen.verdict) continue;
     ++report.requests;
-    if (was_denied == now_denied) return;
+    if (seen.was_denied == seen.now_denied) continue;
     ++report.verdict_changes;
-    const auto it = kinds.find(actor.value());
-    const bool abuser =
-        app::is_abuser(it != kinds.end() ? it->second : app::ActorKind::Human);
-    if (now_denied) {
+    // The registry holds the journalled ground truth: every recorded actor
+    // was re-registered with its kind.
+    const bool abuser = env.actors.abuser(seen.actor);
+    if (seen.now_denied) {
       abuser ? ++report.newly_caught : ++report.newly_blocked_legit;
     } else {
       abuser ? ++report.newly_missed : ++report.newly_allowed_legit;
-    }
-  };
-
-  for (const auto& record : reader.records()) {
-    env.sim.run_until(record.time);
-    util::ByteReader in(record.fields);
-    switch (record.kind) {
-      case journal::RecordKind::ActorRegistered: {
-        const auto r = journal::decode_actor(in);
-        kinds[r.id.value()] = r.kind;
-        (void)env.actors.register_actor(r.kind);
-        break;
-      }
-      case journal::RecordKind::Browse: {
-        const auto r = journal::decode_browse(in);
-        score(r.ctx.actor, denied(r.result), denied(env.app.browse(r.ctx, r.endpoint, r.method)));
-        break;
-      }
-      case journal::RecordKind::Hold: {
-        auto r = journal::decode_hold(in);
-        const auto ctx = r.ctx;
-        const auto result = env.app.hold(ctx, r.flight, std::move(r.passengers));
-        // A decoyed hold is neutralised even though the caller saw success.
-        score(ctx.actor, denied(r.status) || r.decoy, denied(result.status) || result.decoy);
-        break;
-      }
-      case journal::RecordKind::QuoteFare: {
-        const auto r = journal::decode_quote_fare(in);
-        (void)env.app.quote_fare(r.ctx, r.flight);  // state only; no verdict
-        break;
-      }
-      case journal::RecordKind::Pay: {
-        const auto r = journal::decode_pay(in);
-        score(r.ctx.actor, denied(r.result), denied(env.app.pay(r.ctx, r.pnr)));
-        break;
-      }
-      case journal::RecordKind::RequestOtp: {
-        const auto r = journal::decode_request_otp(in);
-        score(r.ctx.actor, denied(r.status),
-              denied(env.app.request_otp(r.ctx, r.account, r.number).status));
-        break;
-      }
-      case journal::RecordKind::VerifyOtp: {
-        const auto r = journal::decode_verify_otp(in);
-        (void)env.app.verify_otp(r.ctx, r.account, r.code);  // state only
-        break;
-      }
-      case journal::RecordKind::RetrieveBooking: {
-        const auto r = journal::decode_retrieve_booking(in);
-        (void)env.app.retrieve_booking(r.ctx, r.pnr);  // state only
-        break;
-      }
-      case journal::RecordKind::BoardingSms: {
-        const auto r = journal::decode_boarding_sms(in);
-        score(r.ctx.actor, denied(r.status),
-              denied(env.app.request_boarding_sms(r.ctx, r.pnr, r.number).status));
-        break;
-      }
-      case journal::RecordKind::BoardingEmail: {
-        const auto r = journal::decode_boarding_email(in);
-        score(r.ctx.actor, denied(r.result),
-              denied(env.app.request_boarding_email(r.ctx, r.pnr)));
-        break;
-      }
-      case journal::RecordKind::ExpirySweep:
-        env.apply_expiry_sweep();
-        break;
-      case journal::RecordKind::MitigationSweep:
-        run_recorded_sweep(env, *p.controller, nullptr);
-        break;
-      case journal::RecordKind::ControllerFit: {
-        const auto r = journal::decode_controller_fit(in);
-        p.controller->fit_nip_baseline(r.from, r.to);
-        break;
-      }
-      case journal::RecordKind::MitigationAction:
-      case journal::RecordKind::Checkpoint:  // unusable: candidate state diverges
-      case journal::RecordKind::Header:
-        break;
-    }
-    if (!in.ok()) {
-      return R::fail(util::ErrorCode::kJournalCorrupt, "rescore: undecodable record payload");
     }
   }
   return R::ok(report);

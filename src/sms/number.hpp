@@ -21,6 +21,12 @@ struct PhoneNumber {
     if (a.country != b.country) return a.country < b.country;
     return a.subscriber < b.subscriber;
   }
+
+  // Wire field list (journal records; util/archive.hpp).
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(country, subscriber);
+  }
 };
 
 // Deterministically random subscriber numbers in a country. SMS-pumping rings

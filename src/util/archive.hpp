@@ -26,6 +26,7 @@
 //   enum                               u8
 //   floating point                     f64
 //   std::string                        u32 length + bytes
+//   std::string_view (reading only)    the same, as a view into the payload
 //   T[N], std::array                   N elements, no count
 //   std::pair                          first, second
 //   std::optional                      bool + value
@@ -244,13 +245,15 @@ class ByteReader {
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] bool boolean() { return u8() != 0; }
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] std::string str() {
+  [[nodiscard]] std::string str() { return std::string(view()); }
+  // The str() encoding, read as a view into the payload.
+  [[nodiscard]] std::string_view view() {
     const auto n = u32();
     if (!ok_ || bytes_.size() - pos_ < n) {
       ok_ = false;
       return {};
     }
-    std::string out(bytes_.substr(pos_, n));
+    const std::string_view out = bytes_.substr(pos_, n);
     pos_ += n;
     return out;
   }
@@ -303,6 +306,7 @@ class ByteReader {
     }
   }
   void get(std::string& v) { v = str(); }
+  void get(std::string_view& v) { v = view(); }
   template <class A, class B>
   void get(std::pair<A, B>& v) {
     get(v.first);
