@@ -11,6 +11,14 @@
 #include "sim/time.hpp"
 #include "web/request.hpp"
 
+namespace fraudsim::web {
+struct Session;
+}
+
+namespace fraudsim::airline {
+struct Reservation;
+}
+
 namespace fraudsim::detect {
 
 enum class Severity : std::uint8_t { Info, Warning, Critical };
@@ -30,6 +38,16 @@ struct Alert {
   std::optional<std::string> pnr;
   std::optional<web::ActorId> actor;  // resolved lazily for scoring
 };
+
+// A Warning on one session (behavior.*, ip.reputation) at its end, keyed by
+// the session, its actor and its first request's fingerprint and address.
+[[nodiscard]] Alert session_alert(const web::Session& session, std::string detector,
+                                  std::string explanation);
+
+// A Warning on one reservation (nip.anomaly, name.*) at `time`, keyed by the
+// PNR, its actor and the booking request's fingerprint and address.
+[[nodiscard]] Alert reservation_alert(const airline::Reservation& reservation, sim::SimTime time,
+                                      std::string detector, std::string explanation);
 
 class AlertSink {
  public:

@@ -1,5 +1,7 @@
 #include "core/detect/behavior.hpp"
 
+#include <utility>
+
 #include "util/format.hpp"
 
 namespace fraudsim::detect {
@@ -42,27 +44,14 @@ bool VolumeThresholdDetector::is_bot(const web::SessionFeatures& f, std::string*
 }
 
 void VolumeThresholdDetector::analyze(const std::vector<web::Session>& sessions,
+                                      const std::vector<web::SessionFeatures>& features,
                                       AlertSink& sink) const {
-  for (const auto& session : sessions) {
-    const auto features = web::extract_features(session);
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
     std::string reason;
-    if (!is_bot(features, &reason)) continue;
-    Alert alert;
-    alert.time = session.end();
-    alert.detector = "behavior.volume";
-    alert.severity = Severity::Warning;
-    alert.explanation = reason;
-    alert.session = session.id;
-    alert.actor = session.actor;
-    if (!session.requests.empty()) {
-      alert.fingerprint = session.requests.front().fp_hash;
-      alert.ip = session.requests.front().ip;
-    }
-    sink.emit(std::move(alert));
+    if (!is_bot(features[i], &reason)) continue;
+    sink.emit(session_alert(sessions[i], "behavior.volume", std::move(reason)));
   }
 }
-
-BehaviorClassifier::BehaviorClassifier(ClassifierKind kind) : kind_(kind) {}
 
 void BehaviorClassifier::train(const std::vector<web::SessionFeatures>& features,
                                const std::vector<int>& labels, sim::Rng& rng) {
@@ -71,43 +60,27 @@ void BehaviorClassifier::train(const std::vector<web::SessionFeatures>& features
   data.labels = labels;
   scaler_.fit(data.rows);
   data.rows = scaler_.transform(data.rows);
-  if (kind_ == ClassifierKind::Logistic) {
-    logistic_.train(data, rng);
-  } else {
-    bayes_.train(data);
-  }
+  logistic_.train(data, rng);
   trained_ = true;
 }
 
 double BehaviorClassifier::score(const web::SessionFeatures& features) const {
   if (!trained_) return 0.0;
-  const auto row = scaler_.transform(to_row(features));
-  return kind_ == ClassifierKind::Logistic ? logistic_.predict_proba(row)
-                                           : bayes_.predict_proba(row);
+  return logistic_.predict_proba(scaler_.transform(to_row(features)));
 }
 
 bool BehaviorClassifier::is_bot(const web::SessionFeatures& features, double threshold) const {
   return score(features) >= threshold;
 }
 
-void BehaviorClassifier::analyze(const std::vector<web::Session>& sessions, AlertSink& sink,
-                                 double threshold) const {
-  for (const auto& session : sessions) {
-    const auto features = web::extract_features(session);
-    const double p = score(features);
+void BehaviorClassifier::analyze(const std::vector<web::Session>& sessions,
+                                 const std::vector<web::SessionFeatures>& features,
+                                 AlertSink& sink, double threshold) const {
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const double p = score(features[i]);
     if (p < threshold) continue;
-    Alert alert;
-    alert.time = session.end();
-    alert.detector = "behavior.classifier";
-    alert.severity = Severity::Warning;
-    alert.explanation = "classifier score " + util::format_fixed(p, 6);
-    alert.session = session.id;
-    alert.actor = session.actor;
-    if (!session.requests.empty()) {
-      alert.fingerprint = session.requests.front().fp_hash;
-      alert.ip = session.requests.front().ip;
-    }
-    sink.emit(std::move(alert));
+    sink.emit(session_alert(sessions[i], "behavior.classifier",
+                            "classifier score " + util::format_fixed(p, 6)));
   }
 }
 

@@ -3,8 +3,8 @@
 // Two families:
 //   * VolumeThresholdDetector — the simple heuristics production WAFs ship
 //     with (requests/session, requests/minute, trap hits, machine pacing).
-//   * BehaviorClassifier — supervised models (logistic regression / naive
-//     Bayes) trained on labelled session features.
+//   * BehaviorClassifier — L2-regularised logistic regression trained on
+//     labelled session features.
 //
 // The paper's central claim, which bench/exp_detection_comparison reproduces,
 // is that both families catch scrapers but are structurally blind to
@@ -36,8 +36,9 @@ class VolumeThresholdDetector {
   // True if the session trips any threshold; fills `reason`.
   [[nodiscard]] bool is_bot(const web::SessionFeatures& features, std::string* reason) const;
 
-  // Runs over sessions and emits one alert per flagged session.
-  void analyze(const std::vector<web::Session>& sessions, AlertSink& sink) const;
+  // Emits one alert per flagged session; features[i] are sessions[i]'s.
+  void analyze(const std::vector<web::Session>& sessions,
+               const std::vector<web::SessionFeatures>& features, AlertSink& sink) const;
 
   [[nodiscard]] const VolumeThresholds& thresholds() const { return thresholds_; }
 
@@ -45,13 +46,9 @@ class VolumeThresholdDetector {
   VolumeThresholds thresholds_;
 };
 
-enum class ClassifierKind { Logistic, NaiveBayes };
-
 // Supervised behaviour classifier with standardised features.
 class BehaviorClassifier {
  public:
-  explicit BehaviorClassifier(ClassifierKind kind = ClassifierKind::Logistic);
-
   // Labels: 1 = automated. Trains scaler + model.
   void train(const std::vector<web::SessionFeatures>& features, const std::vector<int>& labels,
              sim::Rng& rng);
@@ -59,16 +56,17 @@ class BehaviorClassifier {
   [[nodiscard]] double score(const web::SessionFeatures& features) const;  // P(bot)
   [[nodiscard]] bool is_bot(const web::SessionFeatures& features, double threshold = 0.5) const;
 
-  void analyze(const std::vector<web::Session>& sessions, AlertSink& sink,
+  // Emits one alert per session scoring at least `threshold`; features[i]
+  // are sessions[i]'s.
+  void analyze(const std::vector<web::Session>& sessions,
+               const std::vector<web::SessionFeatures>& features, AlertSink& sink,
                double threshold = 0.5) const;
 
   [[nodiscard]] bool trained() const { return trained_; }
 
  private:
-  ClassifierKind kind_;
   StandardScaler scaler_;
   LogisticRegression logistic_;
-  GaussianNaiveBayes bayes_;
   bool trained_ = false;
 };
 

@@ -4,51 +4,65 @@
 // fingerprint knowledge, feature-level anomaly — implements this interface,
 // so the pipeline iterates one vector instead of hand-written per-family
 // branches. The interface layer (DetectionPipeline::run) owns everything a
-// family used to hand-roll: fault-point guarding, analysis-budget accounting,
-// skip-reason bookkeeping, brownout stride-sampling, per-family metrics and
-// trace spans. A family has one entry point, `evaluate`, which the pipeline
-// calls once per run on the run's single window view.
+// family used to hand-roll: fault-point guarding, modeled analysis-cost
+// accounting, skip-reason bookkeeping, per-family metrics and trace spans. A
+// family has one entry point, `evaluate`, which the pipeline calls once per
+// run on the run's single window view.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/detect/alert.hpp"
 #include "sim/time.hpp"
+#include "web/features.hpp"
 #include "web/session.hpp"
 
 namespace fraudsim::app {
 class Application;
 }
 
+namespace fraudsim::airline {
+struct Reservation;
+}
+
 namespace fraudsim::detect {
 
-// Modeled batch-analysis cost class. Cheap families advance the analysis
-// clock by analysis_cost_cheap per session, expensive ones (classifier,
-// navigation, biometrics) by analysis_cost_expensive — and only expensive
-// families are stride-sampled under brownout.
+// Modeled batch-analysis cost class: cheap families advance the pipeline's
+// analysis clock by 1 ms per session, expensive ones (classifier, navigation,
+// biometrics) by 5 ms.
 enum class DetectorCost : std::uint8_t { Cheap, Expensive };
 
 [[nodiscard]] constexpr const char* to_string(DetectorCost c) {
   return c == DetectorCost::Expensive ? "expensive" : "cheap";
 }
 
-// Read-only view of one analysis window, shared by every family in a run.
-// `sessions` is the full sessionized window; `sampled_sessions` is the
-// brownout-degraded view (every stride-th session) that expensive families
-// analyse — identical to `sessions` when stride == 1.
-struct RequestView {
-  const app::Application& application;
-  sim::SimTime from = 0;
-  sim::SimTime to = 0;
-  const std::vector<web::Session>& sessions;
-  const std::vector<web::Session>& sampled_sessions;
-  int stride = 1;
+// The first session of each fingerprint in a window, in session order.
+using FirstSessionByFp = std::unordered_map<fp::FpHash, const web::Session*>;
 
-  // The view an implementation of `cost` should analyse.
-  [[nodiscard]] const std::vector<web::Session>& sessions_for(DetectorCost cost) const {
-    return cost == DetectorCost::Expensive ? sampled_sessions : sessions;
-  }
+// Reservations created in [from, to), in log order.
+[[nodiscard]] std::vector<const airline::Reservation*> reservations_in(
+    const std::vector<airline::Reservation>& log, sim::SimTime from, sim::SimTime to);
+
+// Read-only view of one analysis window, shared by every family in a run.
+// The constructor derives, once, each fact that two or more families read;
+// a fact only one family reads stays inside that family.
+struct RequestView {
+  RequestView(const app::Application& application, sim::SimTime from, sim::SimTime to,
+              const std::vector<web::Session>& sessions);
+
+  const app::Application& application;
+  sim::SimTime from;
+  sim::SimTime to;
+  const std::vector<web::Session>& sessions;
+  // features[i] are the features of sessions[i] (volume, classifier).
+  std::vector<web::SessionFeatures> features;
+  // Fingerprint alerts take their session keys from here (artifact,
+  // consistency).
+  FirstSessionByFp first_session;
+  // The window's reservations (NiP, names).
+  std::vector<const airline::Reservation*> reservations;
 };
 
 class Detector {

@@ -1,36 +1,29 @@
 #include "core/detect/fingerprint_detect.hpp"
 
+#include <utility>
 #include <vector>
 
 namespace fraudsim::detect {
 
 namespace {
 
-// Finds one representative session per fingerprint so alerts can carry
-// session/actor keys for scoring.
-std::unordered_map<fp::FpHash, const web::Session*> sessions_by_fp(
-    const std::vector<web::Session>& sessions) {
-  std::unordered_map<fp::FpHash, const web::Session*> out;
-  for (const auto& s : sessions) {
-    if (s.requests.empty()) continue;
-    out.emplace(s.requests.front().fp_hash, &s);
-  }
-  return out;
-}
-
-void emit_fp_alert(AlertSink& sink, const std::string& detector, const std::string& reason,
-                   fp::FpHash hash, const web::Session* session) {
-  Alert alert;
-  alert.detector = detector;
-  alert.severity = Severity::Warning;
-  alert.explanation = reason;
-  alert.fingerprint = hash;
-  if (session != nullptr) {
-    alert.time = session->end();
-    alert.session = session->id;
-    alert.actor = session->actor;
-  }
-  sink.emit(std::move(alert));
+template <class Rule>
+void flag_fingerprints(const Rule& rule, const char* detector, const app::FingerprintStore& store,
+                       const FirstSessionByFp& first_session, AlertSink& sink) {
+  store.for_each([&](fp::FpHash hash, const fp::Fingerprint& fingerprint, std::uint64_t) {
+    std::string reason;
+    if (!rule.is_bot(fingerprint, &reason)) return;
+    Alert alert;
+    alert.detector = detector;
+    alert.explanation = std::move(reason);
+    alert.fingerprint = hash;
+    if (const auto it = first_session.find(hash); it != first_session.end()) {
+      alert.time = it->second->end();
+      alert.session = it->second->id;
+      alert.actor = it->second->actor;
+    }
+    sink.emit(std::move(alert));
+  });
 }
 
 }  // namespace
@@ -48,15 +41,8 @@ bool ArtifactDetector::is_bot(const fp::Fingerprint& fingerprint, std::string* r
 }
 
 void ArtifactDetector::analyze(const app::FingerprintStore& store,
-                               const std::vector<web::Session>& sessions, AlertSink& sink) const {
-  const auto by_fp = sessions_by_fp(sessions);
-  store.for_each([&](fp::FpHash hash, const fp::Fingerprint& fingerprint, std::uint64_t) {
-    std::string reason;
-    if (!is_bot(fingerprint, &reason)) return;
-    const auto it = by_fp.find(hash);
-    emit_fp_alert(sink, "fingerprint.artifact", reason, hash,
-                  it == by_fp.end() ? nullptr : it->second);
-  });
+                               const FirstSessionByFp& first_session, AlertSink& sink) const {
+  flag_fingerprints(*this, "fingerprint.artifact", store, first_session, sink);
 }
 
 ConsistencyDetector::ConsistencyDetector(double min_score) : min_score_(min_score) {}
@@ -72,16 +58,8 @@ bool ConsistencyDetector::is_bot(const fp::Fingerprint& fingerprint, std::string
 }
 
 void ConsistencyDetector::analyze(const app::FingerprintStore& store,
-                                  const std::vector<web::Session>& sessions,
-                                  AlertSink& sink) const {
-  const auto by_fp = sessions_by_fp(sessions);
-  store.for_each([&](fp::FpHash hash, const fp::Fingerprint& fingerprint, std::uint64_t) {
-    std::string reason;
-    if (!is_bot(fingerprint, &reason)) return;
-    const auto it = by_fp.find(hash);
-    emit_fp_alert(sink, "fingerprint.consistency", reason, hash,
-                  it == by_fp.end() ? nullptr : it->second);
-  });
+                                  const FirstSessionByFp& first_session, AlertSink& sink) const {
+  flag_fingerprints(*this, "fingerprint.consistency", store, first_session, sink);
 }
 
 RarityDetector::RarityDetector(double rare_frequency, std::uint64_t min_observations)

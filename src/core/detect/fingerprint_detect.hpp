@@ -15,15 +15,18 @@
 
 #include "app/fp_store.hpp"
 #include "core/detect/alert.hpp"
+#include "core/detect/detector.hpp"
 #include "fingerprint/consistency.hpp"
 #include "web/session.hpp"
 
 namespace fraudsim::detect {
 
+// Both rule detectors emit one alert per stored fingerprint the rule flags,
+// keyed by the first session that carried it in the window (if any).
 class ArtifactDetector {
  public:
   [[nodiscard]] bool is_bot(const fp::Fingerprint& fingerprint, std::string* reason) const;
-  void analyze(const app::FingerprintStore& store, const std::vector<web::Session>& sessions,
+  void analyze(const app::FingerprintStore& store, const FirstSessionByFp& first_session,
                AlertSink& sink) const;
 };
 
@@ -31,7 +34,7 @@ class ConsistencyDetector {
  public:
   explicit ConsistencyDetector(double min_score = 0.3);
   [[nodiscard]] bool is_bot(const fp::Fingerprint& fingerprint, std::string* reason) const;
-  void analyze(const app::FingerprintStore& store, const std::vector<web::Session>& sessions,
+  void analyze(const app::FingerprintStore& store, const FirstSessionByFp& first_session,
                AlertSink& sink) const;
 
  private:

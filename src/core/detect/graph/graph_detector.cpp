@@ -49,7 +49,7 @@ void GraphDetector::evaluate(const RequestView& view, AlertSink& alerts) {
     if (v.flagged) flagged.emplace(v.summary.id, &v);
   }
   if (flagged.empty()) return;
-  for (const web::Session& s : view.sessions_for(cost())) {
+  for (const web::Session& s : view.sessions) {
     const auto node = graph_.find(NodeType::Session, s.id.str());
     if (node == 0) continue;
     const std::uint32_t cid = graph_.component_of(node);

@@ -35,16 +35,7 @@ void IpReputationDetector::analyze(const std::vector<web::Session>& sessions,
       reason = "address shared across many sessions";
     }
     if (reason == nullptr) continue;
-    Alert alert;
-    alert.time = session.end();
-    alert.detector = "ip.reputation";
-    alert.severity = Severity::Warning;
-    alert.explanation = reason;
-    alert.ip = ip;
-    alert.session = session.id;
-    alert.actor = session.actor;
-    alert.fingerprint = session.requests.front().fp_hash;
-    sink.emit(std::move(alert));
+    sink.emit(session_alert(session, "ip.reputation", reason));
   }
 }
 

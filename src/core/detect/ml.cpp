@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 namespace fraudsim::detect {
@@ -17,15 +16,6 @@ namespace {
   }
   const double e = std::exp(z);
   return e / (1.0 + e);
-}
-
-[[nodiscard]] double squared_distance(const FeatureRow& a, const FeatureRow& b) {
-  double d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double diff = a[i] - b[i];
-    d += diff * diff;
-  }
-  return d;
 }
 
 }  // namespace
@@ -112,141 +102,6 @@ double LogisticRegression::predict_proba(const FeatureRow& row) const {
 
 int LogisticRegression::predict(const FeatureRow& row, double threshold) const {
   return predict_proba(row) >= threshold ? 1 : 0;
-}
-
-void GaussianNaiveBayes::train(const Dataset& data) {
-  const std::size_t dims = data.dims();
-  if (data.size() == 0 || dims == 0) return;
-  auto fit_class = [&](int label) {
-    ClassModel model;
-    model.mean.assign(dims, 0.0);
-    model.var.assign(dims, 0.0);
-    std::size_t count = 0;
-    for (std::size_t r = 0; r < data.size(); ++r) {
-      if (data.labels[r] != label) continue;
-      ++count;
-      for (std::size_t i = 0; i < dims; ++i) model.mean[i] += data.rows[r][i];
-    }
-    if (count == 0) return model;
-    for (double& m : model.mean) m /= static_cast<double>(count);
-    for (std::size_t r = 0; r < data.size(); ++r) {
-      if (data.labels[r] != label) continue;
-      for (std::size_t i = 0; i < dims; ++i) {
-        const double d = data.rows[r][i] - model.mean[i];
-        model.var[i] += d * d;
-      }
-    }
-    for (double& v : model.var) {
-      v = v / static_cast<double>(count) + 1e-6;  // smoothing
-    }
-    model.prior = static_cast<double>(count) / static_cast<double>(data.size());
-    return model;
-  };
-  benign_ = fit_class(0);
-  bot_ = fit_class(1);
-  trained_ = true;
-}
-
-double GaussianNaiveBayes::predict_proba(const FeatureRow& row) const {
-  if (!trained_ || benign_.mean.empty() || bot_.mean.empty()) return 0.5;
-  auto log_likelihood = [&](const ClassModel& m) {
-    double ll = std::log(std::max(m.prior, 1e-12));
-    for (std::size_t i = 0; i < std::min(row.size(), m.mean.size()); ++i) {
-      const double d = row[i] - m.mean[i];
-      ll += -0.5 * (std::log(2.0 * 3.14159265358979 * m.var[i]) + d * d / m.var[i]);
-    }
-    return ll;
-  };
-  const double lb = log_likelihood(benign_);
-  const double lt = log_likelihood(bot_);
-  const double mx = std::max(lb, lt);
-  const double pb = std::exp(lb - mx);
-  const double pt = std::exp(lt - mx);
-  return pt / (pb + pt);
-}
-
-int GaussianNaiveBayes::predict(const FeatureRow& row, double threshold) const {
-  return predict_proba(row) >= threshold ? 1 : 0;
-}
-
-KMeansResult kmeans(const std::vector<FeatureRow>& rows, int k, sim::Rng& rng,
-                    int max_iterations) {
-  KMeansResult result;
-  if (rows.empty() || k <= 0) return result;
-  const std::size_t n = rows.size();
-  k = std::min<int>(k, static_cast<int>(n));
-
-  // k-means++ seeding.
-  result.centroids.push_back(rows[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))]);
-  std::vector<double> dist2(n, std::numeric_limits<double>::max());
-  while (static_cast<int>(result.centroids.size()) < k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      dist2[i] = std::min(dist2[i], squared_distance(rows[i], result.centroids.back()));
-    }
-    const std::size_t chosen = rng.weighted_index(dist2);
-    result.centroids.push_back(rows[chosen]);
-  }
-
-  result.assignment.assign(n, 0);
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    bool changed = false;
-    // Assign.
-    for (std::size_t i = 0; i < n; ++i) {
-      int best = 0;
-      double best_d = std::numeric_limits<double>::max();
-      for (int c = 0; c < k; ++c) {
-        const double d = squared_distance(rows[i], result.centroids[static_cast<std::size_t>(c)]);
-        if (d < best_d) {
-          best_d = d;
-          best = c;
-        }
-      }
-      if (result.assignment[i] != best) {
-        result.assignment[i] = best;
-        changed = true;
-      }
-    }
-    // Update.
-    const std::size_t dims = rows.front().size();
-    std::vector<FeatureRow> sums(static_cast<std::size_t>(k), FeatureRow(dims, 0.0));
-    std::vector<std::size_t> counts(static_cast<std::size_t>(k), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto c = static_cast<std::size_t>(result.assignment[i]);
-      ++counts[c];
-      for (std::size_t d = 0; d < dims; ++d) sums[c][d] += rows[i][d];
-    }
-    for (std::size_t c = 0; c < static_cast<std::size_t>(k); ++c) {
-      if (counts[c] == 0) continue;  // empty cluster keeps its centroid
-      for (std::size_t d = 0; d < dims; ++d) {
-        sums[c][d] /= static_cast<double>(counts[c]);
-      }
-      result.centroids[c] = sums[c];
-    }
-    result.iterations = iter + 1;
-    if (!changed) break;
-  }
-
-  result.inertia = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    result.inertia +=
-        squared_distance(rows[i], result.centroids[static_cast<std::size_t>(result.assignment[i])]);
-  }
-  return result;
-}
-
-Split train_test_split(const Dataset& data, double test_fraction, sim::Rng& rng) {
-  Split split;
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order.begin(), order.end());
-  const auto test_n = static_cast<std::size_t>(test_fraction * static_cast<double>(data.size()));
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    Dataset& target = i < test_n ? split.test : split.train;
-    target.rows.push_back(data.rows[order[i]]);
-    target.labels.push_back(data.labels[order[i]]);
-  }
-  return split;
 }
 
 }  // namespace fraudsim::detect

@@ -1,9 +1,8 @@
 // Minimal from-scratch ML toolkit for behaviour-based detection (§III-A).
 //
-// No external ML dependency: a feature scaler, L2-regularised logistic
-// regression trained by mini-batch SGD, Gaussian naive Bayes, and k-means —
-// the classifier/clustering families the web-bot-detection literature the
-// paper cites actually uses on session features.
+// No external ML dependency: a feature scaler and L2-regularised logistic
+// regression trained by mini-batch SGD — the classifier family the
+// web-bot-detection literature the paper cites uses on session features.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +16,7 @@ using FeatureRow = std::vector<double>;
 
 struct Dataset {
   std::vector<FeatureRow> rows;
-  std::vector<int> labels;  // 0 = benign, 1 = bot (unused by clustering)
+  std::vector<int> labels;  // 0 = benign, 1 = bot
 
   [[nodiscard]] std::size_t size() const { return rows.size(); }
   [[nodiscard]] std::size_t dims() const { return rows.empty() ? 0 : rows.front().size(); }
@@ -57,40 +56,5 @@ class LogisticRegression {
   std::vector<double> weights_;
   double bias_ = 0.0;
 };
-
-class GaussianNaiveBayes {
- public:
-  void train(const Dataset& data);
-  [[nodiscard]] double predict_proba(const FeatureRow& row) const;  // P(bot | x)
-  [[nodiscard]] int predict(const FeatureRow& row, double threshold = 0.5) const;
-
- private:
-  struct ClassModel {
-    std::vector<double> mean;
-    std::vector<double> var;
-    double prior = 0.5;
-  };
-  ClassModel benign_;
-  ClassModel bot_;
-  bool trained_ = false;
-};
-
-struct KMeansResult {
-  std::vector<FeatureRow> centroids;
-  std::vector<int> assignment;  // per input row
-  double inertia = 0.0;
-  int iterations = 0;
-};
-
-// Lloyd's algorithm with k-means++ seeding.
-[[nodiscard]] KMeansResult kmeans(const std::vector<FeatureRow>& rows, int k, sim::Rng& rng,
-                                  int max_iterations = 100);
-
-// Train/test split preserving determinism.
-struct Split {
-  Dataset train;
-  Dataset test;
-};
-[[nodiscard]] Split train_test_split(const Dataset& data, double test_fraction, sim::Rng& rng);
 
 }  // namespace fraudsim::detect

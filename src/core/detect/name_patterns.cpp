@@ -269,14 +269,6 @@ NamePatternFindings NamePatternAnalyzer::analyze(
   return analyze(ptrs);
 }
 
-void NamePatternAnalyzer::analyze(const std::vector<airline::Reservation>& reservations,
-                                  AlertSink& sink) const {
-  std::vector<const airline::Reservation*> ptrs;
-  ptrs.reserve(reservations.size());
-  for (const auto& r : reservations) ptrs.push_back(&r);
-  analyze(ptrs, sink);
-}
-
 void NamePatternAnalyzer::analyze(const std::vector<const airline::Reservation*>& reservations,
                                   AlertSink& sink) const {
   const auto findings = analyze(reservations);
@@ -287,16 +279,9 @@ void NamePatternAnalyzer::analyze(const std::vector<const airline::Reservation*>
     for (const auto& pnr : pnrs) {
       const auto it = by_pnr.find(pnr);
       if (it == by_pnr.end()) continue;
-      Alert alert;
-      alert.time = it->second->created;
-      alert.detector = std::string("name.") + signal;
-      alert.severity = Severity::Warning;
-      alert.explanation = std::string("identity pattern: ") + signal;
-      alert.pnr = pnr;
-      alert.fingerprint = it->second->source_fp;
-      alert.ip = it->second->source_ip;
-      alert.actor = it->second->actor;
-      sink.emit(std::move(alert));
+      const airline::Reservation& r = *it->second;
+      sink.emit(reservation_alert(r, r.created, std::string("name.") + signal,
+                                  std::string("identity pattern: ") + signal));
     }
   };
   emit(findings.gibberish, "gibberish");

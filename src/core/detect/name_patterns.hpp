@@ -56,10 +56,9 @@ class NamePatternAnalyzer {
   [[nodiscard]] NamePatternFindings analyze(
       const std::vector<airline::Reservation>& reservations) const;
 
-  // Emits one alert per flagged PNR.
+  // Emits one alert per flagged PNR, by signal and then PNR.
   void analyze(const std::vector<const airline::Reservation*>& reservations,
                AlertSink& sink) const;
-  void analyze(const std::vector<airline::Reservation>& reservations, AlertSink& sink) const;
 
   [[nodiscard]] const NamePatternConfig& config() const { return config_; }
 

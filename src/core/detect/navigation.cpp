@@ -59,19 +59,9 @@ bool NavigationModel::is_anomalous(const web::Session& session) const {
 void NavigationModel::analyze(const std::vector<web::Session>& sessions, AlertSink& sink) const {
   for (const auto& session : sessions) {
     if (!is_anomalous(session)) continue;
-    Alert alert;
-    alert.time = session.end();
-    alert.detector = "behavior.navigation";
-    alert.severity = Severity::Warning;
-    alert.explanation = "navigation likelihood " + util::format_fixed(score(session), 6) +
-                        " below clean threshold " + util::format_fixed(threshold_, 6);
-    alert.session = session.id;
-    alert.actor = session.actor;
-    if (!session.requests.empty()) {
-      alert.fingerprint = session.requests.front().fp_hash;
-      alert.ip = session.requests.front().ip;
-    }
-    sink.emit(std::move(alert));
+    sink.emit(session_alert(session, "behavior.navigation",
+                            "navigation likelihood " + util::format_fixed(score(session), 6) +
+                                " below clean threshold " + util::format_fixed(threshold_, 6)));
   }
 }
 

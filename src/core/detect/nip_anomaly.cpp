@@ -1,6 +1,7 @@
 #include "core/detect/nip_anomaly.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/format.hpp"
 
@@ -49,19 +50,13 @@ NipWindowVerdict NipAnomalyDetector::evaluate_window(
   return verdict;
 }
 
-void NipAnomalyDetector::analyze(const std::vector<airline::Reservation>& reservations,
-                                 sim::SimTime from, sim::SimTime to, AlertSink& sink) const {
-  // One pass bins the window and collects its members in log order, so an
-  // anomalous NiP flags its reservations without rescanning the log.
+NipWindowVerdict NipAnomalyDetector::analyze(
+    const std::vector<const airline::Reservation*>& window, sim::SimTime to,
+    AlertSink& sink) const {
   analytics::CategoricalHistogram<int> observed;
-  std::vector<const airline::Reservation*> members;
-  for (const auto& r : reservations) {
-    if (r.created < from || r.created >= to) continue;
-    observed.add(r.nip());
-    members.push_back(&r);
-  }
-  const auto verdict = evaluate_window(observed);
-  if (!verdict.anomalous) return;
+  for (const airline::Reservation* r : window) observed.add(r->nip());
+  auto verdict = evaluate_window(observed);
+  if (!verdict.anomalous) return verdict;
   for (const int nip : verdict.anomalous_nips) {
     Alert alert;
     alert.time = to;
@@ -69,19 +64,14 @@ void NipAnomalyDetector::analyze(const std::vector<airline::Reservation>& reserv
     alert.severity = Severity::Critical;
     alert.explanation = "NiP=" + std::to_string(nip) + " volume far above baseline (chi2=" +
                         util::format_fixed(verdict.test.chi_square, 6) + ")";
-    sink.emit(alert);
-    for (const airline::Reservation* r : members) {
+    sink.emit(std::move(alert));
+    for (const airline::Reservation* r : window) {
       if (r->nip() != nip) continue;
-      Alert res_alert = alert;
-      res_alert.severity = Severity::Warning;
-      res_alert.explanation = "reservation at anomalous NiP=" + std::to_string(nip);
-      res_alert.pnr = r->pnr;
-      res_alert.fingerprint = r->source_fp;
-      res_alert.ip = r->source_ip;
-      res_alert.actor = r->actor;
-      sink.emit(std::move(res_alert));
+      sink.emit(reservation_alert(*r, to, "nip.anomaly",
+                                  "reservation at anomalous NiP=" + std::to_string(nip)));
     }
   }
+  return verdict;
 }
 
 }  // namespace fraudsim::detect

@@ -44,16 +44,15 @@ class NipAnomalyDetector {
       const std::vector<airline::Reservation>& reservations, sim::SimTime from,
       sim::SimTime to) const;
 
-  // Verdict from an already-binned window histogram (analyze bins the window
-  // and collects its members in one pass, then judges the histogram).
+  // Verdict from an already-binned window histogram.
   [[nodiscard]] NipWindowVerdict evaluate_window(
       const analytics::CategoricalHistogram<int>& observed) const;
 
-  // Emits alerts (one per anomalous NiP value) and flags the reservations at
-  // those NiP values inside the window, in log order.
-  void analyze(const std::vector<airline::Reservation>& reservations, sim::SimTime from,
-               sim::SimTime to, AlertSink& sink) const;
-
+  // Judges a window's reservations (detect::reservations_in): at `to`, emits
+  // one alert per anomalous NiP value and flags the window's reservations at
+  // that value, in order. Returns the window's verdict.
+  NipWindowVerdict analyze(const std::vector<const airline::Reservation*>& window,
+                           sim::SimTime to, AlertSink& sink) const;
 
   [[nodiscard]] const analytics::CategoricalHistogram<int>& baseline() const { return baseline_; }
 

@@ -13,9 +13,13 @@
 namespace fraudsim::detect {
 namespace {
 
+// Modeled analysis cost per session of each DetectorCost class, in ms.
+constexpr sim::SimDuration kCheapCost = 1;
+constexpr sim::SimDuration kExpensiveCost = 5;
+
 // Adapter wrapping one concrete analyzer into the uniform Detector interface.
 // The pipeline composes its family list from these; no analyzer needs to know
-// about budgets, fault points, brownout strides, or observability.
+// about analysis costs, fault points, or observability.
 class FunctionDetector final : public Detector {
  public:
   using Fn = std::function<void(const RequestView&, AlertSink&)>;
@@ -36,6 +40,28 @@ class FunctionDetector final : public Detector {
 };
 
 }  // namespace
+
+std::vector<const airline::Reservation*> reservations_in(
+    const std::vector<airline::Reservation>& log, sim::SimTime from, sim::SimTime to) {
+  std::vector<const airline::Reservation*> window;
+  for (const auto& r : log) {
+    if (r.created >= from && r.created < to) window.push_back(&r);
+  }
+  return window;
+}
+
+RequestView::RequestView(const app::Application& application, sim::SimTime from, sim::SimTime to,
+                         const std::vector<web::Session>& sessions)
+    : application(application),
+      from(from),
+      to(to),
+      sessions(sessions),
+      features(web::extract_features(sessions)),
+      reservations(reservations_in(application.inventory().reservations(), from, to)) {
+  for (const auto& s : sessions) {
+    if (!s.requests.empty()) first_session.emplace(s.requests.front().fp_hash, &s);
+  }
+}
 
 const DetectorReport* PipelineResult::report_for(const std::string& detector) const {
   for (const auto& r : reports) {
@@ -170,18 +196,18 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
   add("behavior.volume", "detect.volume.run", DetectorCost::Cheap,
       [this](const RequestView& view, AlertSink& alerts) {
         VolumeThresholdDetector volume(config_.volume);
-        volume.analyze(view.sessions, alerts);
+        volume.analyze(view.sessions, view.features, alerts);
       });
   if (classifier_.trained()) {
     add("behavior.classifier", "detect.behavior.run", DetectorCost::Expensive,
         [this](const RequestView& view, AlertSink& alerts) {
-          classifier_.analyze(view.sampled_sessions, alerts);
+          classifier_.analyze(view.sessions, view.features, alerts);
         });
   }
   if (navigation_.fitted()) {
     add("behavior.navigation", "detect.navigation.run", DetectorCost::Expensive,
         [this](const RequestView& view, AlertSink& alerts) {
-          navigation_.analyze(view.sampled_sessions, alerts);
+          navigation_.analyze(view.sessions, alerts);
         });
   }
 
@@ -194,19 +220,13 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
         });
   }
 
-  // Pointer biometrics (§V): judge every sample captured in the window
-  // (every stride-th sample under brownout).
+  // Pointer biometrics (§V): judge every sample captured in the window.
   if (config_.biometrics_enabled) {
     add("biometric.pointer", "detect.biometric.run", DetectorCost::Expensive,
         [this](const RequestView& view, AlertSink& alerts) {
           biometrics::BiometricDetector biometric(config_.biometric_thresholds);
-          std::size_t sample_idx = 0;
           for (const auto& record : view.application.biometric_log()) {
             if (record.time < view.from || record.time >= view.to) continue;
-            if (view.stride > 1 &&
-                (sample_idx++ % static_cast<std::size_t>(view.stride)) != 0) {
-              continue;
-            }
             std::string reason;
             if (!biometric.observe(record.features, &reason)) continue;
             Alert alert;
@@ -225,12 +245,12 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
   add("fingerprint.artifact", "detect.artifact.run", DetectorCost::Cheap,
       [](const RequestView& view, AlertSink& alerts) {
         ArtifactDetector artifacts;
-        artifacts.analyze(view.application.fingerprints(), view.sessions, alerts);
+        artifacts.analyze(view.application.fingerprints(), view.first_session, alerts);
       });
   add("fingerprint.consistency", "detect.consistency.run", DetectorCost::Cheap,
       [](const RequestView& view, AlertSink& alerts) {
         ConsistencyDetector consistency;
-        consistency.analyze(view.application.fingerprints(), view.sessions, alerts);
+        consistency.analyze(view.application.fingerprints(), view.first_session, alerts);
       });
   add("fingerprint.rarity", "detect.rarity.run", DetectorCost::Cheap,
       [this](const RequestView& view, AlertSink& alerts) {
@@ -241,17 +261,12 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
   // Feature-level (the paper's advanced detectors).
   add("nip.anomaly", "detect.nip.run", DetectorCost::Cheap,
       [this](const RequestView& view, AlertSink& alerts) {
-        nip_.analyze(view.application.inventory().reservations(), view.from, view.to, alerts);
+        nip_.analyze(view.reservations, view.to, alerts);
       });
   add("name.patterns", "detect.names.run", DetectorCost::Cheap,
       [this](const RequestView& view, AlertSink& alerts) {
         NamePatternAnalyzer names(config_.names);
-        // Window-scope the reservations for identity analysis.
-        std::vector<const airline::Reservation*> window;
-        for (const auto& r : view.application.inventory().reservations()) {
-          if (r.created >= view.from && r.created < view.to) window.push_back(&r);
-        }
-        names.analyze(window, alerts);
+        names.analyze(view.reservations, alerts);
       });
   add("sms.anomaly", "detect.sms.run", DetectorCost::Cheap,
       [this](const RequestView& view, AlertSink& alerts) {
@@ -274,40 +289,25 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
 
 PipelineResult DetectionPipeline::run(const app::Application& application,
                                       const app::ActorRegistry& registry, sim::SimTime from,
-                                      sim::SimTime to,
-                                      overload::Deadline analysis_budget) const {
+                                      sim::SimTime to) const {
   PipelineResult result;
   const web::Sessionizer sessionizer(config_.session_timeout);
   result.sessions = sessionizer.sessionize(application.weblog().all(), from, to);
+  const RequestView view(application, from, to, result.sessions);
 
-  // Brownout degradation: under pressure the expensive families analyse only
-  // every stride-th session. Stride 1 (or no controller) is the full view.
-  const int stride =
-      brownout_ != nullptr && brownout_->enabled() ? brownout_->detector_stride() : 1;
-
-  std::vector<web::Session> sampled;
-  if (stride > 1) {
-    for (std::size_t i = 0; i < result.sessions.size(); i += static_cast<std::size_t>(stride)) {
-      sampled.push_back(result.sessions[i]);
-    }
-  }
-  const RequestView view{application, from, to, result.sessions,
-                         stride > 1 ? sampled : result.sessions, stride};
-
-  // Modeled analysis clock, charged against the optional deadline budget.
+  // Modeled analysis clock: the span times of the run's trace.
   sim::SimTime analysis_now = to;
 
   obs::TraceContext trace;
   if (obs_ != nullptr) {
     trace = obs_->traces.start_trace("detect.pipeline", to);
     trace.annotate("sessions", std::to_string(result.sessions.size()));
-    if (stride > 1) trace.annotate("stride", std::to_string(stride));
   }
 
   const BatchHandles& batch = batch_handles();
   batch.runs.inc();
 
-  // The interface layer: one loop applies budget accounting, fault-point
+  // The interface layer: one loop applies cost accounting, fault-point
   // guarding, exception containment, per-family metrics/spans/profiling to
   // every family uniformly. An injected outage or a thrown exception records
   // the family as skipped; the run always finishes the remaining families —
@@ -315,11 +315,10 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
   for (const auto& det : build_detectors()) {
     const char* family = det->name();
     const FamilyHandles& handles = family_handles(family);
-    const std::uint64_t family_sessions = view.sessions_for(det->cost()).size();
+    const std::uint64_t family_sessions = view.sessions.size();
     const sim::SimDuration cost =
         static_cast<sim::SimDuration>(family_sessions) *
-        (det->cost() == DetectorCost::Expensive ? config_.analysis_cost_expensive
-                                                : config_.analysis_cost_cheap);
+        (det->cost() == DetectorCost::Expensive ? kExpensiveCost : kCheapCost);
     batch.sessions_in.inc(family_sessions);
     const obs::TraceContext span = trace.child(family, analysis_now);
     span.annotate("cost", to_string(det->cost()));
@@ -334,10 +333,6 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
       result.skipped.push_back(SkippedDetector{family, std::move(reason)});
     };
 
-    if (analysis_budget.expired(analysis_now)) {
-      skip("analysis budget exhausted");
-      continue;
-    }
     if (fault::FaultRegistry::global().point(det->fault_point()).should_fail(to)) {
       skip("fault-injected outage");
       continue;

@@ -25,8 +25,6 @@
 #include "core/detect/nip_anomaly.hpp"
 #include "core/detect/sms_anomaly.hpp"
 #include "core/obs/metrics.hpp"
-#include "core/overload/brownout.hpp"
-#include "core/overload/overload.hpp"
 #include "web/session.hpp"
 
 namespace fraudsim::detect {
@@ -46,13 +44,6 @@ struct PipelineConfig {
   IpReputationConfig ip_reputation;
   // Component-level ring amplification (active once enable_graph is called).
   graph::GraphDetectorConfig graph;
-  // Modeled batch-analysis cost per session, charged against the optional
-  // analysis deadline budget passed to run(): cheap families advance the
-  // modeled analysis clock by `analysis_cost_cheap` ms per session, the
-  // expensive ones (classifier, navigation, biometrics) by
-  // `analysis_cost_expensive`.
-  sim::SimDuration analysis_cost_cheap = 1;
-  sim::SimDuration analysis_cost_expensive = 5;
 };
 
 struct DetectorReport {
@@ -88,7 +79,7 @@ struct PipelineStats {
   std::uint64_t runs = 0;              // pipeline run() calls
   std::uint64_t sessions_in = 0;       // per-family session-views offered
   std::uint64_t sessions_scored = 0;   // ... actually analysed
-  std::uint64_t sessions_skipped = 0;  // ... skipped (budget/fault/exception)
+  std::uint64_t sessions_skipped = 0;  // ... skipped (fault/exception)
 };
 
 // Typed read-only accessor over the pipeline counters in a MetricsRegistry.
@@ -147,24 +138,14 @@ class DetectionPipeline {
   // completes with the remaining families. Never throws for a single
   // detector failure.
   //
-  // The run builds one RequestView over the whole window and calls each
-  // family's `evaluate` on it once, in build_detectors() order.
-  //
-  // `analysis_budget` is a deadline on the modeled analysis clock (which
-  // starts at `to` and advances per family by its per-session cost):
-  // families that would start past the budget are skipped, so an overloaded
-  // window degrades the SOC view instead of blowing the analysis window.
-  // Unbounded by default.
+  // The run builds one RequestView over the whole window, which derives once
+  // every fact two or more families read, and calls each family's `evaluate`
+  // on it once, in build_detectors() order. Every family sees every session.
+  // Span times come from a modeled analysis clock that starts at `to` and
+  // advances by each family's per-session cost (DetectorCost).
   [[nodiscard]] PipelineResult run(const app::Application& application,
                                    const app::ActorRegistry& registry, sim::SimTime from,
-                                   sim::SimTime to,
-                                   overload::Deadline analysis_budget = {}) const;
-
-  // Attach the platform's brownout controller (non-owning; nullptr detaches).
-  // Under BROWNOUT/SHED the expensive detector families analyse every
-  // stride-th session instead of all of them — detection quality is traded
-  // for analysis cost while the platform is hot.
-  void set_brownout(const overload::BrownoutController* brownout) { brownout_ = brownout; }
+                                   sim::SimTime to) const;
 
   // Attach the platform's observability context (non-owning; nullptr
   // detaches). When bound, every run records per-family counters
@@ -214,7 +195,6 @@ class DetectionPipeline {
   NavigationModel navigation_;
   const net::GeoDb* geo_ = nullptr;
   const graph::EntityGraph* graph_ = nullptr;
-  const overload::BrownoutController* brownout_ = nullptr;
   obs::Observability* obs_ = nullptr;
   mutable std::map<std::string, FamilyHandles, std::less<>> family_handles_;
   mutable BatchHandles batch_handles_;

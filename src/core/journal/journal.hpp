@@ -167,6 +167,8 @@ class JournalReader {
 
   // All records after the Header, in file order.
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
+  // The file as opened (a torn tail included).
+  [[nodiscard]] const std::string& bytes() const { return bytes_; }
 
  private:
   std::string bytes_;  // the file; records_ view into it

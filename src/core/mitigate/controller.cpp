@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "core/detect/alert.hpp"
+#include "core/detect/detector.hpp"
+#include "core/detect/fingerprint_detect.hpp"
 #include "core/obs/profile.hpp"
 
 namespace fraudsim::mitigate {
@@ -65,11 +67,8 @@ void MitigationController::sweep() {
   // carrying it have been flagged (popular configurations are shared with
   // legitimate users).
   detect::AlertSink sink;
-  nip_detector_.analyze(app_.inventory().reservations(), from, now, sink);
-  std::vector<const airline::Reservation*> window;
-  for (const auto& r : app_.inventory().reservations()) {
-    if (r.created >= from && r.created < now) window.push_back(&r);
-  }
+  const auto window = detect::reservations_in(app_.inventory().reservations(), from, now);
+  const detect::NipWindowVerdict nip_verdict = nip_detector_.analyze(window, now, sink);
   name_analyzer_.analyze(window, sink);
   if (config_.block_flagged_fingerprints) {
     for (const auto& alert : sink.alerts()) {
@@ -102,9 +101,10 @@ void MitigationController::sweep() {
 
   // 3. Automation artifacts observed at ingress.
   if (config_.block_artifact_fingerprints) {
+    const detect::ArtifactDetector artifacts;
     app_.fingerprints().for_each(
         [&](fp::FpHash hash, const fp::Fingerprint& fingerprint, std::uint64_t) {
-          if (fingerprint.webdriver_flag || fingerprint.headless_hint) to_block.insert(hash);
+          if (artifacts.is_bot(fingerprint, nullptr)) to_block.insert(hash);
         });
   }
 
@@ -120,15 +120,12 @@ void MitigationController::sweep() {
     record_action(EnforcementAction{now, "fp-block", hash.str()});
   }
 
-  // 4. NiP cap (once).
-  if (config_.impose_nip_cap && !nip_cap_time_) {
-    const auto verdict = nip_detector_.evaluate_window(app_.inventory().reservations(), from, now);
-    if (verdict.anomalous) {
-      app_.inventory().set_max_nip(config_.nip_cap_value);
-      nip_cap_time_ = now;
-      record_action(EnforcementAction{
-          now, "nip-cap", "cap=" + std::to_string(config_.nip_cap_value)});
-    }
+  // 4. NiP cap (once), on step 1's verdict.
+  if (config_.impose_nip_cap && !nip_cap_time_ && nip_verdict.anomalous) {
+    app_.inventory().set_max_nip(config_.nip_cap_value);
+    nip_cap_time_ = now;
+    record_action(
+        EnforcementAction{now, "nip-cap", "cap=" + std::to_string(config_.nip_cap_value)});
   }
 
   // 5. SMS feature removal on path-volume trip (once).

@@ -18,9 +18,8 @@
 // band (the collapse baseline the bench contrasts against).
 //
 // Deadline budgets attached here travel with the request into downstream
-// stages (SMS retry queues, the detection pipeline's analysis budget, hold
-// TTLs), so work that can no longer finish in time is shed instead of piling
-// up behind live traffic.
+// stages (SMS retry queues, hold TTLs), so work that can no longer finish in
+// time is shed instead of piling up behind live traffic.
 //
 // Determinism: the subsystem consumes no randomness and reads only sim-time.
 // With `enabled == false` the manager is never consulted and the request path

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "app/export.hpp"
@@ -534,6 +535,52 @@ util::Result<RunArtifacts> record_live(const RecordedScenarioConfig& config,
   return R::ok(std::move(artifacts));
 }
 
+// replay_run's body over an opened reader whose header matched `config`.
+util::Result<RunArtifacts> replay_records(const RecordedScenarioConfig& config,
+                                          const journal::JournalReader& reader,
+                                          ReplayOptions options) {
+  using R = util::Result<RunArtifacts>;
+  Platform p = build_platform(config);
+  Env& env = *p.env;
+  const auto& records = reader.records();
+
+  std::size_t start = 0;
+  if (options.from_last_checkpoint) {
+    for (std::size_t i = records.size(); i-- > 0;) {
+      if (records[i].kind != journal::RecordKind::Checkpoint) continue;
+      env.sim.run_until(records[i].time);
+      journal::CheckpointRecord checkpoint{};
+      util::ByteReader fields(records[i].fields);
+      fields(checkpoint);
+      util::ByteReader state(checkpoint.blob);
+      visit_platform(p, state);
+      if (!state.ok()) {
+        return R::fail(util::ErrorCode::kJournalCorrupt, "replay: checkpoint blob truncated");
+      }
+      start = i + 1;
+      break;
+    }
+  }
+
+  for (std::size_t i = start; i < records.size(); ++i) {
+    const auto& record = records[i];
+    env.sim.run_until(record.time);
+    Replayed seen;
+    if (!replay_record(p, record, seen)) {
+      return R::fail(util::ErrorCode::kJournalCorrupt,
+                     "replay: undecodable payload in record " + std::to_string(i));
+    }
+    if (!seen.mismatch.empty()) {
+      return R::fail(util::ErrorCode::kCheckpointMismatch,
+                     "replay diverged at record " + std::to_string(i) + " (" +
+                         journal::to_string(record.kind) + ", t=" + std::to_string(record.time) +
+                         "): " + seen.mismatch);
+    }
+  }
+  env.sim.run_until(config.horizon);
+  return R::ok(make_artifacts(p, config));
+}
+
 }  // namespace
 
 std::uint64_t config_digest(const RecordedScenarioConfig& config) {
@@ -766,21 +813,22 @@ util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
   }
 
   // Salvage verification: prove the surviving prefix is a faithful record of
-  // this scenario before re-recording over it.
-  std::string salvaged_bytes;
+  // this scenario before re-recording over it. One reader holds the salvaged
+  // journal for the header check, the verification replay, the sidecar
+  // comparison and the prefix proof.
+  journal::JournalReader reader;
+  std::string_view salvaged_bytes;
   if (outcome.report.journal_salvaged && outcome.report.frames_salvaged > 0) {
-    salvaged_bytes = util::read_file(journal_path).value_or(std::string());
-
-    journal::JournalReader reader;
     if (auto s = reader.open(journal_path); !s.is_ok()) {
       return R::fail(s.code(), "recover: repaired journal failed to open: " + s.error());
     }
+    salvaged_bytes = reader.bytes();
     if (reader.seed() != config.seed || reader.config_digest() != digest) {
       return R::fail(util::ErrorCode::kManifestMismatch,
                      "recover: journal belongs to a different scenario config");
     }
     // Checkpoint-anchored verification replay of the salvaged records.
-    auto verified = replay_run(config, journal_path, {/*from_last_checkpoint=*/true});
+    auto verified = replay_records(config, reader, {/*from_last_checkpoint=*/true});
     if (!verified) {
       return R::fail(verified.code(),
                      "recover: salvaged journal failed verification replay: " + verified.error());
@@ -822,8 +870,7 @@ util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
 
   if (!salvaged_bytes.empty()) {
     const std::string fresh = util::read_file(journal_path).value_or(std::string());
-    if (fresh.size() < salvaged_bytes.size() ||
-        fresh.compare(0, salvaged_bytes.size(), salvaged_bytes) != 0) {
+    if (!std::string_view(fresh).starts_with(salvaged_bytes)) {
       return R::fail(util::ErrorCode::kCheckpointMismatch,
                      "recover: salvaged journal prefix diverges from the deterministic "
                      "re-record");
@@ -842,46 +889,7 @@ util::Result<RunArtifacts> replay_run(const RecordedScenarioConfig& config,
     return R::fail(util::ErrorCode::kCheckpointMismatch,
                    "replay: journal header does not match this scenario config");
   }
-
-  Platform p = build_platform(config);
-  Env& env = *p.env;
-  const auto& records = reader.records();
-
-  std::size_t start = 0;
-  if (options.from_last_checkpoint) {
-    for (std::size_t i = records.size(); i-- > 0;) {
-      if (records[i].kind != journal::RecordKind::Checkpoint) continue;
-      env.sim.run_until(records[i].time);
-      journal::CheckpointRecord checkpoint{};
-      util::ByteReader fields(records[i].fields);
-      fields(checkpoint);
-      util::ByteReader state(checkpoint.blob);
-      visit_platform(p, state);
-      if (!state.ok()) {
-        return R::fail(util::ErrorCode::kJournalCorrupt, "replay: checkpoint blob truncated");
-      }
-      start = i + 1;
-      break;
-    }
-  }
-
-  for (std::size_t i = start; i < records.size(); ++i) {
-    const auto& record = records[i];
-    env.sim.run_until(record.time);
-    Replayed seen;
-    if (!replay_record(p, record, seen)) {
-      return R::fail(util::ErrorCode::kJournalCorrupt,
-                     "replay: undecodable payload in record " + std::to_string(i));
-    }
-    if (!seen.mismatch.empty()) {
-      return R::fail(util::ErrorCode::kCheckpointMismatch,
-                     "replay diverged at record " + std::to_string(i) + " (" +
-                         journal::to_string(record.kind) + ", t=" + std::to_string(record.time) +
-                         "): " + seen.mismatch);
-    }
-  }
-  env.sim.run_until(config.horizon);
-  return R::ok(make_artifacts(p, config));
+  return replay_records(config, reader, options);
 }
 
 util::Result<RescoreReport> shadow_rescore(const RecordedScenarioConfig& config,

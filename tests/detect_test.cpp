@@ -10,6 +10,7 @@
 #include "fingerprint/population.hpp"
 
 #include "core/detect/behavior.hpp"
+#include "core/detect/detector.hpp"
 #include "core/detect/fingerprint_detect.hpp"
 #include "core/detect/labels.hpp"
 #include "core/detect/name_patterns.hpp"
@@ -73,7 +74,8 @@ TEST(VolumeDetector, TrapFileIsInstantFlag) {
 TEST(VolumeDetector, AnalyzeEmitsAlertsWithKeys) {
   VolumeThresholdDetector detector;
   AlertSink sink;
-  detector.analyze({make_session(5, 9, 300, sim::seconds(1))}, sink);
+  const std::vector<web::Session> sessions{make_session(5, 9, 300, sim::seconds(1))};
+  detector.analyze(sessions, web::extract_features(sessions), sink);
   ASSERT_EQ(sink.count(), 1u);
   const auto& alert = sink.alerts().front();
   EXPECT_EQ(alert.detector, "behavior.volume");
@@ -97,15 +99,13 @@ TEST(BehaviorClassifier, LearnsScraperVsHuman) {
         sim::seconds(1) + rng.uniform_int(0, 1500))));
     labels.push_back(1);
   }
-  for (auto kind : {ClassifierKind::Logistic, ClassifierKind::NaiveBayes}) {
-    BehaviorClassifier classifier(kind);
-    classifier.train(features, labels, rng);
-    EXPECT_TRUE(classifier.trained());
-    const auto human = web::extract_features(make_session(1, 1, 8, sim::seconds(30)));
-    const auto scraper = web::extract_features(make_session(2, 2, 250, sim::seconds(1)));
-    EXPECT_FALSE(classifier.is_bot(human)) << static_cast<int>(kind);
-    EXPECT_TRUE(classifier.is_bot(scraper)) << static_cast<int>(kind);
-  }
+  BehaviorClassifier classifier;
+  classifier.train(features, labels, rng);
+  EXPECT_TRUE(classifier.trained());
+  const auto human = web::extract_features(make_session(1, 1, 8, sim::seconds(30)));
+  const auto scraper = web::extract_features(make_session(2, 2, 250, sim::seconds(1)));
+  EXPECT_FALSE(classifier.is_bot(human));
+  EXPECT_TRUE(classifier.is_bot(scraper));
 }
 
 // --- Fingerprint detectors -----------------------------------------------------------
@@ -232,7 +232,7 @@ TEST(NipAnomaly, AttackWaveAtNipSixFires) {
   EXPECT_EQ(verdict.anomalous_nips.front(), 6);
 
   AlertSink sink;
-  detector.analyze(all, sim::kWeek, 2 * sim::kWeek, sink);
+  detector.analyze(reservations_in(all, sim::kWeek, 2 * sim::kWeek), 2 * sim::kWeek, sink);
   // One summary alert + one per flagged reservation.
   EXPECT_GT(sink.count(), 300u);
   std::size_t with_pnr = 0;

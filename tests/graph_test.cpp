@@ -462,9 +462,8 @@ TEST(GraphDetector, AlertBytesArePinned) {
   GraphDetector detector(graph);
   detect::AlertSink sink;
   for (int hour = 0; hour < 3; ++hour) {
-    detector.evaluate(detect::RequestView{env.app, sim::hours(hour), sim::hours(hour + 1),
-                                          sessions, sessions, 1},
-                      sink);
+    detector.evaluate(
+        detect::RequestView(env.app, sim::hours(hour), sim::hours(hour + 1), sessions), sink);
   }
 
   EXPECT_GT(sink.count(), 0u);

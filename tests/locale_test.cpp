@@ -19,6 +19,7 @@
 
 #include "app/export.hpp"
 #include "core/detect/behavior.hpp"
+#include "core/detect/detector.hpp"
 #include "core/detect/navigation.hpp"
 #include "core/detect/nip_anomaly.hpp"
 #include "core/obs/metrics.hpp"
@@ -209,7 +210,7 @@ std::string decimal_outputs() {
   detect::AlertSink sink;
   const std::vector<web::Session> loop = {
       path_session(9, {E::SeatMap, E::HoldReservation, E::HoldReservation, E::HoldReservation})};
-  detect::BehaviorClassifier{}.analyze(loop, sink, 0.0);
+  detect::BehaviorClassifier{}.analyze(loop, web::extract_features(loop), sink, 0.0);
   std::vector<web::Session> clean;
   for (std::uint64_t i = 1; i <= 40; ++i) {
     clean.push_back(path_session(i, {E::Home, E::SearchFlights, E::FlightDetails, E::SeatMap,
@@ -230,7 +231,8 @@ std::string decimal_outputs() {
     r.passengers.resize(i % 2 == 0 ? 6 : 1);
     reservations.push_back(std::move(r));
   }
-  nip_detector.analyze(reservations, 0, sim::days(1), sink);
+  nip_detector.analyze(detect::reservations_in(reservations, 0, sim::days(1)), sim::days(1),
+                       sink);
 
   for (const auto& alert : sink.alerts()) {
     out << alert.detector << ": " << alert.explanation << "\n";

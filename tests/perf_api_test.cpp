@@ -1,7 +1,8 @@
 // Hot-path speed campaign: the contracts behind the detection pipeline,
 // the arena/interned admit path, and the perf gatekeeper's probes.
 //
-//   * the pipeline's rendered alert bytes are pinned by CRC-32 across seeds
+//   * the pipeline's rendered alert bytes are pinned by CRC-32 across seeds,
+//     and, trained, together with its trace bytes
 //   * util::Arena reset/reuse semantics and allocation accounting
 //   * util::InternTable id recycling and exact-id checkpoint/restore
 //   * SlidingWindowRateLimiter: the interned key store matches a string-keyed
@@ -26,10 +27,12 @@
 #include <vector>
 
 #include "attack/scraper.hpp"
+#include "attack/seat_spin.hpp"
 #include "core/detect/pipeline.hpp"
 #include "core/mitigate/rate_limit.hpp"
 #include "core/mitigate/rules.hpp"
 #include "core/obs/metrics.hpp"
+#include "core/obs/obs.hpp"
 #include "core/scenario/env.hpp"
 #include "util/arena.hpp"
 #include "util/archive.hpp"
@@ -506,6 +509,62 @@ TEST(PipelineAlerts, BytesArePinned) {
     EXPECT_EQ(util::crc32(bytes), crc) << "seed " << seed << std::hex << ": crc 0x"
                                        << util::crc32(bytes);
   }
+}
+
+// A trained pipeline over legit traffic, a datacenter scraper and a
+// seat-spinning bot holding NiP-6 parties from the second hour: the NiP
+// baseline, navigation model and classifier are fitted on the first hour, IP
+// reputation and biometrics are on, and the run covers the next two hours.
+// Pins the rendered alert bytes (every session family, NiP and names) and the
+// pipeline's trace bytes (modeled span times, cost and alert annotations).
+TEST(PipelineAlerts, TrainedBytesArePinned) {
+  scenario::EnvConfig env_config;
+  env_config.seed = 5;
+  scenario::Env env(env_config);
+  env.add_flights("FS", 4, 150, sim::days(5));
+  const auto target = env.app.add_flight("FS", 777, 90, sim::days(6));
+  attack::ScraperConfig scraper_config;
+  scraper_config.sessions = 8;
+  scraper_config.session_gap = sim::minutes(20);
+  attack::ScraperBot scraper(env.app, env.actors, env.datacenter, env.population, scraper_config,
+                             env.rng.fork("scraper"));
+  attack::SeatSpinConfig spin_config;
+  spin_config.target = target;
+  attack::SeatSpinBot spinner(env.app, env.actors, env.residential, env.population, spin_config,
+                              env.rng.fork("spinner"));
+  const sim::SimTime horizon = sim::hours(3);
+  env.start_background(horizon);
+  env.sim.schedule_at(sim::minutes(10), [&scraper] { scraper.start(); });
+  env.sim.schedule_at(sim::hours(1), [&spinner] { spinner.start(); });
+  env.run_until(horizon);
+
+  detect::PipelineConfig config;
+  config.biometrics_enabled = true;
+  detect::DetectionPipeline pipeline(config);
+  pipeline.fit_nip_baseline(env.app, 0, sim::hours(1));
+  pipeline.fit_navigation(env.app, 0, sim::hours(1));
+  sim::Rng train_rng = env.rng.fork("classifier");
+  pipeline.train_behavior(env.app, env.actors, 0, sim::hours(1), train_rng);
+  pipeline.enable_ip_reputation(env.geo);
+  obs::TraceConfig trace_config;
+  trace_config.sample_every = 1;
+  obs::Observability obs(trace_config);
+  pipeline.bind_obs(&obs);
+  const auto result = pipeline.run(env.app, env.actors, sim::hours(1), horizon);
+
+  const std::string bytes = render_alerts(result.alerts.alerts());
+  EXPECT_NE(bytes.find("|behavior.classifier|"), std::string::npos);
+  EXPECT_NE(bytes.find("|behavior.navigation|"), std::string::npos);
+  EXPECT_TRUE(bytes.find("|nip.anomaly|") != std::string::npos ||
+              bytes.find("|name.") != std::string::npos);
+  EXPECT_EQ(util::crc32(bytes), 0xd937c81eu) << std::hex << "alerts crc 0x"
+                                             << util::crc32(bytes);
+
+  std::ostringstream traces;
+  obs.traces.write_jsonl(traces);
+  EXPECT_FALSE(traces.str().empty());
+  EXPECT_EQ(util::crc32(traces.str()), 0xb341d52fu) << std::hex << "traces crc 0x"
+                                                    << util::crc32(traces.str());
 }
 
 TEST(PipelineIdentityTest, PipelineViewHoldsBatchConservation) {
