@@ -23,6 +23,8 @@
 //
 // FRAUDSIM_BENCH_SMOKE=1 keeps the same 200-job grid but shrinks the per-job
 // horizon (CI smoke: same structure, less simulated time).
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -242,8 +244,11 @@ void run_chaos_off_gate(const Scale& scale, const std::filesystem::path& work_di
 
 int main() {
   const Scale scale = detect_scale();
+  // One work directory per process, so soaks running side by side never
+  // delete each other's journals.
   const std::filesystem::path work_dir =
-      std::filesystem::temp_directory_path() / "fraudsim_exp_chaos_soak";
+      std::filesystem::temp_directory_path() /
+      ("fraudsim_exp_chaos_soak-" + std::to_string(::getpid()));
   std::error_code ec;
   std::filesystem::remove_all(work_dir, ec);
   std::filesystem::create_directories(work_dir, ec);

@@ -13,6 +13,8 @@
 //   ns_admit_full           wall ns per request through Application::admit
 //                           with the paper's five §V rate limits active
 //   ns_score_<family>       wall ns per session-score for each detector
+//   ns_score_view           wall ns per session to derive the window facts
+//                           the families share (the detect.view phase)
 //   ns_rate_limit_allow     wall ns per SlidingWindowRateLimiter::allow:
 //                           four limiters fed identities rotating over
 //                           100k keys, each key stale by its next visit
@@ -606,11 +608,18 @@ double measure_ns_checkpoint_repeat(bool smoke, int reps) {
 // Wall ns per delivered message through ShardedSimulation's barrier
 // exchange: K=8 shards, a fixed mix of 1M messages queued between random
 // shard pairs, and a handler that answers one in four with a reply delivered
-// in a second round. Sends are queued outside the timer; the timed barrier
-// drains empty shard queues, so the exchange is nearly all it measures. The
-// engine is reused across samples, as a run reuses it across barriers, and
-// the handler touches only its destination's sink, as the engine's handler
-// contract requires once destinations are delivered on several threads.
+// in a second round. The handler does fixed work per message (kHashRounds
+// hashes), standing in for the state a real handler updates: a handler that
+// does nothing is bound by reading the queued messages, and the parallel
+// metric could not tell parallel delivery from serial. The work is sized so
+// one barrier takes about half a second on one thread, long enough that
+// waking the pool's parked workers does not decide the parallel figure on a
+// host whose idle cores are slow to wake. Sends are queued
+// outside the timer; the timed barrier drains empty shard queues, so the
+// exchange is nearly all it measures. The engine is reused across samples, as
+// a run reuses it across barriers, and the handler touches only its
+// destination's sink, as the engine's handler contract requires once
+// destinations are delivered on several threads.
 double measure_ns_exchange_per_message(bool smoke, int reps, unsigned threads) {
   constexpr std::uint32_t kShards = 8;
   const std::uint64_t messages = smoke ? 100'000 : 1'000'000;
@@ -623,8 +632,11 @@ double measure_ns_exchange_per_message(bool smoke, int reps, unsigned threads) {
     std::uint64_t sum = 0;
   };
   std::vector<Sink> sink(kShards);
+  constexpr int kHashRounds = 100;
   engine.set_message_handler([&](std::uint32_t dst, const sim::ShardMessage& msg) {
-    sink[dst].sum += msg.a;
+    std::uint64_t h = msg.a;
+    for (int i = 0; i < kHashRounds; ++i) h = util::splitmix64(h ^ msg.b);
+    sink[dst].sum += h;
     if (msg.type == 0 && (msg.a & 3) == 0) engine.send(dst, msg.src, 1, msg.a >> 2);
   });
   const auto sample = [&] {

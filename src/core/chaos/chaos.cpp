@@ -178,22 +178,21 @@ util::Status write_chaos_repro(const std::string& path, const ChaosRepro& repro)
 
 util::Result<ChaosRepro> read_chaos_repro(const std::string& path) {
   using R = util::Result<ChaosRepro>;
-  const std::optional<std::string> file = util::read_file(path);
+  const std::optional<util::MappedFile> file = util::MappedFile::open(path);
   if (!file) return R::fail(util::ErrorCode::kNotFound, "repro: cannot open " + path);
-  const std::string& bytes = *file;
+  const std::string_view bytes = file->bytes();
   if (bytes.size() < sizeof(kReproMagic) + sizeof(std::uint32_t)) {
     return R::fail(util::ErrorCode::kJournalCorrupt, "repro: file truncated");
   }
-  const std::string payload = bytes.substr(0, bytes.size() - sizeof(std::uint32_t));
-  util::ByteReader crc_reader(
-      std::string_view(bytes).substr(bytes.size() - sizeof(std::uint32_t)));
+  const std::string_view payload = bytes.substr(0, bytes.size() - sizeof(std::uint32_t));
+  util::ByteReader crc_reader(bytes.substr(bytes.size() - sizeof(std::uint32_t)));
   if (crc_reader.u32() != util::crc32(payload)) {
     return R::fail(util::ErrorCode::kJournalCorrupt, "repro: CRC mismatch");
   }
   if (payload.compare(0, sizeof(kReproMagic), kReproMagic, sizeof(kReproMagic)) != 0) {
     return R::fail(util::ErrorCode::kJournalCorrupt, "repro: bad magic");
   }
-  util::ByteReader reader(std::string_view(payload).substr(sizeof(kReproMagic)));
+  util::ByteReader reader(payload.substr(sizeof(kReproMagic)));
   ChaosRepro repro;
   repro.scenario_seed = reader.u64();
   repro.schedule.restore(reader);

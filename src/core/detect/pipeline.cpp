@@ -293,7 +293,12 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
   PipelineResult result;
   const web::Sessionizer sessionizer(config_.session_timeout);
   result.sessions = sessionizer.sessionize(application.weblog().all(), from, to);
-  const RequestView view(application, from, to, result.sessions);
+  // The shared per-window facts, timed as their own profiler phase so the
+  // families' phases plus this one account for the run.
+  const RequestView view = [&] {
+    const obs::ScopedTimer timer(obs::Profiler::instance().phase("detect.view"));
+    return RequestView(application, from, to, result.sessions);
+  }();
 
   // Modeled analysis clock: the span times of the run's trace.
   sim::SimTime analysis_now = to;

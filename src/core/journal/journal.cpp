@@ -155,23 +155,29 @@ std::string take_record(std::string_view payload, Walk& walk) {
   return {};
 }
 
-// The one frame walk: reads `path` into `bytes`, checks the magic, then takes
-// frames until the first bad one. Torn-tail rule: a frame cut short by
-// end-of-file, or a final frame failing its CRC, is the crash residue of the
-// last append. A CRC failure anywhere earlier is damage inside the file, and
-// so is a checksummed frame that is no record, wherever it sits.
-util::Result<Walk> walk_journal(const std::string& path, std::string& bytes) {
+// Bytes the frame walk verifies between two drop-behind calls: verifying a
+// journal keeps about this much of its mapping resident, not the whole file.
+constexpr std::size_t kDropBehindStep = std::size_t{4} << 20;
+
+// The one frame walk: maps `path` into `file`, checks the magic, then takes
+// frames until the first bad one, dropping the pages it has passed every
+// kDropBehindStep bytes. Torn-tail rule: a frame cut short by end-of-file, or
+// a final frame failing its CRC, is the crash residue of the last append. A
+// CRC failure anywhere earlier is damage inside the file, and so is a
+// checksummed frame that is no record, wherever it sits.
+util::Result<Walk> walk_journal(const std::string& path, util::MappedFile& file) {
   using R = util::Result<Walk>;
-  std::optional<std::string> file = util::read_file(path);
-  if (!file) return R::fail(util::ErrorCode::kNotFound, "journal: cannot open " + path);
-  bytes = std::move(*file);
-  const std::string_view all(bytes);
+  std::optional<util::MappedFile> mapped = util::MappedFile::open(path);
+  if (!mapped) return R::fail(util::ErrorCode::kNotFound, "journal: cannot open " + path);
+  file = std::move(*mapped);
+  const std::string_view all = file.bytes();
   if (all.substr(0, sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
     return R::fail(util::ErrorCode::kJournalCorrupt, "journal: bad magic in " + path);
   }
 
   Walk walk;
   std::size_t pos = sizeof(kMagic);
+  std::size_t dropped = 0;
   while (pos < all.size()) {
     const std::string_view rest = all.substr(pos);
     util::ByteReader head(rest.substr(0, kFrameHeader));
@@ -187,6 +193,10 @@ util::Result<Walk> walk_journal(const std::string& path, std::string& bytes) {
     if (!walk.damage.empty()) break;
     ++walk.scan.frames;
     pos += kFrameHeader + len;
+    if (pos - dropped >= kDropBehindStep) {
+      file.drop_before(pos);
+      dropped = pos;
+    }
   }
   walk.scan.total_bytes = all.size();
   walk.scan.intact_bytes = pos;
@@ -203,7 +213,8 @@ util::Result<Walk> walk_journal(const std::string& path, std::string& bytes) {
 util::Status JournalReader::open(const std::string& path) {
   recovered_ = false;
   records_.clear();
-  auto walked = walk_journal(path, bytes_);
+  file_ = util::MappedFile();
+  auto walked = walk_journal(path, file_);
   if (!walked) return util::Status::fail(walked.code(), walked.error());
   Walk& walk = walked.value();
   if (walk.scan.corrupt_mid_file) {
@@ -220,8 +231,8 @@ util::Status JournalReader::open(const std::string& path) {
 }
 
 util::Result<JournalScan> scan_journal(const std::string& path) {
-  std::string bytes;
-  auto walked = walk_journal(path, bytes);
+  util::MappedFile file;
+  auto walked = walk_journal(path, file);
   if (!walked) return util::Result<JournalScan>::fail(walked.code(), walked.error());
   return util::Result<JournalScan>::ok(walked.value().scan);
 }
@@ -229,8 +240,8 @@ util::Result<JournalScan> scan_journal(const std::string& path) {
 util::Result<JournalScan> truncate_torn_tail(const std::string& path,
                                              const std::string& quarantine_path) {
   using R = util::Result<JournalScan>;
-  std::string bytes;
-  auto walked = walk_journal(path, bytes);
+  util::MappedFile file;
+  auto walked = walk_journal(path, file);
   if (!walked) return R::fail(walked.code(), walked.error());
   const JournalScan scan = walked.value().scan;
   if (scan.corrupt_mid_file) {
@@ -240,7 +251,7 @@ util::Result<JournalScan> truncate_torn_tail(const std::string& path,
   if (!scan.torn_tail) return R::ok(scan);
 
   {
-    const std::string_view tail = std::string_view(bytes).substr(scan.intact_bytes);
+    const std::string_view tail = file.bytes().substr(scan.intact_bytes);
     std::ofstream out(quarantine_path, std::ios::binary | std::ios::app);
     if (!out.is_open()) {
       return R::fail(util::ErrorCode::kIoWriteFailed,
@@ -253,6 +264,7 @@ util::Result<JournalScan> truncate_torn_tail(const std::string& path,
                      "journal: quarantine write failed for " + quarantine_path);
     }
   }
+  file = util::MappedFile();  // no mapping may outlive the bytes cut away
   std::error_code ec;
   std::filesystem::resize_file(path, scan.intact_bytes, ec);
   if (ec) {

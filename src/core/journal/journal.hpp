@@ -20,9 +20,18 @@
 // whose CRC holds but which is no record (a kind byte outside RecordKind, a
 // payload shorter than its kind/time prefix, a first frame that is not a
 // supported Header, a second Header), wherever it sits: a checksummed frame
-// was written whole, so it is not the residue of a crash. scan_journal and
-// JournalReader::open walk the frames with one function and apply this rule
-// identically.
+// was written whole, so it is not the residue of a crash. scan_journal,
+// truncate_torn_tail and JournalReader::open walk the frames with one
+// function and apply this rule identically.
+//
+// Reading maps the file read-only (util::MappedFile) instead of copying it.
+// As the walk verifies frames in order it drops the pages it has passed, in
+// fixed 4 MiB steps, so verifying a journal keeps a bounded window resident;
+// a page read again later faults back in as a clean file page. A reader's
+// records are views into its mapping, so a reader's file must not be
+// rewritten or truncated while the reader lives: a rewrite shows through the
+// views, and a read past a truncated end faults. Copy what must survive such
+// a change before making it.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +42,7 @@
 
 #include "sim/time.hpp"
 #include "util/archive.hpp"
+#include "util/file.hpp"
 #include "util/result.hpp"
 
 namespace fraudsim::journal {
@@ -74,9 +84,9 @@ enum class RecordKind : std::uint8_t {
 [[nodiscard]] const char* to_string(RecordKind k);
 
 // One framed record. `fields` is the payload after the kind/time prefix, a
-// view into the file its JournalReader holds: valid while that reader lives
-// and until its next open(). Wrap it in a util::ByteReader and read the
-// kind's field list (recording.hpp).
+// view into the file its JournalReader maps: valid while that reader lives,
+// until its next open(), and while the file stays as it was opened. Wrap it in
+// a util::ByteReader and read the kind's field list (recording.hpp).
 struct Record {
   RecordKind kind = RecordKind::Header;
   sim::SimTime time = 0;
@@ -146,17 +156,19 @@ struct JournalScan {
 [[nodiscard]] util::Result<JournalScan> truncate_torn_tail(const std::string& path,
                                                            const std::string& quarantine_path);
 
-// Reads and validates a whole journal on open, and keeps the file: its
-// records are views into it.
+// Maps and validates a whole journal on open, and keeps the mapping: its
+// records are views into it. The file must stay as opened while the reader
+// lives (see the file comment).
 class JournalReader {
  public:
   JournalReader() = default;
   JournalReader(const JournalReader&) = delete;
   JournalReader& operator=(const JournalReader&) = delete;
 
-  // Loads `path`, verifies the magic, every frame's CRC and the Header
-  // record. A torn tail (truncated or CRC-bad *final* frame) is dropped and
-  // flagged; corruption anywhere else fails with kJournalCorrupt.
+  // Maps `path` (releasing any earlier mapping), verifies the magic, every
+  // frame's CRC and the Header record. A torn tail (truncated or CRC-bad
+  // *final* frame) is dropped and flagged; corruption anywhere else fails
+  // with kJournalCorrupt.
   util::Status open(const std::string& path);
 
   [[nodiscard]] std::uint32_t version() const { return header_.version; }
@@ -167,11 +179,11 @@ class JournalReader {
 
   // All records after the Header, in file order.
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
-  // The file as opened (a torn tail included).
-  [[nodiscard]] const std::string& bytes() const { return bytes_; }
+  // The file as opened (a torn tail included), a view into the mapping.
+  [[nodiscard]] std::string_view bytes() const { return file_.bytes(); }
 
  private:
-  std::string bytes_;  // the file; records_ view into it
+  util::MappedFile file_;  // records_ view into it
   Header header_;
   bool recovered_ = false;
   std::vector<Record> records_;

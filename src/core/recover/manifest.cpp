@@ -139,12 +139,12 @@ util::Result<Manifest> Manifest::parse(std::string_view text) {
 }
 
 util::Result<Manifest> Manifest::load(const std::string& path) {
-  const std::optional<std::string> text = util::read_file(path);
+  const std::optional<util::MappedFile> text = util::MappedFile::open(path);
   if (!text) {
     return util::Result<Manifest>::fail(util::ErrorCode::kNotFound,
                                         "manifest: cannot open " + path);
   }
-  return parse(*text);
+  return parse(text->bytes());
 }
 
 util::Status Manifest::write(const std::string& dir, sim::SimTime now) const {
@@ -173,12 +173,12 @@ ManifestAudit audit_artifacts(const Manifest& manifest, const std::string& dir) 
   ManifestAudit audit;
   for (const auto& entry : manifest.artifacts) {
     const std::string path = (std::filesystem::path(dir) / entry.path).string();
-    const std::optional<std::string> content = util::read_file(path);
+    const std::optional<util::MappedFile> content = util::MappedFile::open(path);
     if (!content) {
       audit.missing.push_back(entry.path);
       continue;
     }
-    if (content->size() != entry.size || util::crc32(*content) != entry.crc) {
+    if (content->bytes().size() != entry.size || util::crc32(content->bytes()) != entry.crc) {
       audit.mismatched.push_back(entry.path);
       continue;
     }

@@ -37,11 +37,11 @@ util::Result<WrittenArtifact> write_checkpoint_sidecar(const std::string& path,
 
 util::Result<SidecarCheckpoint> read_checkpoint_sidecar(const std::string& path) {
   using R = util::Result<SidecarCheckpoint>;
-  const std::optional<std::string> file = util::read_file(path);
+  const std::optional<util::MappedFile> file = util::MappedFile::open(path);
   if (!file) {
     return R::fail(util::ErrorCode::kNotFound, "checkpoint: cannot open " + path);
   }
-  const std::string& bytes = *file;
+  const std::string_view bytes = file->bytes();
 
   const auto bad = [&path](const std::string& why) {
     return R::fail(util::ErrorCode::kCheckpointMismatch, "checkpoint: " + why + " in " + path);
@@ -51,7 +51,7 @@ util::Result<SidecarCheckpoint> read_checkpoint_sidecar(const std::string& path)
           std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic))) {
     return bad("bad magic");
   }
-  util::ByteReader r(std::string_view(bytes).substr(sizeof(kCheckpointMagic)));
+  util::ByteReader r(bytes.substr(sizeof(kCheckpointMagic)));
   const std::uint32_t version = r.u32();
   SidecarCheckpoint cp;
   cp.seed = r.u64();
@@ -63,7 +63,7 @@ util::Result<SidecarCheckpoint> read_checkpoint_sidecar(const std::string& path)
   if (r.remaining() != len) return bad("torn blob");
   // Fixed header: 4 magic + 4 version + 8 seed + 8 digest + 8 time + 4 len
   // + 4 crc = 40 bytes; the blob is everything after it.
-  cp.blob = bytes.substr(40);
+  cp.blob = std::string(bytes.substr(40));
   if (util::crc32(cp.blob) != crc) return bad("blob CRC mismatch");
   return R::ok(std::move(cp));
 }

@@ -741,12 +741,12 @@ util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
     manifest.seed = config.seed;
     manifest.config_digest = digest;
     {
-      const std::optional<std::string> journal_bytes = util::read_file(journal_path);
-      if (!journal_bytes) {
+      const std::optional<util::MappedFile> journal_file = util::MappedFile::open(journal_path);
+      if (!journal_file) {
         return R::fail(util::ErrorCode::kIoWriteFailed, "record: cannot re-read the journal");
       }
-      manifest.add(recover::kJournalFilename, journal_bytes->size(),
-                   util::crc32(*journal_bytes));
+      manifest.add(recover::kJournalFilename, journal_file->bytes().size(),
+                   util::crc32(journal_file->bytes()));
     }
     for (const auto& [rel, written] : sidecars) manifest.add(written, rel);
 
@@ -813,12 +813,15 @@ util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
   }
 
   // Salvage verification: prove the surviving prefix is a faithful record of
-  // this scenario before re-recording over it. One reader holds the salvaged
-  // journal for the header check, the verification replay, the sidecar
-  // comparison and the prefix proof.
-  journal::JournalReader reader;
-  std::string_view salvaged_bytes;
+  // this scenario before re-recording over it. One reader maps the salvaged
+  // journal for the header check, the verification replay and the sidecar
+  // comparison. The prefix proof keeps a copy of the bytes: the re-record
+  // rewrites the very file the reader maps, so a view would show the new
+  // bytes and the proof would compare the re-record with itself. The reader
+  // is released before that rewrite.
+  std::string salvaged_bytes;
   if (outcome.report.journal_salvaged && outcome.report.frames_salvaged > 0) {
+    journal::JournalReader reader;
     if (auto s = reader.open(journal_path); !s.is_ok()) {
       return R::fail(s.code(), "recover: repaired journal failed to open: " + s.error());
     }
@@ -869,8 +872,8 @@ util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
   outcome.artifacts = rerecorded.value();
 
   if (!salvaged_bytes.empty()) {
-    const std::string fresh = util::read_file(journal_path).value_or(std::string());
-    if (!std::string_view(fresh).starts_with(salvaged_bytes)) {
+    const std::optional<util::MappedFile> fresh = util::MappedFile::open(journal_path);
+    if (!fresh || !fresh->bytes().starts_with(salvaged_bytes)) {
       return R::fail(util::ErrorCode::kCheckpointMismatch,
                      "recover: salvaged journal prefix diverges from the deterministic "
                      "re-record");

@@ -365,6 +365,136 @@ TEST(JournalFraming, MissingFileIsNotFound) {
   EXPECT_EQ(status.code(), util::ErrorCode::kNotFound);
 }
 
+// Edge and hostile files: each opens to the status the torn-tail rule gives
+// it, and none crashes the mapped reader.
+TEST(JournalFraming, EdgeFilesOpenToTheirRuleStatus) {
+  const std::string whole_path = tmp_path("edge-whole.journal");
+  journal::JournalWriter writer;
+  ASSERT_TRUE(writer.open(whole_path, 1, 2).is_ok());
+  util::ByteWriter fields;
+  fields.str("payload");
+  ASSERT_TRUE(writer.append(journal::RecordKind::Pay, 10, fields).is_ok());
+  ASSERT_TRUE(writer.close().is_ok());
+  const std::string whole = slurp(whole_path);
+  // magic(4) | Header frame (8 + 9 + 20) | Pay frame (8 + 9 + 11).
+  const std::size_t header_end = 4 + 8 + 9 + 20;
+  ASSERT_EQ(whole.size(), header_end + 8 + 9 + 11);
+
+  const struct {
+    const char* label;
+    std::string bytes;
+    util::ErrorCode code;  // kOk when the open succeeds
+    bool torn;
+  } cases[] = {
+      {"empty", "", util::ErrorCode::kJournalCorrupt, false},
+      {"shorter than the magic", whole.substr(0, 3), util::ErrorCode::kJournalCorrupt, false},
+      {"magic only", whole.substr(0, 4), util::ErrorCode::kJournalCorrupt, false},
+      {"cut mid Header frame head", whole.substr(0, 9), util::ErrorCode::kJournalCorrupt, false},
+      {"cut mid Header payload", whole.substr(0, header_end - 5),
+       util::ErrorCode::kJournalCorrupt, false},
+      {"cut mid frame head", whole.substr(0, header_end + 3), util::ErrorCode::kOk, true},
+      {"cut mid frame", whole.substr(0, whole.size() - 4), util::ErrorCode::kOk, true},
+      {"whole", whole, util::ErrorCode::kOk, false},
+  };
+  const std::string path = tmp_path("edge.journal");
+  for (const auto& c : cases) {
+    spit(path, c.bytes);
+    journal::JournalReader reader;
+    const auto status = reader.open(path);
+    EXPECT_EQ(status.code(), c.code) << c.label;
+    EXPECT_EQ(reader.recovered_torn_tail(), c.torn) << c.label;
+    if (status.is_ok()) {
+      EXPECT_EQ(reader.records().size(), c.torn ? 0u : 1u) << c.label;
+      EXPECT_EQ(reader.bytes(), c.bytes) << c.label;
+    }
+  }
+
+  // No file and a directory are both "cannot open", never a throw.
+  for (const std::string& missing : {tmp_path("edge-missing.journal"), testing::TempDir()}) {
+    journal::JournalReader reader;
+    const auto status = reader.open(missing);
+    EXPECT_EQ(status.code(), util::ErrorCode::kNotFound) << missing;
+    EXPECT_FALSE(reader.recovered_torn_tail()) << missing;
+    EXPECT_EQ(journal::scan_journal(missing).code(), util::ErrorCode::kNotFound) << missing;
+  }
+}
+
+// Lines of /proc/self/maps that map `path`.
+std::size_t mappings_of(const std::string& path) {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) {
+    n += line.size() >= path.size() &&
+         line.compare(line.size() - path.size(), path.size(), path) == 0;
+  }
+  return n;
+}
+
+TEST(JournalFraming, ReopenReleasesTheFirstMapping) {
+  const std::string first = tmp_path("reopen-first.journal");
+  const std::string second = tmp_path("reopen-second.journal");
+  for (const std::string& path : {first, second}) {
+    journal::JournalWriter writer;
+    ASSERT_TRUE(writer.open(path, 1, 2).is_ok());
+    ASSERT_TRUE(writer.close().is_ok());
+  }
+  journal::JournalReader reader;
+  ASSERT_TRUE(reader.open(first).is_ok());
+  EXPECT_EQ(mappings_of(first), 1u);
+  ASSERT_TRUE(reader.open(second).is_ok());
+  EXPECT_EQ(mappings_of(first), 0u);
+  EXPECT_EQ(mappings_of(second), 1u);
+  // A failed open releases the mapping too: no record may view a stale file.
+  EXPECT_FALSE(reader.open(tmp_path("reopen-missing.journal")).is_ok());
+  EXPECT_EQ(mappings_of(second), 0u);
+  EXPECT_TRUE(reader.records().empty());
+}
+
+// Resident KiB of the mapping that holds `addr`, from /proc/self/smaps.
+std::size_t resident_kib(const void* addr) {
+  const auto at = reinterpret_cast<std::uintptr_t>(addr);
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  for (std::string line; std::getline(smaps, line);) {
+    unsigned long long lo = 0;
+    unsigned long long hi = 0;
+    if (std::sscanf(line.c_str(), "%llx-%llx ", &lo, &hi) == 2) {
+      inside = lo <= at && at < hi;
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      return std::stoul(line.substr(4));
+    }
+  }
+  return 0;
+}
+
+// A journal larger than the drop-behind step: verifying it leaves only a
+// window of the mapping resident, and every record still reads back whole.
+TEST(JournalFraming, DropBehindKeepsAWindowAndRecordsReadBack) {
+  const std::string path = tmp_path("drop-behind.journal");
+  constexpr int kFrames = 24;
+  const auto body = [](int i) { return std::string(512 * 1024, static_cast<char>('a' + i)); };
+  {
+    journal::JournalWriter writer;
+    ASSERT_TRUE(writer.open(path, 1, 2).is_ok());
+    for (int i = 0; i < kFrames; ++i) {
+      util::ByteWriter fields;
+      fields.str(body(i));
+      ASSERT_TRUE(writer.append(journal::RecordKind::Browse, i, fields).is_ok());
+    }
+    ASSERT_TRUE(writer.close().is_ok());
+  }
+  journal::JournalReader reader;
+  ASSERT_TRUE(reader.open(path).is_ok());
+  const std::size_t file_kib = reader.bytes().size() / 1024;
+  EXPECT_GT(file_kib, 12'000u);
+  EXPECT_LT(resident_kib(reader.bytes().data()), 6u * 1024) << "of " << file_kib << " KiB";
+  ASSERT_EQ(reader.records().size(), static_cast<std::size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    util::ByteReader in(reader.records()[static_cast<std::size_t>(i)].fields);
+    EXPECT_EQ(in.str(), body(i)) << "record " << i;
+  }
+}
+
 // --- Rng state capture ------------------------------------------------------
 
 TEST(RngCheckpoint, RestoredStreamContinuesIdentically) {

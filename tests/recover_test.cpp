@@ -340,6 +340,49 @@ TEST_F(RecoverTest, CrashAtEveryBoundaryRecoversByteIdentically) {
   }
 }
 
+// The prefix proof must hold the salvaged journal as it was before the
+// re-record rewrote the file. This salvaged journal keeps intact CRCs and
+// passes the verification replay, but ends in one informational frame the
+// deterministic re-record never writes, so the proof must refuse it.
+TEST_F(RecoverTest, PrefixProofCatchesADivergentReRecord) {
+  const auto config = small_config();
+  fault::FaultRegistry::global().arm(fault::kCrashJournalFrame,
+                                     fault::FaultScenario::crash_at_hit(40));
+  const auto torn = scenario::record_run_dir(config, dir_.string());
+  ASSERT_EQ(torn.code(), util::ErrorCode::kCrashInjected);
+  fault::FaultRegistry::global().reset();
+
+  const fs::path journal_path = dir_ / recover::kJournalFilename;
+  ASSERT_TRUE(journal::truncate_torn_tail(journal_path.string(), dir_.string() + ".tail")
+                  .has_value());
+  sim::SimTime last = 0;
+  {
+    journal::JournalReader reader;
+    ASSERT_TRUE(reader.open(journal_path.string()).is_ok());
+    ASSERT_FALSE(reader.records().empty());
+    last = reader.records().back().time;
+  }
+  util::ByteWriter payload;
+  payload.u8(static_cast<std::uint8_t>(journal::RecordKind::MitigationAction));
+  payload.i64(last);
+  payload.str("block-ip");
+  payload.str("not in the deterministic run");
+  util::ByteWriter frame;
+  frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.u32(util::crc32(payload.bytes()));
+  frame.raw(payload.bytes());
+  spit(journal_path, slurp(journal_path) + std::string(frame.bytes()));
+  const auto scan = journal::scan_journal(journal_path.string());
+  ASSERT_TRUE(scan.has_value());
+  ASSERT_FALSE(scan.value().torn_tail);
+  ASSERT_FALSE(scan.value().corrupt_mid_file);
+
+  const auto outcome = scenario::recover_run(config, dir_.string());
+  ASSERT_FALSE(outcome.has_value());
+  EXPECT_EQ(outcome.code(), util::ErrorCode::kCheckpointMismatch);
+  EXPECT_NE(outcome.error().find("prefix diverges"), std::string::npos) << outcome.error();
+}
+
 // --- Fleet result shards -----------------------------------------------------
 
 TEST_F(RecoverTest, FleetRunResultRoundTripsThroughBytes) {

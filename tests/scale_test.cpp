@@ -219,7 +219,7 @@ TEST(Scale, ResumeRefusesACheckpointThatQueuesOneEventIdTwice) {
 
   const std::filesystem::path shard = std::filesystem::path(dir.path()) / "shards" / "shard-001";
   const std::string rel = "checkpoint-6.fsc";
-  std::string blob = util::read_file((shard / rel).string()).value();
+  std::string blob(util::MappedFile::open((shard / rel).string()).value().bytes());
   const auto load_u64 = [&blob](std::size_t at) {
     std::uint64_t v = 0;
     for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(blob[at + i]);

@@ -1169,18 +1169,26 @@ TEST(Archive, EncodedPrefixEqualsFreshEncode) {
   EXPECT_EQ(via_prefix(log), fresh(log));
 }
 
-TEST(File, ReadFileReturnsExactBytes) {
-  const std::string path = testing::TempDir() + "read_file.bin";
-  EXPECT_FALSE(read_file(path + ".missing").has_value());
+TEST(File, MappedFileViewsExactBytes) {
+  const std::string path = testing::TempDir() + "mapped_file.bin";
+  EXPECT_FALSE(MappedFile::open(path + ".missing").has_value());
+  EXPECT_FALSE(MappedFile::open(testing::TempDir()).has_value());  // not a regular file
   for (const std::string& bytes : {std::string(), std::string("a\0b\xff\n", 5),
                                    std::string(70000, 'x')}) {
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    const std::optional<std::string> read = read_file(path);
-    ASSERT_TRUE(read.has_value()) << bytes.size();
-    EXPECT_EQ(*read, bytes);
+    std::optional<MappedFile> mapped = MappedFile::open(path);
+    ASSERT_TRUE(mapped.has_value()) << bytes.size();
+    EXPECT_EQ(mapped->bytes(), bytes);
+    // Dropped pages fault back in from the file: the view reads the same.
+    mapped->drop_before(bytes.size());
+    EXPECT_EQ(mapped->bytes(), bytes);
+    // A move hands the mapping over and leaves the source empty.
+    const MappedFile moved = std::move(*mapped);
+    EXPECT_TRUE(mapped->bytes().empty());
+    EXPECT_EQ(moved.bytes(), bytes);
   }
 }
 
