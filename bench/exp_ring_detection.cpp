@@ -24,6 +24,10 @@
 //   ns_graph_ingest_churn_per_event
 //                               the same, on a stream whose sessions go idle
 //                               and expire: TTL eviction passes included
+//   ns_graph_ingest_capped_per_event
+//                               the same, on a full graph at the default caps
+//                               under an identity-rotation flood: the slower
+//                               of a node-cap flood and an edge-cap flood
 //   ns_graph_score_per_session  wall ns per session to score components and
 //                               resolve membership, partition rebuilt dirty
 //   ring_catch_rate / ...       informational: the headline detection numbers
@@ -282,6 +286,42 @@ double measure_ns_ingest(std::size_t warmup, std::size_t events, bool churn) {
   return elapsed_ns(t0, t1) / static_cast<double>(events);
 }
 
+// Identity-rotation floods at the default caps, one tap event every 100 ms
+// so nothing reaches its TTL. Node-cap flood: every event brings a fresh
+// session and fingerprint through one of 5,000 pooled exits. Edge-cap flood:
+// each fresh session and fingerprint sends ten events through ten of the
+// pooled exits, so the edge cap fills first. Returns the wall ns per event
+// once the cap binds; `uncapped_ns` gets the same while the graph fills.
+double measure_ns_flood(bool edge_flood, std::size_t events, double* uncapped_ns) {
+  detect::graph::EntityGraph graph;
+  detect::graph::GraphIngest ingest(graph);
+  app::ClientContext ctx;
+  sim::SimTime t = 0;
+  std::size_t seq = 0;
+  const auto event = [&] {
+    const std::size_t identity = edge_flood ? seq / 10 : seq;
+    ctx.session = web::SessionId{1 + identity};
+    ctx.fingerprint.canvas_hash = identity;
+    ctx.ip = net::IpV4{0x30000000u + static_cast<std::uint32_t>(seq % 5000)};
+    ingest.on_browse(t, ctx, web::Endpoint::SearchFlights, web::HttpMethod::Get,
+                     app::CallStatus::Ok);
+    t += sim::seconds(0.1);
+    ++seq;
+  };
+  const auto full = [&] {
+    return edge_flood ? graph.edge_count() == graph.config().max_edges
+                      : graph.node_count() == graph.config().max_nodes;
+  };
+  const auto t0 = GateClock::now();
+  while (!full()) event();
+  const auto t1 = GateClock::now();
+  *uncapped_ns = elapsed_ns(t0, t1) / static_cast<double>(seq);
+  const auto t2 = GateClock::now();
+  for (std::size_t i = 0; i < events; ++i) event();
+  const auto t3 = GateClock::now();
+  return elapsed_ns(t2, t3) / static_cast<double>(events);
+}
+
 // Scoring cost per session with the partition deliberately dirtied each rep:
 // one scored_components pass (the union-find rebuild every graph change
 // forces) plus a find + component_of membership lookup per live session —
@@ -322,6 +362,22 @@ int run_gate(const bench::Options& options) {
                          return measure_ns_ingest(10'000, churn_events, true);
                        }));
 
+  std::cerr << "[gate] inline ingest cost at the caps under identity floods...\n";
+  const std::size_t flood_events = smoke ? 5'000 : 40'000;
+  double capped = 0.0;
+  for (const bool edge_flood : {false, true}) {
+    std::vector<double> uncapped(static_cast<std::size_t>(reps));
+    std::size_t rep = 0;
+    const double at_cap = median_of(reps, [&] {
+      return measure_ns_flood(edge_flood, flood_events, &uncapped[rep++]);
+    });
+    std::cerr << "  " << (edge_flood ? "edge" : "node") << "-cap flood: "
+              << util::format_general(at_cap, 4) << " ns/event at the cap, "
+              << util::format_general(median(uncapped), 4) << " while filling\n";
+    capped = std::max(capped, at_cap);
+  }
+  metrics.emplace_back("ns_graph_ingest_capped_per_event", capped);
+
   std::cerr << "[gate] component scoring cost...\n";
   SynthDriver scored;
   scored.drive(events);
@@ -350,7 +406,7 @@ int run_gate(const bench::Options& options) {
   }
   out << "  },\n  \"meta\": {\n    \"smoke\": " << (smoke ? 1 : 0) << ",\n    \"reps\": " << reps
       << ",\n    \"ingest_events\": " << events << ",\n    \"churn_events\": " << churn_events
-      << "\n  }\n}\n";
+      << ",\n    \"flood_events\": " << flood_events << "\n  }\n}\n";
   out.close();
 
   std::cout << "graph perf gate written to " << path << "\n";

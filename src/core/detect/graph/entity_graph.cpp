@@ -1,8 +1,10 @@
 #include "core/detect/graph/entity_graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <limits>
+#include <map>
+#include <numeric>
 
 namespace fraudsim::detect::graph {
 
@@ -35,6 +37,20 @@ double decay_factor(sim::SimDuration elapsed, sim::SimDuration half_life) {
   return std::exp2(-static_cast<double>(elapsed) / static_cast<double>(half_life));
 }
 
+std::uint64_t edge_key(std::uint32_t a, std::uint32_t b) {
+  const auto [lo, hi] = std::minmax(a, b);
+  return (std::uint64_t{lo} << 32) | hi;
+}
+
+// Home slot of an edge key in a table of mask + 1 slots (murmur3's 64-bit
+// finalizer: both ids reach every bit).
+std::size_t edge_home(std::uint64_t key, std::size_t mask) {
+  key ^= key >> 33;
+  key *= 0xff51afd7ed558ccdULL;
+  key ^= key >> 33;
+  return static_cast<std::size_t>(key) & mask;
+}
+
 }  // namespace
 
 const char* to_string(NodeType t) {
@@ -55,6 +71,41 @@ const char* to_string(NodeType t) {
       return "booking";
   }
   return "?";
+}
+
+template <class Slots, class Older>
+void EntityGraph::AgeList::place(std::uint32_t i, Slots& slots, Older older) {
+  // Walk in from both ends at once: a touch in time order belongs at the
+  // newest end, one back in time usually near the oldest, and either costs
+  // O(1). `prev` ends as the entry i follows (kNil: i is the oldest).
+  std::uint32_t from_new = newest_;
+  std::uint32_t from_old = oldest_;
+  std::uint32_t prev = kNil;
+  while (from_new != kNil) {
+    if (older(from_new, i)) {
+      prev = from_new;
+      break;
+    }
+    from_new = slots[from_new].age.older;
+    if (older(i, from_old)) {
+      prev = slots[from_old].age.older;
+      break;
+    }
+    from_old = slots[from_old].age.newer;
+  }
+  AgeLinks& links = slots[i].age;
+  links.older = prev;
+  links.newer = prev == kNil ? oldest_ : slots[prev].age.newer;
+  (links.older == kNil ? oldest_ : slots[links.older].age.newer) = i;
+  (links.newer == kNil ? newest_ : slots[links.newer].age.older) = i;
+}
+
+template <class Slots>
+void EntityGraph::AgeList::unlink(std::uint32_t i, Slots& slots) {
+  AgeLinks& links = slots[i].age;
+  (links.older == kNil ? oldest_ : slots[links.older].age.newer) = links.newer;
+  (links.newer == kNil ? newest_ : slots[links.newer].age.older) = links.older;
+  links = AgeLinks{};
 }
 
 EntityGraph::EntityGraph(GraphConfig config)
@@ -83,34 +134,41 @@ bool EntityGraph::begin_event(sim::SimTime now) {
 
 EntityGraph::NodeId EntityGraph::touch(sim::SimTime now, NodeType type, std::string_view key) {
   const NodeId id = intern_.intern(compose_key(type, key));
-  if (nodes_.size() <= id) nodes_.resize(id + 1);
-  if (!nodes_[id].has_value()) {
-    // New entity: make room first so the cap holds at every instant.
-    while (intern_.size() > config_.max_nodes) evict_oldest_node();
-    GraphNode n;
-    n.type = type;
-    n.first_seen = now;
-    n.last_seen = now;
-    n.signals_updated = now;
-    nodes_[id] = n;
-    ++stats_.nodes_created;
-    partition_dirty_ = true;
-  } else {
-    nodes_[id]->last_seen = now;
+  if (nodes_.size() <= id) {
+    nodes_.resize(id + 1);
+    node_links_.resize(id + 1);
   }
+  if (nodes_[id].has_value()) {
+    refresh_node(id, now);
+    return id;
+  }
+  // New entity: make room first so the cap holds at every instant.
+  while (intern_.size() > config_.max_nodes && node_age_.oldest() != kNil) {
+    evict_node(node_age_.oldest());
+  }
+  GraphNode& n = nodes_[id].emplace();
+  n.type = type;
+  n.first_seen = now;
+  n.last_seen = now;
+  n.signals_updated = now;
+  place_node(id);
+  ++stats_.nodes_created;
+  partition_dirty_ = true;
   return id;
 }
 
 void EntityGraph::connect(sim::SimTime now, NodeId a, NodeId b) {
   if (a == 0 || b == 0 || a == b || !alive(a) || !alive(b)) return;
-  const auto key = std::minmax(a, b);
-  const auto it = edges_.find(key);
-  if (it != edges_.end()) {
-    it->second = now;
+  const std::uint64_t key = edge_key(a, b);
+  const std::uint32_t slot = find_edge(key);
+  if (slot != kNil) {
+    refresh_edge(slot, now);
     return;
   }
-  while (edges_.size() >= config_.max_edges) evict_oldest_edge();
-  edges_.emplace(key, now);
+  while (edge_count_ >= config_.max_edges && edge_age_.oldest() != kNil) {
+    erase_edge(edge_age_.oldest());
+  }
+  place_edge(add_edge(key, now));
   ++stats_.edges_created;
   partition_dirty_ = true;
 }
@@ -151,73 +209,181 @@ void EntityGraph::merge_from(const EntityGraph& other, sim::SimTime now) {
 void EntityGraph::maintain(sim::SimTime now) {
   ++stats_.maintenance_runs;
   // Edges first: an aged edge disappears even when both endpoints stay warm.
-  for (auto it = edges_.begin(); it != edges_.end();) {
-    if (it->second + config_.edge_ttl <= now) {
-      it = edges_.erase(it);
-      ++stats_.edges_evicted;
-      partition_dirty_ = true;
-    } else {
-      ++it;
-    }
+  while (edge_age_.oldest() != kNil &&
+         edges_[edge_age_.oldest()].last_seen + config_.edge_ttl <= now) {
+    erase_edge(edge_age_.oldest());
   }
   std::vector<NodeId> expired;
-  for (NodeId id = 1; id < nodes_.size(); ++id) {
-    if (nodes_[id].has_value() && nodes_[id]->last_seen + config_.node_ttl <= now) {
-      expired.push_back(id);
-    }
+  for (NodeId id = node_age_.oldest();
+       id != kNil && nodes_[id]->last_seen + config_.node_ttl <= now;
+       id = node_links_[id].age.newer) {
+    expired.push_back(id);
   }
-  evict_nodes(expired);
+  // Ascending id order: the intern free list is rebuilt exactly as a sweep
+  // over ids would leave it.
+  std::sort(expired.begin(), expired.end());
+  for (const NodeId id : expired) evict_node(id);
 }
 
-void EntityGraph::evict_nodes(const std::vector<NodeId>& ids) {
-  if (ids.empty()) return;
-  // One pass over the edge map however many nodes die: O(E + N), not k x E.
-  std::vector<bool> doomed(nodes_.size(), false);
-  for (const NodeId id : ids) doomed[id] = true;
-  for (auto it = edges_.begin(); it != edges_.end();) {
-    if (doomed[it->first.first] || doomed[it->first.second]) {
-      it = edges_.erase(it);
-      ++stats_.edges_evicted;
-    } else {
-      ++it;
-    }
-  }
-  // Ascending id order: the intern free list is rebuilt exactly as a
-  // node-at-a-time eviction loop would leave it.
-  for (const NodeId id : ids) {
-    intern_.erase(id);
-    nodes_[id].reset();
-    ++stats_.nodes_evicted;
-  }
+void EntityGraph::refresh_node(NodeId id, sim::SimTime now) {
+  GraphNode& n = *nodes_[id];
+  if (n.last_seen == now) return;
+  n.last_seen = now;
+  node_age_.unlink(id, node_links_);
+  place_node(id);
+}
+
+void EntityGraph::place_node(NodeId id) {
+  node_age_.place(id, node_links_, [&](NodeId a, NodeId b) { return node_older(a, b); });
+}
+
+bool EntityGraph::node_older(NodeId a, NodeId b) const {
+  const sim::SimTime ta = nodes_[a]->last_seen;
+  const sim::SimTime tb = nodes_[b]->last_seen;
+  return ta < tb || (ta == tb && a < b);
+}
+
+void EntityGraph::refresh_edge(std::uint32_t slot, sim::SimTime now) {
+  EdgeSlot& e = edges_[slot];
+  if (e.last_seen == now) return;
+  e.last_seen = now;
+  edge_age_.unlink(slot, edges_);
+  place_edge(slot);
+}
+
+void EntityGraph::place_edge(std::uint32_t slot) {
+  edge_age_.place(slot, edges_, [&](std::uint32_t a, std::uint32_t b) { return edge_older(a, b); });
+}
+
+bool EntityGraph::edge_older(std::uint32_t a, std::uint32_t b) const {
+  const EdgeSlot& ea = edges_[a];
+  const EdgeSlot& eb = edges_[b];
+  return ea.last_seen < eb.last_seen || (ea.last_seen == eb.last_seen && ea.key < eb.key);
+}
+
+void EntityGraph::evict_node(NodeId id) {
+  while (node_links_[id].first_edge != kNil) erase_edge(node_links_[id].first_edge);
+  node_age_.unlink(id, node_links_);
+  intern_.erase(id);
+  nodes_[id].reset();
+  ++stats_.nodes_evicted;
   partition_dirty_ = true;
 }
 
-void EntityGraph::evict_oldest_node() {
-  NodeId victim = 0;
-  sim::SimTime oldest = std::numeric_limits<sim::SimTime>::max();
-  for (NodeId id = 1; id < nodes_.size(); ++id) {
-    if (nodes_[id].has_value() && nodes_[id]->last_seen < oldest) {
-      oldest = nodes_[id]->last_seen;
-      victim = id;
-    }
+std::uint32_t EntityGraph::find_edge(std::uint64_t key) const {
+  if (edge_index_.empty()) return kNil;
+  const std::size_t mask = edge_index_.size() - 1;
+  for (std::size_t at = edge_home(key, mask);; at = (at + 1) & mask) {
+    const std::uint32_t slot = edge_index_[at];
+    if (slot == kNil || edges_[slot].key == key) return slot;
   }
-  if (victim != 0) evict_nodes({victim});
 }
 
-void EntityGraph::evict_oldest_edge() {
-  auto victim = edges_.end();
-  sim::SimTime oldest = std::numeric_limits<sim::SimTime>::max();
-  for (auto it = edges_.begin(); it != edges_.end(); ++it) {
-    if (it->second < oldest) {
-      oldest = it->second;
-      victim = it;
+void EntityGraph::index_edge(std::uint32_t slot) {
+  const std::size_t mask = edge_index_.size() - 1;
+  std::size_t at = edge_home(edges_[slot].key, mask);
+  while (edge_index_[at] != kNil) at = (at + 1) & mask;
+  edge_index_[at] = slot;
+}
+
+std::uint32_t EntityGraph::add_edge(std::uint64_t key, sim::SimTime last_seen) {
+  if (2 * (edge_count_ + 1) > edge_index_.size()) {
+    edge_index_.assign(std::max<std::size_t>(16, 2 * edge_index_.size()), kNil);
+    for (std::uint32_t s = 0; s < edges_.size(); ++s) {
+      if (edges_[s].key != 0) index_edge(s);
     }
   }
-  if (victim != edges_.end()) {
-    edges_.erase(victim);
-    ++stats_.edges_evicted;
-    partition_dirty_ = true;
+  std::uint32_t slot = free_edge_;
+  if (slot == kNil) {
+    slot = static_cast<std::uint32_t>(edges_.size());
+    edges_.emplace_back();
+  } else {
+    free_edge_ = edges_[slot].age.older;
   }
+  EdgeSlot& e = edges_[slot];
+  e = EdgeSlot{};
+  e.key = key;
+  e.last_seen = last_seen;
+  index_edge(slot);
+  link_incidence(slot);
+  ++edge_count_;
+  edge_order_stale_ = true;
+  return slot;
+}
+
+void EntityGraph::erase_edge(std::uint32_t slot) {
+  const std::uint64_t key = edges_[slot].key;
+  // Backward-shift delete from the table: pull each later entry of the probe
+  // run into the hole unless its home lies cyclically in (hole, entry].
+  const std::size_t mask = edge_index_.size() - 1;
+  std::size_t hole = edge_home(key, mask);
+  while (edge_index_[hole] != slot) hole = (hole + 1) & mask;
+  for (std::size_t at = (hole + 1) & mask; edge_index_[at] != kNil; at = (at + 1) & mask) {
+    const std::size_t home = edge_home(edges_[edge_index_[at]].key, mask);
+    const bool stays = hole <= at ? (hole < home && home <= at) : (hole < home || home <= at);
+    if (stays) continue;
+    edge_index_[hole] = edge_index_[at];
+    hole = at;
+  }
+  edge_index_[hole] = kNil;
+
+  edge_age_.unlink(slot, edges_);
+  unlink_incidence(slot);
+  EdgeSlot& e = edges_[slot];
+  e = EdgeSlot{};
+  e.age.older = free_edge_;
+  free_edge_ = slot;
+  --edge_count_;
+  edge_order_stale_ = true;
+  ++stats_.edges_evicted;
+  partition_dirty_ = true;
+}
+
+void EntityGraph::link_incidence(std::uint32_t slot) {
+  for (const int side : {0, 1}) {
+    const NodeId node = side == 0 ? lo_of(edges_[slot].key) : hi_of(edges_[slot].key);
+    const std::uint32_t next = node_links_[node].first_edge;
+    edges_[slot].next[side] = next;
+    edges_[slot].prev[side] = kNil;
+    if (next != kNil) edges_[next].prev[side_of(next, node)] = slot;
+    node_links_[node].first_edge = slot;
+  }
+}
+
+void EntityGraph::unlink_incidence(std::uint32_t slot) {
+  for (const int side : {0, 1}) {
+    const NodeId node = side == 0 ? lo_of(edges_[slot].key) : hi_of(edges_[slot].key);
+    const std::uint32_t next = edges_[slot].next[side];
+    const std::uint32_t prev = edges_[slot].prev[side];
+    (prev == kNil ? node_links_[node].first_edge : edges_[prev].next[side_of(prev, node)]) = next;
+    if (next != kNil) edges_[next].prev[side_of(next, node)] = prev;
+  }
+}
+
+const std::vector<EntityGraph::EdgeRef>& EntityGraph::edge_order() const {
+  if (!edge_order_stale_) return edge_order_;
+  std::vector<EdgeRef>& out = edge_order_;
+  out.clear();
+  for (std::uint32_t slot = 0; slot < edges_.size(); ++slot) {
+    if (edges_[slot].key != 0) out.push_back({edges_[slot].key, slot});
+  }
+  // LSD radix sort, one byte of the key per pass, skipping the bytes every
+  // key shares (ids are small, so most of the eight are). One read counts
+  // every byte's digits.
+  std::array<std::array<std::size_t, 257>, 8> start{};
+  for (const EdgeRef& r : out) {
+    for (unsigned byte = 0; byte < 8; ++byte) ++start[byte][((r.key >> (8 * byte)) & 0xff) + 1];
+  }
+  std::vector<EdgeRef> sorted(out.size());
+  for (unsigned byte = 0; byte < 8; ++byte) {
+    auto& at = start[byte];
+    if (std::find(at.begin() + 1, at.end(), out.size()) != at.end()) continue;
+    std::partial_sum(at.begin(), at.end(), at.begin());
+    for (const EdgeRef& r : out) sorted[at[(r.key >> (8 * byte)) & 0xff]++] = r;
+    out.swap(sorted);
+  }
+  edge_order_stale_ = false;
+  return out;
 }
 
 EntityGraph::NodeId EntityGraph::find(NodeType type, std::string_view key) const {
@@ -262,14 +428,11 @@ void EntityGraph::rebuild_partition() const {
   // hiding among them — into a single washed-out component. ASN edges stay
   // in the graph (context for SOC drill-down) but never union; only exact
   // shared entities (fingerprint, IP, token, name, booking) tie components.
-  for (const auto& [key, last_seen] : edges_) {
-    (void)last_seen;
-    const auto is_hub = [&](NodeId id) {
-      return nodes_[id].has_value() && nodes_[id]->type == NodeType::Asn;
-    };
-    if (is_hub(key.first) || is_hub(key.second)) continue;
-    std::uint32_t ra = root(key.first);
-    std::uint32_t rb = root(key.second);
+  const auto is_hub = [&](NodeId id) { return nodes_[id]->type == NodeType::Asn; };
+  for (const EdgeRef& r : edge_order()) {
+    if (is_hub(lo_of(r.key)) || is_hub(hi_of(r.key))) continue;
+    std::uint32_t ra = root(lo_of(r.key));
+    std::uint32_t rb = root(hi_of(r.key));
     if (ra == rb) continue;
     if (rank_size_[ra] + rank_size_[rb] > config_.component_cap) {
       ++unions_refused_;
@@ -367,28 +530,65 @@ void EntityGraph::visit(Ar& ar) {
   std::uint64_t live = intern_.size();
   ar(live);
   if constexpr (Ar::reading) {
-    nodes_.clear();
-    nodes_.resize(intern_.capacity() + 1);
+    nodes_.assign(intern_.capacity() + 1, std::nullopt);
+    node_links_.assign(nodes_.size(), NodeLinks{});
     for (std::uint64_t i = 0; i < live && ar.ok(); ++i) {
       NodeId id = 0;
       GraphNode n;
       ar(id, n);
-      if (id != 0 && id < nodes_.size()) nodes_[id] = n;
+      // Hostile bytes: each record names a distinct live intern id, or
+      // node_count() and the nodes a walk finds would disagree.
+      if (!intern_.contains(id) || nodes_[id].has_value()) ar.fail();
+      if (ar.ok()) nodes_[id] = n;
     }
+    if (live != intern_.size()) ar.fail();
   } else {
     for (NodeId id = 1; id < nodes_.size(); ++id) {
       if (nodes_[id].has_value()) ar(id, *nodes_[id]);
     }
   }
-  ar(edges_, stats_, next_maintenance_);
-  if constexpr (Ar::reading) {
-    // Hostile bytes: an edge must join two live nodes, or every pass that
-    // indexes nodes_ by endpoint would read out of bounds. Dropping it leaves
-    // edges_created - edges_evicted != edge_count, which the conservation
-    // invariant reports.
-    std::erase_if(edges_, [&](const auto& edge) {
-      return !alive(edge.first.first) || !alive(edge.first.second);
-    });
+  if constexpr (!Ar::reading) {
+    // The encoding of a std::vector<EdgeEntry> in key order.
+    const std::vector<EdgeRef>& order = edge_order();
+    ar(std::uint64_t{order.size()});
+    for (const EdgeRef& r : order) ar(EdgeEntry{r.key, edges_[r.slot].last_seen});
+    ar(stats_, next_maintenance_);
+  } else {
+    std::vector<EdgeEntry> edges;
+    ar(edges, stats_, next_maintenance_);
+    // Rebuild the edge table and the age lists. Hostile bytes: an edge must
+    // join two live nodes, be written lo < hi and name its key once (the
+    // first copy stays), or a pass that indexes nodes_ by endpoint would read
+    // out of bounds and an endpoint's eviction could leave it behind.
+    // Dropping it leaves edges_created - edges_evicted != edge_count, which
+    // the conservation invariant reports.
+    edges_.clear();
+    edge_index_.clear();
+    free_edge_ = kNil;
+    edge_count_ = 0;
+    edge_order_stale_ = true;
+    std::vector<std::uint32_t> edge_slots;
+    for (const EdgeEntry& e : edges) {
+      const NodeId lo = lo_of(e.key);
+      const NodeId hi = hi_of(e.key);
+      if (lo < hi && alive(lo) && alive(hi) && find_edge(e.key) == kNil) {
+        edge_slots.push_back(add_edge(e.key, e.last_seen));
+      }
+    }
+    // Linked oldest first, each entry lands at the newest end in O(1).
+    std::sort(edge_slots.begin(), edge_slots.end(),
+              [&](std::uint32_t a, std::uint32_t b) { return edge_older(a, b); });
+    edge_age_.clear();
+    for (const std::uint32_t slot : edge_slots) place_edge(slot);
+
+    std::vector<NodeId> node_ids;
+    for (NodeId id = 1; id < nodes_.size(); ++id) {
+      if (nodes_[id].has_value()) node_ids.push_back(id);
+    }
+    std::sort(node_ids.begin(), node_ids.end(),
+              [&](NodeId a, NodeId b) { return node_older(a, b); });
+    node_age_.clear();
+    for (const NodeId id : node_ids) place_node(id);
     partition_dirty_ = true;
   }
 }

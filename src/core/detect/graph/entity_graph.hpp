@@ -18,14 +18,24 @@
 //     (oldest-by-last-seen evicted first), and sim-time TTL aging retires
 //     idle entities on a fixed maintenance cadence — the graph never outgrows
 //     its configuration no matter how long the platform runs.
+//   * Constant cost per event, below the caps and at them. Edges sit in a
+//     flat open-addressing table keyed by the packed pair (lo << 32) | hi,
+//     and each node threads an intrusive list of its incident edges, so
+//     evicting a node costs O(its degree). Live nodes and edges are also
+//     threaded oldest to newest by (last_seen, id) and (last_seen, key):
+//     cap eviction takes the head of a list and a TTL pass pops only the
+//     expired prefix. Events arrive in time order, so a touch relinks at the
+//     tail; a touch back in time walks in from both ends. An actor minting
+//     identities to fill the graph thus costs the defender O(1) per event.
 //   * Checkpointable. Byte-stable serialization (nodes in intern-id order,
 //     edges in key order) keeps journal record/replay and fleet resume
 //     byte-identical, including intern-id assignment (util::InternTable
-//     reproduces its free list exactly).
+//     reproduces its free list exactly). Table order is never observable:
+//     the checkpoint, for_each_edge and the partition rebuild all walk the
+//     edges radix-sorted by key.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -157,7 +167,7 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
   [[nodiscard]] const GraphConfig& config() const { return config_; }
   [[nodiscard]] const GraphStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t node_count() const { return intern_.size(); }
-  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
+  [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
   [[nodiscard]] const util::InternTable& interner() const { return intern_; }
 
   // Lookup without inserting; 0 when the entity is not (or no longer) live.
@@ -192,7 +202,9 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
   }
   template <typename Fn>
   void for_each_edge(Fn&& fn) const {
-    for (const auto& [key, last_seen] : edges_) fn(key.first, key.second, last_seen);
+    for (const EdgeRef& r : edge_order()) {
+      fn(lo_of(r.key), hi_of(r.key), edges_[r.slot].last_seen);
+    }
   }
 
   // Raw (un-prefixed) key of a live node; empty for dead ids. The view points
@@ -213,17 +225,106 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
   // Byte-stable: intern table, then live nodes in id order, then edges in
   // key order, then counters. restore() reproduces the exact state (and the
   // exact intern-id assignment), so re-checkpointing restored state is
-  // byte-identical.
+  // byte-identical. Hostile bytes: a node list that disagrees with the
+  // intern table's live ids fails the reader; an edge that names a dead node,
+  // repeats a key or is not written lo < hi is dropped, which the
+  // conservation invariant reports.
   template <class Ar>
   void visit(Ar& ar);
 
  private:
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  // An entry's neighbours in an age list (node ids or edge slots).
+  struct AgeLinks {
+    std::uint32_t older = kNil;
+    std::uint32_t newer = kNil;
+  };
+
+  // Live entries threaded oldest to newest. The links are the `age` member
+  // of slots[i]; `older(i, j)` orders two entries by (last_seen, id or key),
+  // which no two entries share.
+  class AgeList {
+   public:
+    [[nodiscard]] std::uint32_t oldest() const { return oldest_; }
+    // Links unlinked entry `i` at its place in the order.
+    template <class Slots, class Older>
+    void place(std::uint32_t i, Slots& slots, Older older);
+    template <class Slots>
+    void unlink(std::uint32_t i, Slots& slots);
+    void clear() { oldest_ = newest_ = kNil; }
+
+   private:
+    std::uint32_t oldest_ = kNil;
+    std::uint32_t newest_ = kNil;
+  };
+
+  // A node's links, kept beside nodes_ so the passes over nodes stay dense.
+  struct NodeLinks {
+    AgeLinks age;
+    std::uint32_t first_edge = kNil;  // head of the incidence list
+  };
+
+  // The endpoints of a packed edge key.
+  [[nodiscard]] static NodeId lo_of(std::uint64_t key) { return static_cast<NodeId>(key >> 32); }
+  [[nodiscard]] static NodeId hi_of(std::uint64_t key) { return static_cast<NodeId>(key); }
+
+  // The undirected edge {lo, hi}, lo < hi. It threads two incidence lists:
+  // side 0 is lo's, side 1 is hi's. A free slot has key 0 and chains the free
+  // list through age.older.
+  struct EdgeSlot {
+    std::uint64_t key = 0;  // (lo << 32) | hi
+    sim::SimTime last_seen = 0;
+    AgeLinks age;
+    std::uint32_t next[2] = {kNil, kNil};
+    std::uint32_t prev[2] = {kNil, kNil};
+  };
+
+  // One edge as the checkpoint encodes it: lo and hi as u32, then last_seen.
+  struct EdgeEntry {
+    std::uint64_t key = 0;
+    sim::SimTime last_seen = 0;
+    template <class Ar>
+    void visit(Ar& ar) {
+      NodeId l = lo_of(key);
+      NodeId h = hi_of(key);
+      ar(l, h, last_seen);
+      key = (std::uint64_t{l} << 32) | h;
+    }
+  };
+
   // "<type-prefix>:<key>", composed in key_buf_: valid until the next call.
   [[nodiscard]] std::string_view compose_key(NodeType type, std::string_view key) const;
-  // Evicts live `ids` (ascending) and every edge touching them in one pass.
-  void evict_nodes(const std::vector<NodeId>& ids);
-  void evict_oldest_node();
-  void evict_oldest_edge();
+  // Moves a live node or edge to its new place in age order.
+  void refresh_node(NodeId id, sim::SimTime now);
+  void refresh_edge(std::uint32_t slot, sim::SimTime now);
+  void place_node(NodeId id);
+  void place_edge(std::uint32_t slot);
+  // Age order: (last_seen, id) for nodes, (last_seen, key) for edges.
+  [[nodiscard]] bool node_older(NodeId a, NodeId b) const;
+  [[nodiscard]] bool edge_older(std::uint32_t a, std::uint32_t b) const;
+  // Evicts a live node and every edge touching it.
+  void evict_node(NodeId id);
+  // Edge table: the slot holding `key`, or kNil.
+  [[nodiscard]] std::uint32_t find_edge(std::uint64_t key) const;
+  // Indexes and links a new edge; returns its slot, not yet in age order.
+  std::uint32_t add_edge(std::uint64_t key, sim::SimTime last_seen);
+  void erase_edge(std::uint32_t slot);
+  void index_edge(std::uint32_t slot);
+  // Adds an edge to, or removes it from, both endpoints' incidence lists.
+  void link_incidence(std::uint32_t slot);
+  void unlink_incidence(std::uint32_t slot);
+  // Which of edge `slot`'s incidence lists is `node`'s: 0 for lo, 1 for hi.
+  [[nodiscard]] int side_of(std::uint32_t slot, NodeId node) const {
+    return lo_of(edges_[slot].key) == node ? 0 : 1;
+  }
+  // An edge's key and slot, the unit edge_order() sorts.
+  struct EdgeRef {
+    std::uint64_t key = 0;
+    std::uint32_t slot = 0;
+  };
+  // Live edges in key order, sorted again only after the edge set changed.
+  [[nodiscard]] const std::vector<EdgeRef>& edge_order() const;
   void rebuild_partition() const;
   [[nodiscard]] std::uint32_t root(std::uint32_t id) const;
 
@@ -231,10 +332,15 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
   util::InternTable intern_;
   // Indexed by intern id (slot 0 unused); nullopt = dead/free id.
   std::vector<std::optional<GraphNode>> nodes_;
-  // Undirected edges keyed (min id, max id) -> last_seen. std::map gives the
-  // deterministic iteration order the partition rebuild and the checkpoint
-  // serialization both rely on.
-  std::map<std::pair<NodeId, NodeId>, sim::SimTime> edges_;
+  std::vector<NodeLinks> node_links_;
+  AgeList node_age_;
+  // Edge slots, and an open-addressing table of their indices (linear
+  // probing, power-of-two size, load at most 1/2, backward-shift erase).
+  std::vector<EdgeSlot> edges_;
+  std::vector<std::uint32_t> edge_index_;
+  std::uint32_t free_edge_ = kNil;
+  std::size_t edge_count_ = 0;
+  AgeList edge_age_;
   GraphStats stats_;
   sim::SimTime next_maintenance_ = 0;
   fault::FaultPoint& ingest_fault_;
@@ -246,6 +352,10 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
   mutable std::vector<std::uint32_t> rank_size_;
   mutable std::vector<std::uint32_t> canonical_;
   mutable std::size_t unions_refused_ = 0;
+  // edge_order()'s cache: a partition rebuild after node-only changes, and
+  // a checkpoint or for_each_edge after it, reuse one sort.
+  mutable std::vector<EdgeRef> edge_order_;
+  mutable bool edge_order_stale_ = true;
   // Reused by compose_key, so a lookup builds no string per call. Like the
   // lazy partition above, it makes const queries unsafe to run concurrently.
   mutable std::string key_buf_;

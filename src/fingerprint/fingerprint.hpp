@@ -50,6 +50,8 @@ struct Fingerprint {
 
   // Canonical attribute string (used for hashing and logging).
   [[nodiscard]] std::string canonical() const;
+  // fnv1a(canonical()), never 0. Each thread remembers the last fingerprint
+  // it hashed and returns its digest again while every field compares equal.
   [[nodiscard]] FpHash hash() const;
   // Synthesised user-agent string consistent with browser/os/version.
   [[nodiscard]] std::string user_agent() const;

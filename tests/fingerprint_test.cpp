@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdint>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fingerprint/consistency.hpp"
@@ -28,6 +31,63 @@ TEST(Fingerprint, HashStableAndSensitive) {
   b = a;
   b.webdriver_flag = true;
   EXPECT_NE(a.hash(), b.hash());
+}
+
+// Counts the fields a visit() hands its archive.
+struct FieldCounter {
+  std::size_t fields = 0;
+  template <class... T>
+  void operator()(T&...) {
+    fields += sizeof...(T);
+  }
+};
+
+// hash() remembers the last fingerprint it digested on the calling thread.
+// With the memo holding `base`, a copy that differs in any one visit field
+// must digest to its own canonical string, never to the remembered one.
+void expect_digest_follows_every_field() {
+  Fingerprint base;
+  derive_rendering_hashes(base);
+  const std::vector<std::function<void(Fingerprint&)>> changes = {
+      [](Fingerprint& f) { f.browser = Browser::Firefox; },
+      [](Fingerprint& f) { f.browser_version += 1; },
+      [](Fingerprint& f) { f.os = Os::Linux; },
+      [](Fingerprint& f) { f.device = DeviceClass::Tablet; },
+      [](Fingerprint& f) { f.screen_width += 1; },
+      [](Fingerprint& f) { f.screen_height += 1; },
+      [](Fingerprint& f) { f.timezone_offset_minutes += 60; },
+      [](Fingerprint& f) { f.language = "de-DE"; },
+      [](Fingerprint& f) { f.cpu_cores += 1; },
+      [](Fingerprint& f) { f.memory_gb += 1; },
+      [](Fingerprint& f) { f.touch_support = !f.touch_support; },
+      [](Fingerprint& f) { f.plugin_count += 1; },
+      [](Fingerprint& f) { f.canvas_hash ^= 1; },
+      [](Fingerprint& f) { f.webgl_hash ^= 1; },
+      [](Fingerprint& f) { f.fonts_hash ^= 1; },
+      [](Fingerprint& f) { f.webdriver_flag = !f.webdriver_flag; },
+      [](Fingerprint& f) { f.headless_hint = !f.headless_hint; },
+  };
+  FieldCounter counter;
+  base.visit(counter);
+  ASSERT_EQ(changes.size(), counter.fields) << "a visit field has no change case here";
+  const std::uint64_t base_digest = util::fnv1a(base.canonical());
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    SCOPED_TRACE("field " + std::to_string(i));
+    Fingerprint changed = base;
+    changes[i](changed);
+    ASSERT_NE(changed.canonical(), base.canonical());
+    const std::uint64_t digest = util::fnv1a(changed.canonical());
+    EXPECT_EQ(base.hash().value(), base_digest);  // fills the memo with base
+    EXPECT_EQ(changed.hash().value(), digest);
+    EXPECT_EQ(changed.hash().value(), digest);  // the memo now holds the copy
+    EXPECT_EQ(base.hash().value(), base_digest);
+  }
+}
+
+TEST(Fingerprint, HashMemoFollowsEveryVisitField) {
+  expect_digest_follows_every_field();
+  std::thread other(expect_digest_follows_every_field);
+  other.join();
 }
 
 TEST(Fingerprint, HashNeverInvalid) {

@@ -19,13 +19,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "attack/ring_orchestrator.hpp"
 #include "core/detect/detector.hpp"
 #include "core/detect/graph/entity_graph.hpp"
 #include "core/detect/graph/graph_detector.hpp"
+#include "core/detect/graph/graph_ingest.hpp"
+#include "core/detect/pipeline.hpp"
 #include "core/invariant/invariant.hpp"
 #include "core/journal/journal.hpp"
 #include "core/scenario/env.hpp"
@@ -118,28 +123,40 @@ TEST(EntityGraph, ComponentCapRefusesFurtherMerges) {
 
 // --- Bounds under churn ------------------------------------------------------
 
-TEST(EntityGraph, CapsAndConservationHoldUnderChurn) {
+// Both caps and the TTL in play: 32 nodes, 48 edges, one-hour edges and
+// two-hour nodes swept every ten minutes, one event every 30 s.
+GraphConfig churn_config() {
   GraphConfig config;
   config.max_nodes = 32;
   config.max_edges = 48;
   config.node_ttl = sim::hours(2);
   config.edge_ttl = sim::hours(1);
   config.maintenance_every = sim::minutes(10);
+  return config;
+}
+
+// One event of the churn stream: a session, a fingerprint and an IP drawn
+// from small pools, the session linked to both.
+void churn_event(EntityGraph& graph, sim::Rng& rng, sim::SimTime now) {
+  if (!graph.begin_event(now)) return;
+  const auto s =
+      graph.touch(now, NodeType::Session, "s-" + std::to_string(rng.uniform_int(0, 199)));
+  const auto fp =
+      graph.touch(now, NodeType::Fingerprint, "fp-" + std::to_string(rng.uniform_int(0, 49)));
+  const auto ip = graph.touch(now, NodeType::Ip, "ip-" + std::to_string(rng.uniform_int(0, 99)));
+  graph.connect(now, s, fp);
+  graph.connect(now, s, ip);
+}
+
+TEST(EntityGraph, CapsAndConservationHoldUnderChurn) {
+  const GraphConfig config = churn_config();
   EntityGraph graph(config);
 
   sim::Rng rng(4242);
   sim::SimTime now = 0;
   for (int i = 0; i < 2000; ++i) {
     now += sim::seconds(30);
-    if (!graph.begin_event(now)) continue;
-    const auto s = graph.touch(now, NodeType::Session,
-                               "s-" + std::to_string(rng.uniform_int(0, 199)));
-    const auto fp = graph.touch(now, NodeType::Fingerprint,
-                                "fp-" + std::to_string(rng.uniform_int(0, 49)));
-    const auto ip =
-        graph.touch(now, NodeType::Ip, "ip-" + std::to_string(rng.uniform_int(0, 99)));
-    graph.connect(now, s, fp);
-    graph.connect(now, s, ip);
+    churn_event(graph, rng, now);
 
     ASSERT_LE(graph.node_count(), config.max_nodes);
     ASSERT_LE(graph.edge_count(), config.max_edges);
@@ -157,6 +174,139 @@ TEST(EntityGraph, CapsAndConservationHoldUnderChurn) {
   EXPECT_EQ(graph.edge_count(), 0u);
   EXPECT_EQ(graph.stats().nodes_created, graph.stats().nodes_evicted);
   EXPECT_EQ(graph.stats().edges_created, graph.stats().edges_evicted);
+}
+
+// The churn stream with its checkpoint bytes pinned by CRC-32 every 200
+// events, so every victim the caps and the TTL pick is pinned with them (the
+// values were taken from the scan-based eviction the age lists replaced). At
+// 48 edges the stream peaks at 27 live edges, so it runs a second time with
+// a 20-edge cap to put the edge cap in play too.
+TEST(EntityGraph, CapChurnCheckpointBytesArePinned) {
+  std::vector<std::uint32_t> crcs;
+  for (const std::size_t max_edges : {48, 20}) {
+    GraphConfig config = churn_config();
+    config.max_edges = max_edges;
+    EntityGraph graph(config);
+    sim::Rng rng(4242);
+    sim::SimTime now = 0;
+    bool node_cap = false;
+    bool edge_cap = false;
+    for (int i = 1; i <= 2000; ++i) {
+      now += sim::seconds(30);
+      churn_event(graph, rng, now);
+      node_cap = node_cap || graph.node_count() == config.max_nodes;
+      edge_cap = edge_cap || graph.edge_count() == config.max_edges;
+      if (i % 200 == 0) crcs.push_back(util::crc32(checkpoint_bytes(graph)));
+    }
+    EXPECT_TRUE(node_cap);
+    EXPECT_EQ(edge_cap, max_edges == 20);
+    EXPECT_GT(graph.stats().maintenance_runs, 0u);
+  }
+
+  const std::vector<std::uint32_t> pinned = {
+      0xdf7c2d1eu, 0xce27bdacu, 0x84d39099u, 0x118a7741u, 0xcc6737f7u,  // 48 edges
+      0x756b2318u, 0x7629b1e0u, 0xd3d4b3afu, 0xd8ded2e9u, 0x20bebf24u,
+      0x55621bb4u, 0xf3e0e307u, 0x519294b9u, 0xba00d8d2u, 0xf8edb7f9u,  // 20 edges
+      0x4fefacf5u, 0xba3f15bdu, 0x6ae2d406u, 0xbe81633au, 0x79d0738eu};
+  std::ostringstream got;
+  for (const auto crc : crcs) got << "0x" << std::hex << crc << "u, ";
+  EXPECT_EQ(crcs, pinned) << "crcs " << got.str();
+}
+
+// Touches whose times fall (a restored clock, a test, a merge at an earlier
+// barrier) reorder the age lists: cap eviction must still take the oldest
+// last_seen with ties to the smallest id (edges: the smallest (lo, hi) key),
+// and maintenance must retire exactly the expired set.
+TEST(EntityGraph, OutOfOrderTouchesEvictOldestFirst) {
+  GraphConfig config;
+  config.max_nodes = 4;
+  config.max_edges = 3;
+  config.node_ttl = sim::hours(1);
+  config.edge_ttl = sim::hours(1);
+  EntityGraph graph(config);
+  const auto live = [&](const char* key) { return graph.find(NodeType::Session, key) != 0; };
+  const auto touch = [&](sim::SimTime at, const char* key) {
+    return graph.touch(at, NodeType::Session, key);
+  };
+
+  touch(sim::hours(10), "a");
+  touch(sim::hours(9), "b");
+  const auto c = touch(sim::hours(8), "c");
+  const auto d = touch(sim::hours(8), "d");
+  ASSERT_LT(c, d);
+  touch(sim::hours(7), "a");  // back in time: a is now the oldest
+  touch(sim::hours(11), "e");
+  EXPECT_FALSE(live("a"));
+  // c and d tie at 8 h; d arrived later but c has the smaller id.
+  touch(sim::hours(6), "d");
+  touch(sim::hours(6), "c");
+  touch(sim::hours(11), "f");
+  EXPECT_FALSE(live("c"));
+  EXPECT_TRUE(live("d"));
+  touch(sim::hours(11), "g");
+  EXPECT_FALSE(live("d"));
+  EXPECT_TRUE(live("b"));
+  EXPECT_EQ(graph.node_count(), 4u);
+
+  // A run of equal times entered in falling id order leaves in rising id
+  // order.
+  EntityGraph run(config);
+  std::vector<EntityGraph::NodeId> ids;
+  for (const char* key : {"p", "q", "r", "s"}) {
+    ids.push_back(run.touch(0, NodeType::Ip, key));
+  }
+  for (const char* key : {"s", "r", "q", "p"}) run.touch(sim::hours(5), NodeType::Ip, key);
+  const auto first = run.touch(sim::hours(6), NodeType::Ip, "t");
+  EXPECT_EQ(first, ids.back() + 1);
+  EXPECT_EQ(run.find(NodeType::Ip, "p"), 0u);
+  const auto reused = run.touch(sim::hours(6), NodeType::Ip, "u");
+  EXPECT_EQ(reused, ids[0]);  // p's id, from the free list
+  EXPECT_EQ(run.find(NodeType::Ip, "q"), 0u);
+  // Back into the oldest run with the smallest id: it goes first.
+  run.touch(sim::hours(5), NodeType::Ip, "u");
+  run.touch(sim::hours(6), NodeType::Ip, "v");
+  EXPECT_EQ(run.find(NodeType::Ip, "u"), 0u);
+  EXPECT_NE(run.find(NodeType::Ip, "r"), 0u);
+
+  // Edges: the same rule over (last_seen, (lo, hi)).
+  EntityGraph edges(config);
+  const auto n1 = edges.touch(0, NodeType::Session, "n1");
+  const auto n2 = edges.touch(0, NodeType::Session, "n2");
+  const auto n3 = edges.touch(0, NodeType::Session, "n3");
+  const auto n4 = edges.touch(0, NodeType::Session, "n4");
+  std::vector<std::pair<EntityGraph::NodeId, EntityGraph::NodeId>> seen;
+  const auto edge_set = [&] {
+    seen.clear();
+    edges.for_each_edge([&](EntityGraph::NodeId a, EntityGraph::NodeId b, sim::SimTime) {
+      seen.emplace_back(a, b);
+    });
+    return seen;
+  };
+  using Pairs = std::vector<std::pair<EntityGraph::NodeId, EntityGraph::NodeId>>;
+  edges.connect(sim::hours(10), n3, n4);
+  edges.connect(sim::hours(8), n2, n4);
+  edges.connect(sim::hours(8), n1, n4);  // ties (n2, n4) at 8 h with a smaller key
+  edges.connect(sim::hours(12), n1, n2);
+  EXPECT_EQ(edge_set(), (Pairs{{n1, n2}, {n2, n4}, {n3, n4}}));
+  edges.connect(sim::hours(7), n3, n4);  // refresh back in time: now the oldest
+  edges.connect(sim::hours(12), n1, n3);
+  EXPECT_EQ(edge_set(), (Pairs{{n1, n2}, {n1, n3}, {n2, n4}}));
+
+  // Maintenance retires exactly the expired prefix: (n2, n4) at 8 h, not the
+  // 12 h edges, then the nodes idle past their TTL.
+  edges.touch(sim::hours(12), NodeType::Session, "n1");
+  edges.touch(sim::hours(12), NodeType::Session, "n2");
+  edges.touch(sim::hours(9), NodeType::Session, "n3");
+  edges.maintain(sim::hours(9));
+  EXPECT_EQ(edge_set(), (Pairs{{n1, n2}, {n1, n3}}));
+  EXPECT_FALSE(edges.alive(n4));
+  EXPECT_TRUE(edges.alive(n3));
+  edges.maintain(sim::hours(10));
+  EXPECT_FALSE(edges.alive(n3));
+  EXPECT_EQ(edge_set(), (Pairs{{n1, n2}}));
+  const auto& stats = edges.stats();
+  EXPECT_EQ(stats.edges_created - stats.edges_evicted, edges.edge_count());
+  EXPECT_EQ(stats.nodes_created - stats.nodes_evicted, edges.node_count());
 }
 
 TEST(EntityGraph, TtlRetiresIdleEntities) {
@@ -397,6 +547,151 @@ TEST(EntityGraph, RestoreDropsEdgesNamingDeadOrOutOfRangeIds) {
   }
 }
 
+// An edge written as (hi, lo) or as a self-loop is a key no writer produces:
+// kept, it would sit beside the (lo, hi) edge as a second copy and outlive
+// its endpoints' incidence. Restore drops it like a dead-endpoint edge, and
+// the conservation invariant reports the frame.
+TEST(EntityGraph, RestoreDropsReversedAndSelfLoopEdges) {
+  EntityGraph graph;
+  const auto s1 = graph.touch(0, NodeType::Session, "s-1");
+  const auto fp = graph.touch(0, NodeType::Fingerprint, "fp-a");
+  const auto s2 = graph.touch(0, NodeType::Session, "s-2");
+  const auto ip = graph.touch(0, NodeType::Ip, "ip-b");
+  graph.connect(0, s1, fp);
+  graph.connect(0, s2, ip);
+  ASSERT_LT(s2, ip);
+
+  // The last edge, (s2, ip), sits just before the 64-byte counter trailer.
+  const std::string frame = checkpoint_bytes(graph);
+  const std::size_t last_edge = frame.size() - 8 * 8 - 16;
+  const auto splice_edge = [&](std::uint32_t lo, std::uint32_t hi) {
+    util::ByteWriter key;
+    key.u32(lo);
+    key.u32(hi);
+    std::string spliced = frame;
+    spliced.replace(last_edge, 8, key.bytes());
+    return spliced;
+  };
+
+  for (const auto& [lo, hi] : {std::pair{ip, s2}, std::pair{s2, s2}}) {
+    SCOPED_TRACE("edge " + std::to_string(lo) + "-" + std::to_string(hi));
+    const std::string spliced = splice_edge(lo, hi);
+    EntityGraph restored;
+    util::ByteReader in(spliced);
+    restored.restore(in);
+    ASSERT_TRUE(in.ok());
+    EXPECT_EQ(restored.edge_count(), 1u);
+    restored.for_each_edge([&](EntityGraph::NodeId a, EntityGraph::NodeId b, sim::SimTime) {
+      EXPECT_EQ(a, s1);
+      EXPECT_EQ(b, fp);
+    });
+    invariant::InvariantRegistry registry;
+    invariant::register_graph_invariants(registry, restored);
+    EXPECT_EQ(registry.check_all(sim::hours(1)), 1u);
+    ASSERT_EQ(registry.violations().size(), 1u);
+    EXPECT_EQ(registry.violations()[0].invariant, "graph-conservation");
+
+    // Evicting the endpoints leaves nothing behind.
+    restored.touch(sim::hours(13), NodeType::Session, "s-1");
+    restored.touch(sim::hours(13), NodeType::Fingerprint, "fp-a");
+    restored.connect(sim::hours(13), s1, fp);
+    restored.maintain(sim::hours(13));
+    EXPECT_FALSE(restored.alive(s2));
+    EXPECT_EQ(restored.edge_count(), 1u);
+  }
+}
+
+void build_ring_world(EntityGraph& graph, std::vector<web::Session>& sessions);
+
+// Seeded truncations, bit flips and splices of real graph checkpoint frames:
+// each mutant either fails the reader or restores a graph whose every edge
+// joins two live nodes with lo < hi, and which the passes that index by
+// endpoint (partition, eviction, re-checkpoint) walk in bounds.
+TEST(EntityGraph, MutatedCheckpointFramesFailOrRestoreSoundGraphs) {
+  std::vector<std::string> frames;
+  {
+    EntityGraph graph(churn_config());
+    sim::Rng rng(4242);
+    sim::SimTime now = 0;
+    for (int i = 1; i <= 900; ++i) {
+      now += sim::seconds(30);
+      churn_event(graph, rng, now);
+      if (i % 300 == 0) frames.push_back(checkpoint_bytes(graph));
+    }
+  }
+  {
+    EntityGraph graph;
+    std::vector<web::Session> sessions;
+    build_ring_world(graph, sessions);
+    frames.push_back(checkpoint_bytes(graph));
+  }
+
+  sim::Rng rng(20261020);
+  std::size_t restored_ok = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 1500; ++round) {
+    const std::string& frame = frames[static_cast<std::size_t>(round) % frames.size()];
+    std::string mutant = frame;
+    const auto pos = [&](std::size_t size) {
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+    };
+    switch (round % 3) {
+      case 0:  // truncate
+        mutant.resize(pos(frame.size()));
+        break;
+      case 1:  // flip one to three bits
+        for (std::int64_t k = rng.uniform_int(1, 3); k > 0; --k) {
+          mutant[pos(mutant.size())] ^= static_cast<char>(1u << rng.uniform_int(0, 7));
+        }
+        break;
+      default: {  // splice a run of another frame's bytes over this one
+        const std::string& donor = frames[pos(frames.size())];
+        const std::size_t from = pos(donor.size());
+        const std::size_t to = pos(mutant.size());
+        const std::size_t len = std::min<std::size_t>(
+            {static_cast<std::size_t>(rng.uniform_int(1, 24)), donor.size() - from,
+             mutant.size() - to});
+        mutant.replace(to, len, donor.substr(from, len));
+        break;
+      }
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    EntityGraph restored(churn_config());
+    util::ByteReader in(mutant);
+    restored.restore(in);
+    if (!in.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++restored_ok;
+    restored.for_each_edge([&](EntityGraph::NodeId a, EntityGraph::NodeId b, sim::SimTime) {
+      ASSERT_TRUE(restored.alive(a) && restored.alive(b)) << a << "-" << b;
+      ASSERT_LT(a, b);
+    });
+    std::size_t members = 0;
+    restored.for_each_node([&](EntityGraph::NodeId id, const detect::graph::GraphNode&) {
+      members += restored.component_of(id) != 0 ? 1 : 0;
+    });
+    EXPECT_EQ(members, restored.node_count());
+    const std::string again = checkpoint_bytes(restored);
+    EntityGraph twice(churn_config());
+    util::ByteReader in_again(again);
+    twice.restore(in_again);
+    EXPECT_TRUE(in_again.ok());
+    EXPECT_TRUE(checkpoint_bytes(twice) == again);
+    // New keys force the caps; a far-future pass drains the rest.
+    for (int k = 0; k < 40; ++k) {
+      const auto s = restored.touch(sim::hours(30), NodeType::Session, "m-" + std::to_string(k));
+      restored.connect(sim::hours(30), s, restored.touch(sim::hours(30), NodeType::Ip, "m-ip"));
+    }
+    EXPECT_LE(restored.node_count(), churn_config().max_nodes);
+    EXPECT_LE(restored.edge_count(), churn_config().max_edges);
+    restored.maintain(sim::hours(60));
+  }
+  EXPECT_GT(restored_ok, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
 // --- GraphDetector -----------------------------------------------------------
 
 // Hand-build a ring-shaped component (many sessions on a tiny shared pool,
@@ -469,6 +764,78 @@ TEST(GraphDetector, AlertBytesArePinned) {
   EXPECT_GT(sink.count(), 0u);
   const std::string bytes = render_alerts(sink.alerts());
   EXPECT_EQ(util::crc32(bytes), 0xc228c284u) << std::hex << "crc 0x" << util::crc32(bytes);
+}
+
+// --- Ring under an identity-rotation flood ------------------------------------
+
+// The paper's attackers mint identities cheaply. A flood that brings a fresh
+// session and fingerprint on every request, through a pool of 5,000 exits,
+// fills the default-sized graph before the ring starts and holds it at its
+// node cap for the whole campaign. Cap eviction takes the oldest entities, the
+// flood's one-shot identities, so the 16-member ring, whose members and shared
+// fingerprints stay warm, still forms a component that graph.ring flags.
+TEST(GraphRing, RingIsFlaggedWhileAnIdentityFloodHoldsTheNodeCap) {
+  const sim::SimTime start = sim::hours(1);
+  const sim::SimTime horizon = sim::hours(4);
+  scenario::EnvConfig env_config;
+  env_config.seed = 101;
+  env_config.legit.booking_sessions_per_hour = 20;
+  env_config.legit.browse_sessions_per_hour = 10;
+  env_config.legit.otp_logins_per_hour = 2;
+  scenario::Env env(env_config);
+  env.add_flights("R", scenario::Env::fleet_size_for(20, horizon, 150), 150, sim::days(10));
+
+  EntityGraph graph;
+  const std::size_t cap = graph.config().max_nodes;
+  detect::graph::GraphIngest ingest(graph);
+  env.app.set_tap(&ingest);
+
+  attack::RingConfig ring_config;
+  ring_config.start = start;
+  attack::RingOrchestrator ring(env.app, env.actors, env.residential, env.population,
+                                ring_config, env.rng.fork("ring"));
+
+  const web::ActorId flooder = env.actors.register_actor(app::ActorKind::Scraper);
+  std::uint64_t seq = 0;
+  const auto flood_request = [&] {
+    app::ClientContext ctx;
+    ctx.actor = flooder;
+    ctx.session = web::SessionId{900'000'000u + seq};
+    ctx.fingerprint.canvas_hash = seq;
+    ctx.ip = net::IpV4{0x30000000u + static_cast<std::uint32_t>(seq % 5000)};
+    env.app.browse(ctx, web::Endpoint::SearchFlights);
+    ++seq;
+  };
+  // A burst of half a cap of identities (a session and a fingerprint each)
+  // fills the graph; then one request every two seconds keeps it full.
+  env.sim.schedule_at(0, [&] {
+    while (seq < cap / 2) flood_request();
+  });
+  std::size_t ticks_below_cap = 0;
+  std::function<void()> steady = [&] {
+    flood_request();
+    if (env.sim.now() >= start && graph.node_count() != cap) ++ticks_below_cap;
+    if (env.sim.now() + sim::seconds(2) < horizon) env.sim.schedule_in(sim::seconds(2), steady);
+  };
+  env.sim.schedule_at(sim::seconds(1), steady);
+
+  env.start_background(horizon);
+  ring.start(horizon);
+  env.run_until(horizon);
+  EXPECT_EQ(ticks_below_cap, 0u);
+  EXPECT_GT(graph.stats().nodes_evicted, 5'000u);
+
+  detect::DetectionPipeline pipeline;
+  pipeline.enable_graph(graph);
+  const auto result = pipeline.run(env.app, env.actors, start, horizon);
+  const std::set<web::ActorId> members(ring.members().begin(), ring.members().end());
+  std::set<web::ActorId> caught;
+  for (const auto& alert : result.alerts.alerts()) {
+    if (alert.detector == "graph.ring" && alert.actor && members.count(*alert.actor) != 0) {
+      caught.insert(*alert.actor);
+    }
+  }
+  EXPECT_GE(caught.size(), members.size() * 4 / 5);
 }
 
 // --- End-to-end determinism with the graph enabled ---------------------------
@@ -608,6 +975,61 @@ TEST(GraphScenario, ReplayAndCheckpointResumeAreByteIdenticalAcrossTtlEvictions)
   EXPECT_GE(at4.nodes_evicted, 100u);
   EXPECT_GE(at6.nodes_evicted - at4.nodes_evicted, 100u);
   EXPECT_GT(at6.edges_evicted, at4.edges_evicted);
+}
+
+TEST(GraphScenario, ReplayAndCheckpointResumeAreByteIdenticalAtTheCaps) {
+  // The TTL scenario with caps far under the day's distinct entities, so the
+  // node cap and the edge cap evict on both sides of the 4 h resume point.
+  auto config = graph_config(91);
+  config.graph.graph.node_ttl = sim::hours(1);
+  config.graph.graph.edge_ttl = sim::hours(1);
+  config.graph.graph.maintenance_every = sim::minutes(10);
+  const std::size_t max_nodes = 40;
+  const std::size_t max_edges = 30;
+  config.graph.graph.max_nodes = max_nodes;
+  config.graph.graph.max_edges = max_edges;
+  config.checkpoint_every = sim::hours(4);
+  const std::string path = tmp_path("graph-caps.journal");
+  const auto recorded = scenario::record_run(config, path);
+  ASSERT_TRUE(recorded.has_value()) << recorded.error();
+
+  const auto replayed = scenario::replay_run(config, path);
+  ASSERT_TRUE(replayed.has_value()) << replayed.error();
+  EXPECT_EQ(replayed.value().metrics_csv, recorded.value().metrics_csv);
+  EXPECT_EQ(replayed.value().weblog_csv, recorded.value().weblog_csv);
+  EXPECT_EQ(replayed.value().soc_report, recorded.value().soc_report);
+
+  scenario::ReplayOptions from_checkpoint;
+  from_checkpoint.from_last_checkpoint = true;
+  const auto resumed = scenario::replay_run(config, path, from_checkpoint);
+  ASSERT_TRUE(resumed.has_value()) << resumed.error();
+  EXPECT_EQ(resumed.value().metrics_csv, recorded.value().metrics_csv);
+  EXPECT_EQ(resumed.value().weblog_csv, recorded.value().weblog_csv);
+  EXPECT_EQ(resumed.value().soc_report, recorded.value().soc_report);
+
+  // Evidence that both caps bind before and after the resume point: a probe
+  // recording that checkpoints every 20 minutes finds the live node and edge
+  // counts at their caps on each side of 4 h.
+  invariant::InvariantRegistry registry;
+  auto probe = config;
+  probe.checkpoint_every = sim::minutes(20);
+  probe.invariants = &registry;
+  const std::string probe_path = tmp_path("graph-caps-probe.journal");
+  const auto probed = scenario::record_run(probe, probe_path);
+  ASSERT_TRUE(probed.has_value()) << probed.error();
+  EXPECT_TRUE(probed.value().violations.empty())
+      << probed.value().violations.front().render();
+  bool nodes_before = false, nodes_after = false, edges_before = false, edges_after = false;
+  for (const auto& [at, stats] : checkpoint_graph_stats(probe_path)) {
+    const bool full_nodes = stats.nodes_created - stats.nodes_evicted == max_nodes;
+    const bool full_edges = stats.edges_created - stats.edges_evicted == max_edges;
+    (at <= sim::hours(4) ? nodes_before : nodes_after) |= full_nodes;
+    (at <= sim::hours(4) ? edges_before : edges_after) |= full_edges;
+  }
+  EXPECT_TRUE(nodes_before);
+  EXPECT_TRUE(nodes_after);
+  EXPECT_TRUE(edges_before);
+  EXPECT_TRUE(edges_after);
 }
 
 TEST(GraphScenario, GraphOffKeepsHistoricalArtifactShape) {
