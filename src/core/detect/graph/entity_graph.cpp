@@ -1,10 +1,8 @@
 #include "core/detect/graph/entity_graph.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <map>
-#include <numeric>
 
 namespace fraudsim::detect::graph {
 
@@ -73,39 +71,97 @@ const char* to_string(NodeType t) {
   return "?";
 }
 
-template <class Slots, class Older>
-void EntityGraph::AgeList::place(std::uint32_t i, Slots& slots, Older older) {
-  // Walk in from both ends at once: a touch in time order belongs at the
-  // newest end, one back in time usually near the oldest, and either costs
-  // O(1). `prev` ends as the entry i follows (kNil: i is the oldest).
-  std::uint32_t from_new = newest_;
-  std::uint32_t from_old = oldest_;
-  std::uint32_t prev = kNil;
-  while (from_new != kNil) {
-    if (older(from_new, i)) {
-      prev = from_new;
-      break;
+template <class Access>
+std::uint32_t EntityGraph::AgeList::front(const Access& a) {
+  if (heap_.empty() && oldest_ != kNil) {
+    // Split the oldest timestamp's group off the list into the heap.
+    heap_at_ = a.time(oldest_);
+    while (oldest_ != kNil && a.time(oldest_) == heap_at_) {
+      const std::uint32_t i = oldest_;
+      oldest_ = a.links(i).newer;
+      heap_.push_back(i);
+      sift(heap_.size() - 1, a);
     }
-    from_new = slots[from_new].age.older;
-    if (older(i, from_old)) {
-      prev = slots[from_old].age.older;
-      break;
-    }
-    from_old = slots[from_old].age.newer;
+    (oldest_ == kNil ? newest_ : a.links(oldest_).older) = kNil;
   }
-  AgeLinks& links = slots[i].age;
-  links.older = prev;
-  links.newer = prev == kNil ? oldest_ : slots[prev].age.newer;
-  (links.older == kNil ? oldest_ : slots[links.older].age.newer) = i;
-  (links.newer == kNil ? newest_ : slots[links.newer].age.older) = i;
+  return heap_.empty() ? kNil : heap_.front();
 }
 
-template <class Slots>
-void EntityGraph::AgeList::unlink(std::uint32_t i, Slots& slots) {
-  AgeLinks& links = slots[i].age;
-  (links.older == kNil ? oldest_ : slots[links.older].age.newer) = links.newer;
-  (links.newer == kNil ? newest_ : slots[links.newer].age.older) = links.older;
+template <class Access>
+void EntityGraph::AgeList::place(std::uint32_t i, const Access& a) {
+  const sim::SimTime at = a.time(i);
+  if (!heap_.empty() && at == heap_at_) {
+    heap_.push_back(i);
+    sift(heap_.size() - 1, a);
+    return;
+  }
+  if (!heap_.empty() && at < heap_at_) {
+    // Older than the heap's group (a touch back in time): thread the group
+    // back in at the head of the list, where front() finds it again.
+    for (const std::uint32_t h : heap_) {
+      a.links(h) = AgeLinks{kNil, oldest_};
+      (oldest_ == kNil ? newest_ : a.links(oldest_).older) = h;
+      oldest_ = h;
+    }
+    heap_.clear();
+  }
+  // Link i after the newest entry no newer than it: O(1) for a touch in time
+  // order, however many entries share its timestamp.
+  std::uint32_t prev = newest_;
+  while (prev != kNil && a.time(prev) > at) prev = a.links(prev).older;
+  AgeLinks& links = a.links(i);
+  links.older = prev;
+  links.newer = prev == kNil ? oldest_ : a.links(prev).newer;
+  (links.older == kNil ? oldest_ : a.links(links.older).newer) = i;
+  (links.newer == kNil ? newest_ : a.links(links.newer).older) = i;
+}
+
+template <class Access>
+void EntityGraph::AgeList::unlink(std::uint32_t i, const Access& a) {
+  AgeLinks& links = a.links(i);
+  if (links.newer == kHeaped) {
+    const std::size_t pos = links.older;
+    const std::uint32_t last = heap_.back();
+    heap_.pop_back();
+    if (pos < heap_.size()) {
+      heap_[pos] = last;
+      sift(pos, a);
+    }
+  } else {
+    (links.older == kNil ? oldest_ : a.links(links.older).newer) = links.newer;
+    (links.newer == kNil ? newest_ : a.links(links.newer).older) = links.older;
+  }
   links = AgeLinks{};
+}
+
+template <class Access>
+void EntityGraph::AgeList::expired(sim::SimTime limit, const Access& a,
+                                   std::vector<std::uint32_t>& out) const {
+  if (!heap_.empty() && heap_at_ <= limit) out.insert(out.end(), heap_.begin(), heap_.end());
+  for (std::uint32_t i = oldest_; i != kNil && a.time(i) <= limit; i = a.links(i).newer) {
+    out.push_back(i);
+  }
+}
+
+template <class Access>
+void EntityGraph::AgeList::sift(std::size_t pos, const Access& a) {
+  // Up while smaller than the parent, else down while a child is smaller.
+  const std::uint32_t i = heap_[pos];
+  const auto put = [&](std::size_t at, std::uint32_t entry) {
+    heap_[at] = entry;
+    a.links(entry) = AgeLinks{static_cast<std::uint32_t>(at), kHeaped};
+  };
+  while (pos > 0 && a.rank(i) < a.rank(heap_[(pos - 1) / 2])) {
+    put(pos, heap_[(pos - 1) / 2]);
+    pos = (pos - 1) / 2;
+  }
+  for (std::size_t child = 2 * pos + 1; child < heap_.size(); child = 2 * pos + 1) {
+    if (child + 1 < heap_.size() && a.rank(heap_[child + 1]) < a.rank(heap_[child])) ++child;
+    if (!(a.rank(heap_[child]) < a.rank(i))) break;
+    put(pos, heap_[child]);
+    pos = child;
+  }
+  put(pos, i);
 }
 
 EntityGraph::EntityGraph(GraphConfig config)
@@ -143,15 +199,15 @@ EntityGraph::NodeId EntityGraph::touch(sim::SimTime now, NodeType type, std::str
     return id;
   }
   // New entity: make room first so the cap holds at every instant.
-  while (intern_.size() > config_.max_nodes && node_age_.oldest() != kNil) {
-    evict_node(node_age_.oldest());
+  while (intern_.size() > config_.max_nodes && !node_age_.empty()) {
+    evict_node(node_age_.front(NodeAges{*this}));
   }
   GraphNode& n = nodes_[id].emplace();
   n.type = type;
   n.first_seen = now;
   n.last_seen = now;
   n.signals_updated = now;
-  place_node(id);
+  node_age_.place(id, NodeAges{*this});
   ++stats_.nodes_created;
   partition_dirty_ = true;
   return id;
@@ -165,10 +221,10 @@ void EntityGraph::connect(sim::SimTime now, NodeId a, NodeId b) {
     refresh_edge(slot, now);
     return;
   }
-  while (edge_count_ >= config_.max_edges && edge_age_.oldest() != kNil) {
-    erase_edge(edge_age_.oldest());
+  while (edge_count_ >= config_.max_edges && !edge_age_.empty()) {
+    erase_edge(edge_age_.front(EdgeAges{*this}));
   }
-  place_edge(add_edge(key, now));
+  edge_age_.place(add_edge(key, now), EdgeAges{*this});
   ++stats_.edges_created;
   partition_dirty_ = true;
 }
@@ -209,16 +265,11 @@ void EntityGraph::merge_from(const EntityGraph& other, sim::SimTime now) {
 void EntityGraph::maintain(sim::SimTime now) {
   ++stats_.maintenance_runs;
   // Edges first: an aged edge disappears even when both endpoints stay warm.
-  while (edge_age_.oldest() != kNil &&
-         edges_[edge_age_.oldest()].last_seen + config_.edge_ttl <= now) {
-    erase_edge(edge_age_.oldest());
-  }
-  std::vector<NodeId> expired;
-  for (NodeId id = node_age_.oldest();
-       id != kNil && nodes_[id]->last_seen + config_.node_ttl <= now;
-       id = node_links_[id].age.newer) {
-    expired.push_back(id);
-  }
+  std::vector<std::uint32_t> expired;
+  edge_age_.expired(now - config_.edge_ttl, EdgeAges{*this}, expired);
+  for (const std::uint32_t slot : expired) erase_edge(slot);
+  expired.clear();
+  node_age_.expired(now - config_.node_ttl, NodeAges{*this}, expired);
   // Ascending id order: the intern free list is rebuilt exactly as a sweep
   // over ids would leave it.
   std::sort(expired.begin(), expired.end());
@@ -228,42 +279,22 @@ void EntityGraph::maintain(sim::SimTime now) {
 void EntityGraph::refresh_node(NodeId id, sim::SimTime now) {
   GraphNode& n = *nodes_[id];
   if (n.last_seen == now) return;
+  node_age_.unlink(id, NodeAges{*this});
   n.last_seen = now;
-  node_age_.unlink(id, node_links_);
-  place_node(id);
-}
-
-void EntityGraph::place_node(NodeId id) {
-  node_age_.place(id, node_links_, [&](NodeId a, NodeId b) { return node_older(a, b); });
-}
-
-bool EntityGraph::node_older(NodeId a, NodeId b) const {
-  const sim::SimTime ta = nodes_[a]->last_seen;
-  const sim::SimTime tb = nodes_[b]->last_seen;
-  return ta < tb || (ta == tb && a < b);
+  node_age_.place(id, NodeAges{*this});
 }
 
 void EntityGraph::refresh_edge(std::uint32_t slot, sim::SimTime now) {
   EdgeSlot& e = edges_[slot];
   if (e.last_seen == now) return;
+  edge_age_.unlink(slot, EdgeAges{*this});
   e.last_seen = now;
-  edge_age_.unlink(slot, edges_);
-  place_edge(slot);
-}
-
-void EntityGraph::place_edge(std::uint32_t slot) {
-  edge_age_.place(slot, edges_, [&](std::uint32_t a, std::uint32_t b) { return edge_older(a, b); });
-}
-
-bool EntityGraph::edge_older(std::uint32_t a, std::uint32_t b) const {
-  const EdgeSlot& ea = edges_[a];
-  const EdgeSlot& eb = edges_[b];
-  return ea.last_seen < eb.last_seen || (ea.last_seen == eb.last_seen && ea.key < eb.key);
+  edge_age_.place(slot, EdgeAges{*this});
 }
 
 void EntityGraph::evict_node(NodeId id) {
   while (node_links_[id].first_edge != kNil) erase_edge(node_links_[id].first_edge);
-  node_age_.unlink(id, node_links_);
+  node_age_.unlink(id, NodeAges{*this});
   intern_.erase(id);
   nodes_[id].reset();
   ++stats_.nodes_evicted;
@@ -327,7 +358,7 @@ void EntityGraph::erase_edge(std::uint32_t slot) {
   }
   edge_index_[hole] = kNil;
 
-  edge_age_.unlink(slot, edges_);
+  edge_age_.unlink(slot, EdgeAges{*this});
   unlink_incidence(slot);
   EdgeSlot& e = edges_[slot];
   e = EdgeSlot{};
@@ -367,21 +398,8 @@ const std::vector<EntityGraph::EdgeRef>& EntityGraph::edge_order() const {
   for (std::uint32_t slot = 0; slot < edges_.size(); ++slot) {
     if (edges_[slot].key != 0) out.push_back({edges_[slot].key, slot});
   }
-  // LSD radix sort, one byte of the key per pass, skipping the bytes every
-  // key shares (ids are small, so most of the eight are). One read counts
-  // every byte's digits.
-  std::array<std::array<std::size_t, 257>, 8> start{};
-  for (const EdgeRef& r : out) {
-    for (unsigned byte = 0; byte < 8; ++byte) ++start[byte][((r.key >> (8 * byte)) & 0xff) + 1];
-  }
-  std::vector<EdgeRef> sorted(out.size());
-  for (unsigned byte = 0; byte < 8; ++byte) {
-    auto& at = start[byte];
-    if (std::find(at.begin() + 1, at.end(), out.size()) != at.end()) continue;
-    std::partial_sum(at.begin(), at.end(), at.begin());
-    for (const EdgeRef& r : out) sorted[at[(r.key >> (8 * byte)) & 0xff]++] = r;
-    out.swap(sorted);
-  }
+  std::sort(out.begin(), out.end(),
+            [](const EdgeRef& x, const EdgeRef& y) { return x.key < y.key; });
   edge_order_stale_ = false;
   return out;
 }
@@ -576,19 +594,20 @@ void EntityGraph::visit(Ar& ar) {
       }
     }
     // Linked oldest first, each entry lands at the newest end in O(1).
-    std::sort(edge_slots.begin(), edge_slots.end(),
-              [&](std::uint32_t a, std::uint32_t b) { return edge_older(a, b); });
+    std::sort(edge_slots.begin(), edge_slots.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return edges_[a].last_seen < edges_[b].last_seen;
+    });
     edge_age_.clear();
-    for (const std::uint32_t slot : edge_slots) place_edge(slot);
+    for (const std::uint32_t slot : edge_slots) edge_age_.place(slot, EdgeAges{*this});
 
     std::vector<NodeId> node_ids;
     for (NodeId id = 1; id < nodes_.size(); ++id) {
       if (nodes_[id].has_value()) node_ids.push_back(id);
     }
     std::sort(node_ids.begin(), node_ids.end(),
-              [&](NodeId a, NodeId b) { return node_older(a, b); });
+              [&](NodeId a, NodeId b) { return nodes_[a]->last_seen < nodes_[b]->last_seen; });
     node_age_.clear();
-    for (const NodeId id : node_ids) place_node(id);
+    for (const NodeId id : node_ids) node_age_.place(id, NodeAges{*this});
     partition_dirty_ = true;
   }
 }

@@ -22,17 +22,19 @@
 //     flat open-addressing table keyed by the packed pair (lo << 32) | hi,
 //     and each node threads an intrusive list of its incident edges, so
 //     evicting a node costs O(its degree). Live nodes and edges are also
-//     threaded oldest to newest by (last_seen, id) and (last_seen, key):
-//     cap eviction takes the head of a list and a TTL pass pops only the
-//     expired prefix. Events arrive in time order, so a touch relinks at the
-//     tail; a touch back in time walks in from both ends. An actor minting
-//     identities to fill the graph thus costs the defender O(1) per event.
+//     kept in age order, oldest last_seen first and ties to the smallest id
+//     (key): events arrive in time order, so a touch relinks at the newest
+//     end in O(1), a TTL pass visits only the expired prefix, and cap
+//     eviction takes the head, from a min-heap over the oldest timestamp's
+//     group, O(log g) for g entities that share a millisecond. An actor
+//     minting identities to fill the graph thus costs the defender O(1) per
+//     event, O(log burst) in same-millisecond bursts.
 //   * Checkpointable. Byte-stable serialization (nodes in intern-id order,
 //     edges in key order) keeps journal record/replay and fleet resume
 //     byte-identical, including intern-id assignment (util::InternTable
 //     reproduces its free list exactly). Table order is never observable:
 //     the checkpoint, for_each_edge and the partition rebuild all walk the
-//     edges radix-sorted by key.
+//     edges sorted by key.
 #pragma once
 
 #include <cstdint>
@@ -241,22 +243,45 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
     std::uint32_t newer = kNil;
   };
 
-  // Live entries threaded oldest to newest. The links are the `age` member
-  // of slots[i]; `older(i, j)` orders two entries by (last_seen, id or key),
-  // which no two entries share.
+  // An entry in an AgeList's heap: `older` holds its heap position.
+  static constexpr std::uint32_t kHeaped = kNil - 1;
+
+  // Live entries in age order, (last_seen, rank) with rank a node's id or an
+  // edge's key. They are threaded oldest to newest by last_seen, ties in
+  // arrival order, except the oldest timestamp's group: front() splits it off
+  // into a min-heap by rank, so the cap's victims come off it in O(log g)
+  // for a group of g, and a burst of entries that share a timestamp still
+  // appends in O(1). `Access` reads an entry's links, last_seen and rank.
   class AgeList {
    public:
-    [[nodiscard]] std::uint32_t oldest() const { return oldest_; }
-    // Links unlinked entry `i` at its place in the order.
-    template <class Slots, class Older>
-    void place(std::uint32_t i, Slots& slots, Older older);
-    template <class Slots>
-    void unlink(std::uint32_t i, Slots& slots);
-    void clear() { oldest_ = newest_ = kNil; }
+    [[nodiscard]] bool empty() const { return oldest_ == kNil && heap_.empty(); }
+    // The oldest entry by (last_seen, rank), the cap's victim; kNil if empty.
+    template <class Access>
+    std::uint32_t front(const Access& a);
+    // Links unlinked entry `i` at its place.
+    template <class Access>
+    void place(std::uint32_t i, const Access& a);
+    template <class Access>
+    void unlink(std::uint32_t i, const Access& a);
+    // Appends every entry with last_seen <= limit to `out`, in no set order.
+    template <class Access>
+    void expired(sim::SimTime limit, const Access& a, std::vector<std::uint32_t>& out) const;
+    void clear() {
+      oldest_ = newest_ = kNil;
+      heap_.clear();
+    }
 
    private:
+    // Moves heap_[pos] up or down to its place.
+    template <class Access>
+    void sift(std::size_t pos, const Access& a);
+
     std::uint32_t oldest_ = kNil;
     std::uint32_t newest_ = kNil;
+    // The group split off the list; each entry's last_seen is heap_at_, and
+    // every entry still in the list is newer.
+    std::vector<std::uint32_t> heap_;
+    sim::SimTime heap_at_ = 0;
   };
 
   // A node's links, kept beside nodes_ so the passes over nodes stay dense.
@@ -295,14 +320,22 @@ class EntityGraph : public util::Checkpointed<EntityGraph> {
 
   // "<type-prefix>:<key>", composed in key_buf_: valid until the next call.
   [[nodiscard]] std::string_view compose_key(NodeType type, std::string_view key) const;
+  // AgeList access to nodes (rank: id) and edges (rank: key).
+  struct NodeAges {
+    EntityGraph& g;
+    AgeLinks& links(NodeId id) const { return g.node_links_[id].age; }
+    sim::SimTime time(NodeId id) const { return g.nodes_[id]->last_seen; }
+    std::uint64_t rank(NodeId id) const { return id; }
+  };
+  struct EdgeAges {
+    EntityGraph& g;
+    AgeLinks& links(std::uint32_t slot) const { return g.edges_[slot].age; }
+    sim::SimTime time(std::uint32_t slot) const { return g.edges_[slot].last_seen; }
+    std::uint64_t rank(std::uint32_t slot) const { return g.edges_[slot].key; }
+  };
   // Moves a live node or edge to its new place in age order.
   void refresh_node(NodeId id, sim::SimTime now);
   void refresh_edge(std::uint32_t slot, sim::SimTime now);
-  void place_node(NodeId id);
-  void place_edge(std::uint32_t slot);
-  // Age order: (last_seen, id) for nodes, (last_seen, key) for edges.
-  [[nodiscard]] bool node_older(NodeId a, NodeId b) const;
-  [[nodiscard]] bool edge_older(std::uint32_t a, std::uint32_t b) const;
   // Evicts a live node and every edge touching it.
   void evict_node(NodeId id);
   // Edge table: the slot holding `key`, or kNil.

@@ -70,28 +70,6 @@ void append_all(std::string& out, const Parts&... parts) {
   (one(parts), ...);
 }
 
-// Calls `fn` with every visit() field, so a field added there is seen here.
-template <class Fn>
-struct FieldsOf {
-  Fn fn;
-  template <class... T>
-  void operator()(T&... fields) {
-    fn(fields...);
-  }
-};
-template <class Fn>
-FieldsOf(Fn) -> FieldsOf<Fn>;
-
-bool same_fields(const Fingerprint& a, const Fingerprint& b) {
-  bool same = false;
-  FieldsOf outer{[&](const auto&... fa) {
-    FieldsOf inner{[&](const auto&... fb) { same = ((fa == fb) && ...); }};
-    const_cast<Fingerprint&>(b).visit(inner);
-  }};
-  const_cast<Fingerprint&>(a).visit(outer);
-  return same;
-}
-
 // The last fingerprint hash() digested on this thread: admit hashes a
 // request's fingerprint and the graph tap hashes it again.
 struct DigestMemo {
@@ -117,7 +95,7 @@ std::string Fingerprint::canonical() const {
 }
 
 FpHash Fingerprint::hash() const {
-  if (!memo.filled || !same_fields(memo.fingerprint, *this)) {
+  if (!memo.filled || memo.fingerprint != *this) {
     // Reserve 0 as invalid by mapping any zero digest to 1.
     const std::uint64_t h = util::fnv1a(canonical());
     memo.digest = h == 0 ? 1 : h;
@@ -157,10 +135,6 @@ std::string Fingerprint::user_agent() const {
            ".0.0.0 Safari/537.36";
   }
   return out.str();
-}
-
-bool operator==(const Fingerprint& a, const Fingerprint& b) {
-  return a.canonical() == b.canonical();
 }
 
 }  // namespace fraudsim::fp

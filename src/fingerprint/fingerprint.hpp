@@ -51,10 +51,13 @@ struct Fingerprint {
   // Canonical attribute string (used for hashing and logging).
   [[nodiscard]] std::string canonical() const;
   // fnv1a(canonical()), never 0. Each thread remembers the last fingerprint
-  // it hashed and returns its digest again while every field compares equal.
+  // it hashed and returns its digest again while it compares equal.
   [[nodiscard]] FpHash hash() const;
   // Synthesised user-agent string consistent with browser/os/version.
   [[nodiscard]] std::string user_agent() const;
+
+  // Every member compares, a field added later included.
+  bool operator==(const Fingerprint&) const = default;
 
   // Wire field list (journal records, state checkpoints; util/archive.hpp).
   template <class Ar>
@@ -64,7 +67,5 @@ struct Fingerprint {
        canvas_hash, webgl_hash, fonts_hash, webdriver_flag, headless_hint);
   }
 };
-
-[[nodiscard]] bool operator==(const Fingerprint& a, const Fingerprint& b);
 
 }  // namespace fraudsim::fp

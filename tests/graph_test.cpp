@@ -23,6 +23,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "attack/ring_orchestrator.hpp"
@@ -307,6 +308,95 @@ TEST(EntityGraph, OutOfOrderTouchesEvictOldestFirst) {
   const auto& stats = edges.stats();
   EXPECT_EQ(stats.edges_created - stats.edges_evicted, edges.edge_count());
   EXPECT_EQ(stats.nodes_created - stats.nodes_evicted, edges.node_count());
+}
+
+// Bursts of hundreds of entities that share one timestamp, at both caps:
+// every cap eviction takes the victim a scan of the live graph picks (the
+// oldest last_seen, ties to the smallest id or (lo, hi) key), while free-list
+// ids and refreshed old sessions enter each timestamp's group out of id order,
+// and while a burst larger than the node cap keeps growing the group it evicts
+// from.
+TEST(EntityGraph, SameTimestampBurstsAtTheCapsEvictTheScanVictim) {
+  using NodeId = EntityGraph::NodeId;
+  GraphConfig config;
+  config.max_nodes = 256;
+  config.max_edges = 192;
+  config.maintenance_every = 0;
+  EntityGraph graph(config);
+
+  struct NodeVictim {
+    NodeType type = NodeType::Session;
+    std::string key;
+  };
+  const auto scan_node = [&] {
+    std::pair<sim::SimTime, NodeId> best{INT64_MAX, 0};
+    graph.for_each_node([&](NodeId id, const detect::graph::GraphNode& n) {
+      best = std::min(best, std::pair{n.last_seen, id});
+    });
+    return NodeVictim{graph.node(best.second)->type, std::string(graph.key_of(best.second))};
+  };
+  const auto touch = [&](sim::SimTime now, NodeType type, const std::string& key) {
+    const bool evicts = graph.find(type, key) == 0 && graph.node_count() == config.max_nodes;
+    const NodeVictim victim = evicts ? scan_node() : NodeVictim{};
+    const NodeId id = graph.touch(now, type, key);
+    if (evicts) {
+      EXPECT_EQ(graph.find(victim.type, victim.key), 0u) << victim.key << " outlived " << key;
+    }
+    return id;
+  };
+  const auto edges = [&] {
+    std::vector<std::tuple<sim::SimTime, NodeId, NodeId>> all;
+    graph.for_each_edge(
+        [&](NodeId a, NodeId b, sim::SimTime at) { all.emplace_back(at, a, b); });
+    return all;
+  };
+  const auto connect = [&](sim::SimTime now, NodeId a, NodeId b) {
+    const auto before = edges();
+    const auto [lo, hi] = std::minmax(a, b);
+    const bool fresh = std::none_of(before.begin(), before.end(), [&](const auto& e) {
+      return std::get<1>(e) == lo && std::get<2>(e) == hi;
+    });
+    graph.connect(now, a, b);
+    if (!fresh || before.size() < config.max_edges) return;
+    const auto victim = *std::min_element(before.begin(), before.end());
+    const auto after = edges();
+    EXPECT_EQ(std::count_if(after.begin(), after.end(),
+                            [&](const auto& e) {
+                              return std::get<1>(e) == std::get<1>(victim) &&
+                                     std::get<2>(e) == std::get<2>(victim);
+                            }),
+              0);
+  };
+
+  sim::Rng rng(77);
+  sim::SimTime now = 0;
+  for (int burst = 0; burst < 10; ++burst) {
+    now += sim::seconds(1);
+    const int size = burst % 3 == 2 ? 400 : 120;
+    for (int k = 0; k < size; ++k) {
+      const auto s =
+          touch(now, NodeType::Session, "s-" + std::to_string(burst) + "-" + std::to_string(k));
+      const auto ip = touch(now, NodeType::Ip, "ip-" + std::to_string(rng.uniform_int(0, 39)));
+      connect(now, s, ip);
+      if (k % 3 == 0) {
+        const auto fp =
+            touch(now, NodeType::Fingerprint, "fp-" + std::to_string(rng.uniform_int(0, 299)));
+        connect(now, s, fp);
+      }
+      if (burst > 0 && k % 5 == 0) {
+        // An older session comes back with its (smaller) id.
+        touch(now, NodeType::Session,
+              "s-" + std::to_string(burst - 1) + "-" + std::to_string(rng.uniform_int(0, 119)));
+      }
+    }
+  }
+  EXPECT_EQ(graph.node_count(), config.max_nodes);
+  EXPECT_EQ(graph.edge_count(), config.max_edges);
+  EXPECT_GT(graph.stats().nodes_evicted, 1'000u);
+  EXPECT_GT(graph.stats().edges_evicted, 1'000u);
+  const auto& stats = graph.stats();
+  EXPECT_EQ(stats.nodes_created - stats.nodes_evicted, graph.node_count());
+  EXPECT_EQ(stats.edges_created - stats.edges_evicted, graph.edge_count());
 }
 
 TEST(EntityGraph, TtlRetiresIdleEntities) {
